@@ -13,7 +13,8 @@ from .analysis import (GapReport, MaxDiffReport, RootCandidate, cost_gap,
 from .controller import (ControlLaw, CostReport, Protocol,
                          bernoulli_quadratic_expectation,
                          closed_loop_eigenvalues, error_quadratic_expectation,
-                         expected_cost, optimal_sequence, synthesize)
+                         expected_cost, expected_costs, optimal_sequence,
+                         synthesize)
 from .prediction import (PredictionOperators, build_prediction_operators,
                          build_upsilon_bar)
 from .scenario import (ChannelModel, ParseError, PlantModel, Scenario,

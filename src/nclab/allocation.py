@@ -4,29 +4,35 @@ Feasible channel means are those whose expected optimal control cost stays
 at or below a budget alpha; the communication cost of a configuration is
 the price-weighted sum of its delivery probabilities.  Because the control
 cost is strictly decreasing in every channel mean, the feasible set is an
-up-set, so a dense grid scan plus per-coordinate bisection onto the active
-constraint is simple, deterministic, and exhaustive at desk scale.
+up-set.  The grid stage evaluates every point of the k^m grid over
+(0, 1]^m in one batched cost call (``expected_costs``), takes the cheapest
+feasible point and the minimal feasible points (the frontier) from the
+resulting arrays, and then bisects each priced coordinate onto the active
+constraint with single-point cost calls.  The grid is exhaustive, so its
+work grows as k^m.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import Protocol, expected_cost
+from .controller import Protocol, expected_cost, expected_costs
 from .prediction import PredictionOperators
 
 __all__ = [
     "AllocationReport",
     "communication_cost",
+    "grid_points",
     "is_feasible",
     "optimize_allocation",
     "write_frontier_csv",
 ]
 
 REFINE_TOL = 1e-6
+# Relative width of the price shortlist ranked exactly in the grid stage.
+SHORTLIST_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,13 @@ def _grid_values(resolution: float) -> np.ndarray:
     return vals
 
 
+def grid_points(values, m: int) -> np.ndarray:
+    """Every m-tuple of ``values`` as the rows of a (len(values)**m, m)
+    array, in ``itertools.product`` order (last coordinate fastest)."""
+    axes = np.meshgrid(*(m * [np.asarray(values, dtype=float)]), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, m)
+
+
 def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: float,
                         beta, x, resolution: float = 0.01) -> AllocationReport:
     """Cheapest channel configuration meeting the cost budget.
@@ -86,37 +99,27 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
 
     vals = _grid_values(resolution)
     k = len(vals)
-    feas = np.zeros((k,) * m, dtype=bool)
-    cost_of: dict[tuple[int, ...], float] = {}
-    best_key: tuple[float, tuple[float, ...]] | None = None
-    best_idx: tuple[int, ...] | None = None
-    for idx in itertools.product(range(k), repeat=m):
-        mu = vals[list(idx)]
-        rep = expected_cost(ops, protocol, x, upsilon=mu)
-        ok = rep.total <= alpha
-        feas[idx] = ok
-        cost_of[idx] = rep.total
-        if ok:
-            key = (communication_cost(mu, beta), tuple(mu))
-            if best_key is None or key < best_key:
-                best_key, best_idx = key, idx
+    points = grid_points(vals, m)
+    costs = expected_costs(ops, protocol, x, points)
+    ok = costs <= alpha
+    feasible = np.flatnonzero(ok)
+
+    # Shortlist by a vectorized price, then rank the shortlist with the
+    # per-point key, so that exact ties break as communication_cost rounds.
+    price = points[feasible] @ beta
+    near = feasible[price <= price.min() + SHORTLIST_TOL * (1.0 + float(np.sum(beta)))]
+    best = min(near, key=lambda j: (communication_cost(points[j], beta), tuple(points[j])))
 
     # boundary samples: feasible points whose every lower grid neighbour is not
-    frontier = []
-    for idx in itertools.product(range(k), repeat=m):
-        if not feas[idx]:
-            continue
-        minimal = True
-        for i in range(m):
-            if idx[i] > 0:
-                lower = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
-                if feas[lower]:
-                    minimal = False
-                    break
-        if minimal:
-            frontier.append((tuple(vals[list(idx)]), cost_of[idx]))
+    feas = ok.reshape((k,) * m)
+    minimal = feas.copy()
+    for i in range(m):
+        below = np.roll(feas, 1, axis=i)
+        np.moveaxis(below, i, 0)[0] = False  # the lowest grid value has no lower neighbour
+        minimal &= ~below
+    frontier = [(tuple(points[j]), float(costs[j])) for j in np.flatnonzero(minimal)]
 
-    mu_grid = vals[list(best_idx)].astype(float)
+    mu_grid = points[best].astype(float)
     mu_star = mu_grid.copy()
     order = sorted(range(m), key=lambda i: (-beta[i], i))
     for i in order:
@@ -145,16 +148,14 @@ def write_frontier_csv(path, ops: PredictionOperators, protocol: Protocol,
                        alpha: float, beta, x, resolution: float = 0.01) -> None:
     """Full-grid export: ``mu_1..mu_m,control_cost,comm_cost,feasible``."""
     beta = np.asarray(beta, dtype=float)
-    vals = _grid_values(resolution)
     m = ops.m
+    points = grid_points(_grid_values(resolution), m)
+    costs = expected_costs(ops, protocol, x, points)
     header = [f"mu_{i+1}" for i in range(m)] + ["control_cost", "comm_cost", "feasible"]
     lines = [",".join(header)]
-    for idx in itertools.product(range(len(vals)), repeat=m):
-        mu = vals[list(idx)]
-        total = expected_cost(ops, protocol, x, upsilon=mu).total
+    for mu, total, price in zip(points.tolist(), costs.tolist(), (points @ beta).tolist()):
         cells = ([f"{v:.9g}" for v in mu]
-                 + [f"{total:.9g}", f"{communication_cost(mu, beta):.9g}",
-                    "1" if total <= alpha else "0"])
+                 + [f"{total:.9g}", f"{price:.9g}", "1" if total <= alpha else "0"])
         lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .controller import Protocol, expected_cost
+from .controller import Protocol, expected_cost, expected_costs
 from .prediction import PredictionOperators
 
 __all__ = [
@@ -267,10 +267,10 @@ def monotonic_sweep(ops: PredictionOperators, grid, protocol: Protocol,
     mus = [np.atleast_1d(np.asarray(mu, dtype=float)) for mu in grid]
     if len(mus) < 2:
         raise ValueError("grid needs at least two points")
-    for prev, nxt in zip(mus, mus[1:]):
-        if not np.all(nxt > prev):
-            raise ValueError("grid not strictly increasing (entrywise)")
-    return np.array([expected_cost(ops, protocol, x, upsilon=mu).total for mu in mus])
+    mus = np.array(mus)
+    if not np.all(mus[1:] > mus[:-1]):
+        raise ValueError("grid not strictly increasing (entrywise)")
+    return expected_costs(ops, protocol, x, mus)
 
 
 def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray,
@@ -316,11 +316,11 @@ def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray,
 
 def write_sweep_csv(path, mus, j_tcp, j_udp) -> None:
     """CSV rows ``mu_1[,mu_2,...],j_tcp,j_udp,gap``."""
-    mus = [np.atleast_1d(mu) for mu in mus]
-    m = mus[0].shape[0]
-    header = [f"mu_{i+1}" for i in range(m)] + ["j_tcp", "j_udp", "gap"]
+    mus = np.asarray(mus, dtype=float).reshape(len(mus), -1)
+    header = [f"mu_{i+1}" for i in range(mus.shape[1])] + ["j_tcp", "j_udp", "gap"]
     lines = [",".join(header)]
-    for mu, jt, ju in zip(mus, j_tcp, j_udp):
+    for mu, jt, ju in zip(mus.tolist(), np.asarray(j_tcp, dtype=float).tolist(),
+                          np.asarray(j_udp, dtype=float).tolist()):
         cells = [f"{v:.9g}" for v in mu] + [f"{jt:.9g}", f"{ju:.9g}", f"{ju - jt:.9g}"]
         lines.append(",".join(cells))
     with open(path, "w") as fh:

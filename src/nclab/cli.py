@@ -4,13 +4,15 @@ Single-value commands print JSON to stdout; grid and trajectory commands
 write CSV files.  Exit codes: 0 success, 1 validation/domain error, 2 usage
 error.  All numbers are printed with 9 significant digits, so output is
 byte-identical across runs for identical inputs and seeds.  The environment
-variable NCLAB_SEED overrides the scenario's simulation seed.
+variable NCLAB_SEED (a nonnegative integer) overrides the scenario's
+simulation seed.  ``sweep`` and ``allocate`` evaluate their grids with one
+batched cost call per protocol; a sweep needs at least two points per channel
+and at most MAX_SWEEP_POINTS grid points in all.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -19,12 +21,16 @@ import numpy as np
 
 from . import allocation, analysis, simulator
 from .controller import (Protocol, closed_loop_eigenvalues, expected_cost,
-                         synthesize)
+                         expected_costs, synthesize)
 from .prediction import build_prediction_operators
 from .scenario import (ChannelModel, Scenario, ScenarioError, SimOptions,
                        load_scenario)
 
 __all__ = ["main", "run"]
+
+
+# Largest number of grid points one sweep may evaluate.
+MAX_SWEEP_POINTS = 10 ** 6
 
 
 class UsageError(Exception):
@@ -59,8 +65,14 @@ def _load(args) -> Scenario:
     scn = load_scenario(args.scenario)
     seed_env = os.environ.get("NCLAB_SEED")
     if seed_env is not None:
-        sim = SimOptions(steps=scn.sim.steps, replicates=scn.sim.replicates,
-                         seed=int(seed_env))
+        bad = UsageError(f"NCLAB_SEED must be a nonnegative integer, got {seed_env!r}")
+        try:
+            seed = int(seed_env)
+        except ValueError:
+            raise bad from None
+        if seed < 0:
+            raise bad
+        sim = SimOptions(steps=scn.sim.steps, replicates=scn.sim.replicates, seed=seed)
         scn = Scenario(plant=scn.plant, channel=scn.channel, weights=scn.weights,
                        eval_state=scn.eval_state, sim=sim)
     if getattr(args, "upsilon", None) is not None:
@@ -116,18 +128,23 @@ def cmd_eigs(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn = _load(args)
+    scalar = scn.m == 1 or args.scalar
+    if args.points < 2:
+        raise UsageError("--points must be at least 2")
+    total = args.points if scalar else args.points ** scn.m
+    if total > MAX_SWEEP_POINTS:
+        raise UsageError(f"sweep of {args.points} points per channel over {scn.m} channels "
+                         f"is {total} grid points; the limit is {MAX_SWEEP_POINTS}")
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     pts = np.linspace(args.start, args.stop, args.points)
     if np.any(pts <= 0.0) or np.any(pts > 1.0):
         raise UsageError("sweep range must lie in (0,1]")
-    if scn.m == 1 or args.scalar:
-        mus = [np.full(scn.m, t) for t in pts]
+    if scalar:
+        mus = np.repeat(pts[:, np.newaxis], scn.m, axis=1)
     else:
-        mus = [np.array(c) for c in itertools.product(pts, repeat=scn.m)]
-    jt = [expected_cost(ops, Protocol.TCP_LIKE, scn.eval_state, upsilon=mu).total
-          for mu in mus]
-    ju = [expected_cost(ops, Protocol.UDP_LIKE, scn.eval_state, upsilon=mu).total
-          for mu in mus]
+        mus = allocation.grid_points(pts, scn.m)
+    jt = expected_costs(ops, Protocol.TCP_LIKE, scn.eval_state, mus)
+    ju = expected_costs(ops, Protocol.UDP_LIKE, scn.eval_state, mus)
     analysis.write_sweep_csv(args.out, mus, jt, ju)
     return 0
 

@@ -13,8 +13,13 @@ factorization.  The optimal expected cost is
 
     J*(x) = x'(Q + Omega_p) x + tr(Sigma_W Omega_l) - x' Omega_gp' Y G^{-1} Omega_gp x,
 
-evaluated through the same symmetric solve so the reduction term is a
-nonnegative quadratic form.
+evaluated through the same symmetric solve: with S = Y G = L L', the
+reduction term is |L^{-1} Y Omega_gp x|^2, a nonnegative quadratic form.
+
+There is one Gram-solve path.  It assembles and factors S for a stack of B
+channel-mean diagonals at once (``expected_costs``); ``expected_cost`` and
+``synthesize`` are batches of one, so a sweep or a grid and a single query
+give the same numbers for the same means.
 
 The acknowledgment itself has no runtime effect on the law under perfect
 state feedback: transmission realizations enter only the estimator error,
@@ -27,10 +32,13 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dtrsm as _dtrsm
 
 from .prediction import PredictionOperators
 from .scenario import PlantModel
+
+# Byte budget of one chunk of (N m)^2 Gram matrices in a batched evaluation.
+_CHUNK_BYTES = 1 << 20
 
 __all__ = [
     "Protocol",
@@ -38,6 +46,7 @@ __all__ = [
     "CostReport",
     "synthesize",
     "expected_cost",
+    "expected_costs",
     "error_quadratic_expectation",
     "bernoulli_quadratic_expectation",
     "optimal_sequence",
@@ -79,35 +88,80 @@ def _gram(ops: PredictionOperators, protocol: Protocol, upsilon: np.ndarray) -> 
     return g
 
 
-def _symmetric_system(
-    ops: PredictionOperators, protocol: Protocol, upsilon: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(S, cho_factor(S)) with S = Y G, symmetric positive definite."""
-    u = upsilon
-    s = (u[:, np.newaxis] * ops.omega_g) * u[np.newaxis, :] + u[:, np.newaxis] * ops.psi
+def _cholesky(ops: PredictionOperators, protocol: Protocol, u: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of S = Y G, symmetric positive definite, for a
+    (B, N*m) stack of channel-mean diagonals."""
+    s = (u[:, :, np.newaxis] * ops.omega_g) * u[:, np.newaxis, :] + u[:, :, np.newaxis] * ops.psi
     if protocol is Protocol.UDP_LIKE:
-        s = s + np.diag(u * np.diag(ops.omega_d) * (1.0 - u))
-    s = 0.5 * (s + s.T)
+        i = np.arange(u.shape[1])
+        s[:, i, i] += u * np.diag(ops.omega_d) * (1.0 - u)
+    s = 0.5 * (s + s.transpose(0, 2, 1))
     try:
-        factor = scipy.linalg.cho_factor(s)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular protocol Gram system: {exc}") from exc
-    return s, factor
+
+
+def _trsolve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve L w = rhs, or L' w = rhs when ``transpose``, for each member of
+    a stack of lower Cholesky factors L and (Nm, k) right-hand sides.
+
+    L is C-ordered, so L.T is L' in Fortran order and BLAS reads it
+    uncopied.  BLAS trsm rather than LAPACK trtrs (which scipy's
+    solve_triangular calls): OpenBLAS's trtrs may hand even a 20x20 system
+    with two right-hand sides to its worker threads, and waking them took
+    milliseconds per solve on a loaded 2-CPU machine.
+    """
+    out = np.empty(rhs.shape)
+    for b in range(factor.shape[0]):
+        out[b] = _dtrsm(1.0, factor[b].T, rhs[b], lower=0, trans_a=0 if transpose else 1)
+    return out
+
+
+def _constant_term(ops: PredictionOperators, x: np.ndarray) -> float:
+    """x'(Q + Omega_p)x + tr(Sigma_W Omega_l), the cost with no input."""
+    return float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace
+
+
+def _reductions(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Reduction terms b' S^{-1} b = |L^{-1} b|^2, b = Y Omega_gp x, for a
+    validated stack from ``_resolve_stack``.  Rows are expanded to stacked
+    diagonals and factored in chunks of about _CHUNK_BYTES of Gram matrices,
+    so that memory stays flat in the number of rows."""
+    nm = ops.horizon * ops.m
+    f = ops.omega_gp @ x
+    rows = max(1, _CHUNK_BYTES // (8 * nm * nm))
+    out = np.empty(u.shape[0])
+    for lo in range(0, u.shape[0], rows):
+        chunk = np.tile(u[lo:lo + rows], (1, nm // u.shape[1]))
+        w = _trsolve(_cholesky(ops, protocol, chunk), (chunk * f)[:, :, np.newaxis])
+        out[lo:lo + rows] = np.einsum("bij,bij->b", w, w)
+    return out
+
+
+def _resolve_stack(ops: PredictionOperators, upsilon) -> np.ndarray:
+    """Validated (B, w) stack of channel means with w = 1 (one shared mean
+    per row), m (stationary per-channel means) or N*m (full stacked
+    diagonal); a (B,) stack counts as w = 1.  Tiling a row N*m/w times gives
+    its stacked diagonal."""
+    nm = ops.horizon * ops.m
+    u = np.asarray(upsilon, dtype=float)
+    if u.ndim == 1:
+        u = u[:, np.newaxis]
+    if u.ndim != 2 or u.shape[1] not in (1, ops.m, nm):
+        raise ValueError(f"upsilon override has shape {u.shape[1:]}; expected scalar, "
+                         f"({ops.m},) or ({nm},)")
+    if not np.all((u > 0.0) & (u <= 1.0)):
+        raise ValueError("channel mean must lie in (0,1]")
+    return u
 
 
 def _resolve_upsilon(ops: PredictionOperators, upsilon) -> np.ndarray:
     if upsilon is None:
         return ops.upsilon_diag
-    u = np.asarray(upsilon, dtype=float)
-    if u.ndim == 0:
-        u = np.full(ops.horizon * ops.m, float(u))
-    elif u.shape == (ops.m,):
-        u = np.tile(u, ops.horizon)
-    elif u.shape != (ops.horizon * ops.m,):
-        raise ValueError(f"upsilon override has shape {u.shape}; expected scalar, ({ops.m},) or ({ops.horizon * ops.m},)")
-    if np.any(u <= 0.0) or np.any(u > 1.0):
-        raise ValueError("channel mean must lie in (0,1]")
-    return u
+    row = _resolve_stack(ops, np.asarray(upsilon, dtype=float)[np.newaxis])[0]
+    return np.tile(row, ops.horizon * ops.m // row.shape[0])
 
 
 def synthesize(ops: PredictionOperators, protocol: Protocol, upsilon=None) -> ControlLaw:
@@ -118,8 +172,9 @@ def synthesize(ops: PredictionOperators, protocol: Protocol, upsilon=None) -> Co
     per-channel; length N*m: full stacked diagonal).
     """
     u = _resolve_upsilon(ops, upsilon)
-    _, factor = _symmetric_system(ops, protocol, u)
-    k = scipy.linalg.cho_solve(factor, u[:, np.newaxis] * ops.omega_gp)
+    factor = _cholesky(ops, protocol, u[np.newaxis])
+    w = _trsolve(factor, (u[:, np.newaxis] * ops.omega_gp)[np.newaxis])
+    k = _trsolve(factor, w, transpose=True)[0]
     return ControlLaw(protocol=protocol, g=_gram(ops, protocol, u),
                       k=k, k_first=k[: ops.m, :])
 
@@ -129,12 +184,23 @@ def expected_cost(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
     """Exact expected optimal cost at measured state x."""
     u = _resolve_upsilon(ops, upsilon)
     x = np.asarray(x, dtype=float)
-    constant = float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace
-    b = u * (ops.omega_gp @ x)
-    _, factor = _symmetric_system(ops, protocol, u)
-    reduction = float(b @ scipy.linalg.cho_solve(factor, b))
+    constant = _constant_term(ops, x)
+    reduction = float(_reductions(ops, protocol, x, u[np.newaxis])[0])
     return CostReport(total=constant - reduction, constant_term=constant,
                       reduction_term=reduction)
+
+
+def expected_costs(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
+                   upsilon) -> np.ndarray:
+    """Exact expected optimal costs at measured state x for a stack of
+    channel-mean overrides, one row per evaluation point: shape (B,) for a
+    shared mean, (B, m) for stationary per-channel means, or (B, N*m) for
+    full stacked diagonals.  Row b equals
+    ``expected_cost(ops, protocol, x, upsilon[b]).total``.
+    """
+    u = _resolve_stack(ops, upsilon)
+    x = np.asarray(x, dtype=float)
+    return _constant_term(ops, x) - _reductions(ops, protocol, x, u)
 
 
 def error_quadratic_expectation(ops: PredictionOperators, protocol: Protocol,

@@ -69,6 +69,14 @@ def _array(x, name: str, ndim: int) -> np.ndarray:
     return a
 
 
+def _integer(x, name: str) -> int:
+    """A whole number given as a JSON integer (or an integral decimal)."""
+    whole = isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+    if isinstance(x, bool) or not whole:
+        raise ParseError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -302,9 +310,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         beta = _array(channel_doc["beta"], "channel.beta", 1)
     channel = ChannelModel(means=means, beta=beta)
 
-    if "horizon" not in weights_doc:
-        raise ParseError("weights is missing horizon")
-    N = int(weights_doc["horizon"])
+    for key in ("q", "horizon"):
+        if key not in weights_doc:
+            raise ParseError(f"weights is missing {key}")
+    N = _integer(weights_doc["horizon"], "weights.horizon")
     weights = WeightSpec(
         q=_array(weights_doc["q"], "weights.q", 2),
         omega_steps=_steps_from(weights_doc, "omega_steps", "omega", N, "omega"),
@@ -319,9 +328,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     sim_doc = doc.get("sim", {})
     sim = SimOptions(
-        steps=int(sim_doc.get("steps", 0)),
-        replicates=int(sim_doc.get("replicates", 10000)),
-        seed=int(sim_doc.get("seed", 0)),
+        steps=_integer(sim_doc.get("steps", 0), "sim.steps"),
+        replicates=_integer(sim_doc.get("replicates", 10000), "sim.replicates"),
+        seed=_integer(sim_doc.get("seed", 0), "sim.seed"),
     )
 
     scn = Scenario(plant=plant, channel=channel, weights=weights,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,45 @@ def test_frontier_csv(tmp_path, mixed):
     assert lines[0] == "mu_1,mu_2,control_cost,comm_cost,feasible"
     assert len(lines) == 1 + 16  # 4 grid values per channel
     assert all(ln.split(",")[-1] in ("0", "1") for ln in lines[1:])
+
+
+def _looped_grid_stage(ops, protocol, alpha, beta, x, resolution):
+    """Per-point reference for the grid stage: (m_grid, frontier, flags)."""
+    k = int(round(1.0 / resolution))
+    vals = np.round(np.arange(1, k + 1) * resolution, 12)
+    vals[-1] = 1.0
+    flags, frontier, best = {}, [], None
+    for idx in itertools.product(range(k), repeat=ops.m):
+        mu = vals[list(idx)]
+        total = expected_cost(ops, protocol, x, upsilon=mu).total
+        flags[idx] = (total <= alpha, total)
+        if total <= alpha:
+            key = (communication_cost(mu, beta), tuple(mu))
+            best = key if best is None or key < best else best
+    for idx, (ok, total) in flags.items():
+        lower = [idx[:i] + (idx[i] - 1,) + idx[i + 1:] for i in range(ops.m) if idx[i] > 0]
+        if ok and not any(flags[j][0] for j in lower):
+            frontier.append((tuple(vals[list(idx)]), total))
+    return np.array(best[1]), frontier, [flags[i][0] for i in sorted(flags)]
+
+
+def test_batched_grid_stage_matches_per_point_loop(tmp_path, mixed):
+    rng = np.random.default_rng(12)
+    cases = [(mixed, np.array([0.9, 0.8]), [1.0, 1.0], 0.05),
+             (mixed, np.array([0.7, 0.95]), [0.05, 1.0], 0.05)]
+    for _ in range(4):
+        scn = random_scenario(rng, m_max=3, n_horizon_max=4)
+        cases.append((scn, rng.uniform(0.5, 0.95, scn.m), np.ones(scn.m), 0.125))
+    for scn, mu_alpha, beta, res in cases:
+        ops = ops_of(scn)
+        x = scn.eval_state
+        for p in (TCP, UDP):
+            alpha = expected_cost(ops, p, x, upsilon=mu_alpha).total
+            m_grid, frontier, flags = _looped_grid_stage(ops, p, alpha, beta, x, res)
+            rep = optimize_allocation(ops, p, alpha, beta, x, resolution=res)
+            assert np.array_equal(rep.m_grid, m_grid)
+            assert rep.frontier == frontier
+            path = tmp_path / "frontier.csv"
+            write_frontier_csv(path, ops, p, alpha, beta, x, resolution=res)
+            rows = path.read_text().strip().split("\n")[1:]
+            assert [r.endswith(",1") for r in rows] == flags

@@ -163,3 +163,78 @@ def test_usage_error_exits_2(capsys, pend_path):
 def test_unknown_command_exits_2(capsys):
     rc = run(["frobnicate"])
     assert rc == 2
+
+
+def test_sweep_matches_per_point_costs(tmp_path, mixed_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--scenario", mixed_path, "--points", "4", "--out", str(out)]) == 0
+    scn = load_scenario(mixed_path)
+    ops = ops_of(scn)
+    pts = np.linspace(0.01, 0.99, 4)  # the default --start/--stop
+    rows = out.read_text().strip().split("\n")[1:]
+    mus = [(a, b) for a in pts for b in pts]
+    assert len(rows) == len(mus)
+    for line, mu in zip(rows, mus):
+        cells = line.split(",")
+        for p, cell in ((Protocol.TCP_LIKE, cells[2]), (Protocol.UDP_LIKE, cells[3])):
+            ref = expected_cost(ops, p, scn.eval_state, upsilon=np.array(mu)).total
+            assert cell == f"{ref:.9g}"
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-3"])
+def test_sweep_rejects_fewer_than_two_points(tmp_path, capsys, mixed_path, points):
+    out = tmp_path / "sweep.csv"
+    rc = run(["sweep", "--scenario", mixed_path, "--points", points, "--out", str(out)])
+    assert rc == 2
+    assert "--points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_oversized_grid_before_evaluating(tmp_path, capsys, monkeypatch,
+                                                        mixed_path):
+    from nclab import cli
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("evaluated an oversized sweep")
+
+    monkeypatch.setattr(cli, "expected_costs", no_eval)
+    out = tmp_path / "sweep.csv"
+    points = str(int(cli.MAX_SWEEP_POINTS ** 0.5) + 1)  # squared over two channels
+    rc = run(["sweep", "--scenario", mixed_path, "--points", points, "--out", str(out)])
+    assert rc == 2
+    assert "limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-4", ""])
+def test_nclab_seed_must_be_a_nonnegative_integer(capsys, monkeypatch, mixed_path, value):
+    monkeypatch.setenv("NCLAB_SEED", value)
+    rc = run(["cost", "--scenario", mixed_path, "--protocol", "tcp"])
+    assert rc == 2
+    assert "NCLAB_SEED" in capsys.readouterr().err
+
+
+def _scenario_file(tmp_path, mixed_path, edit):
+    doc = json.loads(open(mixed_path).read())
+    edit(doc["weights"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_null_horizon_is_a_scenario_error(tmp_path, capsys, mixed_path):
+    path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=None))
+    assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
+    assert "horizon" in capsys.readouterr().err
+
+
+def test_missing_q_weight_is_a_scenario_error(tmp_path, capsys, mixed_path):
+    path = _scenario_file(tmp_path, mixed_path, lambda w: w.pop("q"))
+    assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
+    assert "weights is missing q" in capsys.readouterr().err
+
+
+def test_fractional_horizon_is_rejected(tmp_path, capsys, mixed_path):
+    path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=2.7))
+    assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
+    assert "horizon" in capsys.readouterr().err

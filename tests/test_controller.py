@@ -3,7 +3,7 @@ import pytest
 
 from nclab import (Protocol, bernoulli_quadratic_expectation,
                    closed_loop_eigenvalues, error_quadratic_expectation,
-                   expected_cost, optimal_sequence, synthesize)
+                   expected_cost, expected_costs, optimal_sequence, synthesize)
 
 from conftest import (enumerate_bernoulli_quadratic, make_scenario,
                       minimize_quadratic_oracle, ops_of,
@@ -283,3 +283,97 @@ def test_bad_upsilon_override_rejected():
         synthesize(ops, TCP, upsilon=0.0)
     with pytest.raises(ValueError, match="shape"):
         synthesize(ops, TCP, upsilon=np.array([0.5, 0.5, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# batched cost core
+
+
+def _with_means(scn, means):
+    from nclab import ChannelModel, Scenario
+    return Scenario(plant=scn.plant, channel=ChannelModel(means=means),
+                    weights=scn.weights, eval_state=scn.eval_state, sim=scn.sim)
+
+
+def _lu_cost(ops, protocol, x, diag):
+    """Per-point reference through an LU solve of the asymmetric Gram
+    matrix G, using none of the Cholesky path."""
+    g = ops.omega_g * diag[np.newaxis, :] + ops.psi
+    if protocol is UDP:
+        g = g + np.diag(np.diag(ops.omega_g) * (1.0 - diag))
+    f = ops.omega_gp @ x
+    constant = x @ (ops.q + ops.omega_p) @ x + np.sum(ops.omega_l * ops.sigma_w_stacked)
+    return constant - f @ (diag * np.linalg.solve(g, f))
+
+
+def test_batched_costs_match_per_point_costs_on_random_ensemble():
+    # stationary (B, m) and scheduled (B, N*m) stacks, both protocols
+    rng = np.random.default_rng(90)
+    for trial in range(12):
+        scn = random_scenario(rng, sigma_scale=0.2 * (trial % 2))
+        if trial % 3 == 0:
+            scn = _with_means(scn, rng.uniform(0.1, 0.9, (scn.horizon, scn.m)))
+        ops = ops_of(scn)
+        nm = scn.horizon * scn.m
+        for stack in (rng.uniform(0.02, 1.0, (7, scn.m)), rng.uniform(0.02, 1.0, (7, nm)),
+                      rng.uniform(0.02, 1.0, 7)):
+            for p in (TCP, UDP):
+                got = expected_costs(ops, p, scn.eval_state, stack)
+                ref = [expected_cost(ops, p, scn.eval_state, upsilon=u).total for u in stack]
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+                diags = [np.resize(u, nm) for u in np.reshape(stack, (len(stack), -1))]
+                lu = [_lu_cost(ops, p, scn.eval_state, d) for d in diags]
+                np.testing.assert_allclose(got, lu, rtol=1e-12, atol=0.0)
+
+
+def test_batched_costs_match_enumeration_oracle():
+    rng = np.random.default_rng(91)
+    trials = 0
+    while trials < 6:
+        scn = random_scenario(rng, n_max=3, m_max=2, n_horizon_max=3, sigma_scale=0.2)
+        k = scn.horizon * scn.m
+        if k > 6:
+            continue
+        trials += 1
+        ops = ops_of(scn)
+        stack = rng.uniform(0.05, 1.0, (3, k))
+        for p in (TCP, UDP):
+            got = expected_costs(ops, p, scn.eval_state, stack)
+            for row, total in zip(stack, got):
+                sched = _with_means(scn, row.reshape(scn.horizon, scn.m))
+                fun = lambda u, s=sched: protocol_objective_oracle(s, p.value, u)
+                _, j_opt = minimize_quadratic_oracle(fun, k)
+                assert total == pytest.approx(j_opt, rel=1e-12)
+
+
+def test_batched_costs_reject_a_row_outside_the_unit_interval():
+    ops = ops_of(toy_scenario())
+    for bad in (0.0, 1.5, -0.2, np.nan):
+        with pytest.raises(ValueError, match=r"channel mean must lie in \(0,1\]"):
+            expected_costs(ops, TCP, [1.0], np.array([0.3, bad, 0.9]))
+
+
+def test_batched_costs_raise_on_a_non_positive_definite_member():
+    # psi = -1/2 on a scalar plant (A = B = Omega = 1): for one step, TCP's
+    # S = u^2 - u/2 is negative below u = 1/2; for two steps, UDP's S is u
+    # times [[3/2, u], [u, 1/2]], indefinite above u = sqrt(3)/2
+    for p, steps, good, bad in ((TCP, 1, [0.9, 1.0], 0.1), (UDP, 2, [0.5, 0.3], 0.95)):
+        scn = make_scenario([[1.0]], [[1.0]], steps * [[[1.0]]], steps * [[[-0.5]]],
+                            [[1.0]], [0.9], x=[1.0])
+        ops = ops_of(scn)
+        assert np.all(np.isfinite(expected_costs(ops, p, [1.0], np.array(good))))
+        with pytest.raises(np.linalg.LinAlgError, match="singular protocol Gram system"):
+            expected_costs(ops, p, [1.0], np.array([good[0], bad, good[1]]))
+
+
+def test_batched_costs_do_not_depend_on_the_chunk_size(monkeypatch, mixed):
+    from nclab import controller
+    ops = ops_of(mixed)
+    stack = np.random.default_rng(92).uniform(0.05, 1.0, (700, 2))
+    ref = expected_costs(ops, UDP, mixed.eval_state, stack)
+    nm2_bytes = 8 * (mixed.horizon * mixed.m) ** 2
+    for rows in (1, 3, 64, 10_000):
+        monkeypatch.setattr(controller, "_CHUNK_BYTES", rows * nm2_bytes)
+        assert np.array_equal(expected_costs(ops, UDP, mixed.eval_state, stack), ref)
+    # a batch of one is the single-point path
+    assert ref[5] == expected_cost(ops, UDP, mixed.eval_state, upsilon=stack[5]).total
