@@ -15,16 +15,14 @@ from .controller import (ControlLaw, CostReport, Protocol,
                          closed_loop_eigenvalues, error_quadratic_expectation,
                          expected_cost, expected_costs, optimal_sequence,
                          synthesize)
-from .prediction import (PredictionOperators, build_prediction_operators,
-                         build_upsilon_bar)
+from .prediction import PredictionOperators, build_prediction_operators
 from .scenario import (ChannelModel, ParseError, PlantModel, Scenario,
                        ScenarioError, SimOptions, ValidationError, WeightSpec,
                        load_scenario, save_scenario, scenario_from_dict,
                        scenario_to_dict, validate_scenario)
 from .simulator import (MonteCarloStats, TrajectoryRecord, monte_carlo_cost,
                         open_loop_rollout, receding_horizon_sim,
-                        replicate_seed, sample_transmission,
-                        write_trajectory_csv)
+                        replicate_seed, write_trajectory_csv)
 
 __version__ = "0.1.0"
 

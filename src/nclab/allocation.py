@@ -25,6 +25,7 @@ __all__ = [
     "AllocationReport",
     "communication_cost",
     "grid_points",
+    "grid_size",
     "is_feasible",
     "optimize_allocation",
     "write_frontier_csv",
@@ -60,8 +61,15 @@ def is_feasible(ops: PredictionOperators, mu, protocol: Protocol,
     return expected_cost(ops, protocol, x, upsilon=np.asarray(mu, dtype=float)).total <= alpha
 
 
+def grid_size(resolution: float) -> int:
+    """Number of grid values per channel, k = 1/resolution rounded."""
+    if not 0.0 < resolution <= 0.5:
+        raise ValueError("resolution must lie in (0, 0.5]")
+    return int(round(1.0 / resolution))
+
+
 def _grid_values(resolution: float) -> np.ndarray:
-    k = int(round(1.0 / resolution))
+    k = grid_size(resolution)
     vals = np.round(np.arange(1, k + 1) * resolution, 12)
     vals[-1] = 1.0  # include the perfect channel exactly; zero is excluded
     return vals
@@ -84,8 +92,7 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     boundary to within 1e-6.  Raises when even perfect channels exceed the
     budget.
     """
-    if not 0.0 < resolution <= 0.5:
-        raise ValueError("resolution must lie in (0, 0.5]")
+    grid_size(resolution)  # rejects a resolution outside (0, 0.5]
     beta = np.asarray(beta, dtype=float)
     m = ops.m
     if beta.shape != (m,):

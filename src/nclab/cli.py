@@ -6,8 +6,10 @@ error.  All numbers are printed with 9 significant digits, so output is
 byte-identical across runs for identical inputs and seeds.  The environment
 variable NCLAB_SEED (a nonnegative integer) overrides the scenario's
 simulation seed.  ``sweep`` and ``allocate`` evaluate their grids with one
-batched cost call per protocol; a sweep needs at least two points per channel
-and at most MAX_SWEEP_POINTS grid points in all.
+batched cost call per protocol; a sweep needs at least two points per channel,
+and neither grid may exceed MAX_SWEEP_POINTS grid points in all.  ``--upsilon``
+is offered only by the commands whose output it changes, ``--threads`` only
+by ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .scenario import (ChannelModel, Scenario, ScenarioError, SimOptions,
 __all__ = ["main", "run"]
 
 
-# Largest number of grid points one sweep may evaluate.
+# Largest number of grid points one sweep or allocation grid may evaluate.
 MAX_SWEEP_POINTS = 10 ** 6
 
 
@@ -89,6 +91,13 @@ def _protocol(args) -> Protocol:
     return Protocol.parse(args.protocol)
 
 
+def _check_grid(what: str, per_channel: int, channels: int) -> None:
+    total = per_channel ** channels
+    if total > MAX_SWEEP_POINTS:
+        raise UsageError(f"{what} of {per_channel} points per channel over {channels} channels "
+                         f"is {total} grid points; the limit is {MAX_SWEEP_POINTS}")
+
+
 def cmd_synthesize(args) -> int:
     scn = _load(args)
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
@@ -131,10 +140,7 @@ def cmd_sweep(args) -> int:
     scalar = scn.m == 1 or args.scalar
     if args.points < 2:
         raise UsageError("--points must be at least 2")
-    total = args.points if scalar else args.points ** scn.m
-    if total > MAX_SWEEP_POINTS:
-        raise UsageError(f"sweep of {args.points} points per channel over {scn.m} channels "
-                         f"is {total} grid points; the limit is {MAX_SWEEP_POINTS}")
+    _check_grid("sweep", args.points, 1 if scalar else scn.m)
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     pts = np.linspace(args.start, args.stop, args.points)
     if np.any(pts <= 0.0) or np.any(pts > 1.0):
@@ -170,12 +176,17 @@ def cmd_maxdiff(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps is not None:
+        if args.mode == "open":
+            raise UsageError("--steps applies to --mode receding; an open-loop run spans the horizon")
+        if args.steps < 1:
+            raise UsageError("--steps must be at least 1")
     scn = _load(args)
     seed = scn.sim.seed if args.seed is None else args.seed
-    steps = args.steps or (scn.sim.steps or scn.horizon)
     if args.mode == "open":
         rec = simulator.open_loop_rollout(scn, _protocol(args), seed)
     else:
+        steps = args.steps if args.steps is not None else (scn.sim.steps or scn.horizon)
         rec = simulator.receding_horizon_sim(scn, _protocol(args), steps, seed)
     simulator.write_trajectory_csv(args.out, rec, scn)
     print(json.dumps(_fmt({"realized_cost": rec.realized_cost, "seed": rec.seed,
@@ -184,9 +195,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.replicates is not None and args.replicates < 2:
+        raise UsageError("--replicates must be at least 2")
+    if args.threads is not None and args.threads < 1:
+        raise UsageError("--threads must be at least 1")
     scn = _load(args)
     seed = scn.sim.seed if args.seed is None else args.seed
-    replicates = args.replicates or scn.sim.replicates
+    replicates = scn.sim.replicates if args.replicates is None else args.replicates
     stats = simulator.monte_carlo_cost(scn, _protocol(args), replicates, seed,
                                        threads=args.threads)
     _emit({"protocol": args.protocol, "mean_cost": stats.mean_cost,
@@ -197,6 +212,7 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_allocate(args) -> int:
     scn = _load(args)
+    _check_grid("allocation grid", allocation.grid_size(args.resolution), scn.m)
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     if args.beta is not None:
         beta = np.array([float(v) for v in args.beta.split(",")])
@@ -235,8 +251,6 @@ def _parser() -> argparse.ArgumentParser:
                             default=out_default, help="output CSV path")
         else:
             sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="cap on worker threads")
         sp.set_defaults(fn=fn)
         return sp
 
@@ -245,14 +259,14 @@ def _parser() -> argparse.ArgumentParser:
     add("gap", cmd_gap, protocol=False)
     add("eigs", cmd_eigs)
 
-    sp = add("sweep", cmd_sweep, protocol=False, out_csv=True)
+    sp = add("sweep", cmd_sweep, protocol=False, upsilon=False, out_csv=True)
     sp.add_argument("--points", type=int, default=99, help="grid points per channel")
     sp.add_argument("--start", type=float, default=0.01)
     sp.add_argument("--stop", type=float, default=0.99)
     sp.add_argument("--scalar", action="store_true",
                     help="sweep one shared mean even for multichannel scenarios")
 
-    sp = add("maxdiff", cmd_maxdiff, protocol=False)
+    sp = add("maxdiff", cmd_maxdiff, protocol=False, upsilon=False)
     sp.add_argument("--scalar", action="store_true",
                     help="treat all channels as one shared channel")
 
@@ -264,8 +278,9 @@ def _parser() -> argparse.ArgumentParser:
     sp = add("montecarlo", cmd_montecarlo)
     sp.add_argument("--replicates", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help="cap on worker threads")
 
-    sp = add("allocate", cmd_allocate)
+    sp = add("allocate", cmd_allocate, upsilon=False)
     sp.add_argument("--alpha", type=float, required=True, help="control-cost budget")
     sp.add_argument("--beta", default=None, help="comma-separated channel prices")
     sp.add_argument("--resolution", type=float, default=0.01)

@@ -69,7 +69,6 @@ class Protocol(enum.Enum):
 @dataclass(frozen=True)
 class ControlLaw:
     protocol: Protocol
-    g: np.ndarray        # (Nm, Nm) protocol Gram matrix
     k: np.ndarray        # (Nm, n) stacked gain, U*(x) = -K x
     k_first: np.ndarray  # (m, n) first block of k
 
@@ -79,13 +78,6 @@ class CostReport:
     total: float
     constant_term: float   # x'(Q+Omega_p)x + tr(Sigma_W Omega_l)
     reduction_term: float  # x'Omega_gp' Y G^{-1} Omega_gp x, >= 0
-
-
-def _gram(ops: PredictionOperators, protocol: Protocol, upsilon: np.ndarray) -> np.ndarray:
-    g = ops.omega_g * upsilon[np.newaxis, :] + ops.psi
-    if protocol is Protocol.UDP_LIKE:
-        g = g + np.diag(np.diag(ops.omega_d) * (1.0 - upsilon))
-    return g
 
 
 def _cholesky(ops: PredictionOperators, protocol: Protocol, u: np.ndarray) -> np.ndarray:
@@ -175,8 +167,7 @@ def synthesize(ops: PredictionOperators, protocol: Protocol, upsilon=None) -> Co
     factor = _cholesky(ops, protocol, u[np.newaxis])
     w = _trsolve(factor, (u[:, np.newaxis] * ops.omega_gp)[np.newaxis])
     k = _trsolve(factor, w, transpose=True)[0]
-    return ControlLaw(protocol=protocol, g=_gram(ops, protocol, u),
-                      k=k, k_first=k[: ops.m, :])
+    return ControlLaw(protocol=protocol, k=k, k_first=k[: ops.m, :])
 
 
 def expected_cost(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .scenario import ChannelModel, PlantModel, WeightSpec
 
-__all__ = ["PredictionOperators", "build_prediction_operators", "build_upsilon_bar"]
+__all__ = ["PredictionOperators", "build_prediction_operators"]
 
 
 @dataclass(frozen=True)
@@ -60,29 +60,9 @@ class PredictionOperators:
     horizon: int
 
     @property
-    def upsilon_bar(self) -> np.ndarray:
-        """Stacked channel-mean matrix as a dense (N m, N m) diagonal."""
-        return np.diag(self.upsilon_diag)
-
-    @property
     def noise_trace(self) -> float:
         """tr(Omega_l Sigma_W_stacked), the irreducible noise cost."""
         return float(np.sum(self.omega_l * self.sigma_w_stacked))
-
-
-def build_upsilon_bar(channel: ChannelModel, horizon: int) -> np.ndarray:
-    """Stacked channel-mean matrix: I_N ⊗ M for a stationary channel, the
-    per-step means M_0..M_{N-1} stacked for a scheduled one."""
-    return np.diag(upsilon_diagonal(channel, horizon))
-
-
-def upsilon_diagonal(channel: ChannelModel, horizon: int) -> np.ndarray:
-    """Diagonal of ``build_upsilon_bar`` as a length N*m vector."""
-    if channel.is_scheduled:
-        if channel.means.shape[0] != horizon:
-            raise ValueError("channel schedule length ≠ N")
-        return channel.means.reshape(-1).copy()
-    return np.tile(channel.means, horizon)
 
 
 def build_prediction_operators(
@@ -97,6 +77,8 @@ def build_prediction_operators(
         raise ValueError(
             f"dimension mismatch: channel means cover {channel.m} channels but b has {m} columns"
         )
+    if channel.is_scheduled and channel.means.shape[0] != N:
+        raise ValueError("channel schedule length ≠ N")
 
     # powers[i] = A^i, built by repeated multiplication
     powers = [np.eye(n)]
@@ -124,7 +106,7 @@ def build_prediction_operators(
         phi=phi,
         gamma=gamma,
         lam=lam,
-        upsilon_diag=upsilon_diagonal(channel, N),
+        upsilon_diag=channel.step_means(N).reshape(-1),
         sigma_w_stacked=sigma_w_stacked,
         omega=omega,
         psi=psi,

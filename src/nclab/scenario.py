@@ -122,6 +122,13 @@ class ChannelModel:
     def m(self) -> int:
         return self.means.shape[-1]
 
+    def step_means(self, steps: int) -> np.ndarray:
+        """(steps, m) delivery means of steps 0..steps-1; a schedule's last
+        row holds past its end."""
+        if self.is_scheduled:
+            return self.means[np.minimum(np.arange(steps), self.means.shape[0] - 1)]
+        return np.broadcast_to(self.means, (steps, self.m))
+
 
 @dataclass(frozen=True)
 class WeightSpec:

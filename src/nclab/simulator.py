@@ -14,6 +14,10 @@ Transmission and noise streams depend only on (seed, step), never on the
 protocol: running both protocols at the same seed yields common random
 numbers, which makes paired cost-gap estimates low-variance.
 
+Every simulation is one recursion (``_rollout``) over a stack of
+replicates: a single rollout is a stack of one, and Monte Carlo runs one
+stack per chunk.  Only the generators and their uniforms are per replicate.
+
 A lost packet applies exactly zero input at that actuator, and the realized
 cost weights each stage's input penalty by the realized transmissions (a
 lost packet incurs no input penalty).
@@ -36,7 +40,6 @@ __all__ = [
     "TrajectoryRecord",
     "MonteCarloStats",
     "replicate_seed",
-    "sample_transmission",
     "open_loop_rollout",
     "receding_horizon_sim",
     "monte_carlo_cost",
@@ -44,6 +47,9 @@ __all__ = [
 ]
 
 SEED_RULE = "replicate r uses numpy SeedSequence(entropy=(base_seed, r))"
+
+# Byte budget of one Monte Carlo chunk's stored states and inputs.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,16 +74,6 @@ def replicate_seed(base_seed: int, r: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(base_seed), int(r))).generate_state(1, np.uint64)[0])
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
-def sample_transmission(means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One 0/1 delivery vector; component i is 1 with probability means[i]."""
-    means = np.asarray(means, dtype=float)
-    return (rng.random(means.shape[0]) < means).astype(float)
-
-
 def _noise_factor(sigma_w: np.ndarray) -> np.ndarray:
     """Lower-triangular-ish factor L with L L' = sigma_w (PSD tolerated)."""
     if not np.any(sigma_w):
@@ -89,60 +85,80 @@ def _noise_factor(sigma_w: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _step_means(scn: Scenario, steps: int) -> np.ndarray:
-    """(steps, m) per-step delivery means; schedules saturate at their end."""
-    c = scn.channel
-    if c.is_scheduled:
-        idx = np.minimum(np.arange(steps), c.means.shape[0] - 1)
-        return c.means[idx]
-    return np.broadcast_to(c.means, (steps, c.m))
-
-
-def _draws(scn: Scenario, steps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transmission and noise realizations for one replicate (fixed order)."""
-    rng = _generator(seed)
-    uv = rng.random((steps, scn.m))
-    uw = rng.random((steps, scn.n))
-    v = (uv < _step_means(scn, steps)).astype(float)
-    lw = _noise_factor(scn.plant.sigma_w)
-    w = ndtri(uw) @ lw.T
+def _draws(scn: Scenario, steps: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Deliveries (R, steps, m) and noise (R, steps, n) for a chunk of R
+    seeds.  Each seed's generator draws its uniforms in the fixed order;
+    the delivery threshold, the inverse normal CDF and the noise factor
+    then act on the whole chunk."""
+    uv = np.empty((len(seeds), steps, scn.m))
+    uw = np.empty((len(seeds), steps, scn.n))
+    for i, s in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(s))))
+        rng.random(out=uv[i])
+        rng.random(out=uw[i])
+    v = (uv < scn.channel.step_means(steps)).astype(float)
+    w = ndtri(uw) @ _noise_factor(scn.plant.sigma_w).T
     return v, w
 
 
-def _stage_weights(scn: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # beyond the horizon (receding mode) the final step's penalties repeat
-    i = min(k, scn.horizon - 1)
+def _stage_weights(scn: Scenario, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """State (steps, n, n) and input (steps, m, m) penalties of steps
+    0..steps-1; beyond the horizon (receding mode) the final step's repeat."""
+    i = np.minimum(np.arange(steps), scn.horizon - 1)
     return scn.weights.omega_steps[i], scn.weights.psi_steps[i]
 
 
-def _simulate(scn: Scenario, u_of, steps: int, seed: int) -> TrajectoryRecord:
-    """Shared recursion: u_of(k, x) -> commanded input at step k."""
+def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray | None = None,
+             gain: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rollouts of a stack of R replicates from ``eval_state`` with
+    deliveries v (R, steps, m) and noise w (R, steps, n).
+
+    The commanded input at step k is ``sequence[k]`` (open loop) or
+    -gain @ x_k (state feedback).  Returns the states (steps+1, R, n), the
+    commanded inputs (steps, R, m) and the realized costs (R,).  Row r
+    depends only on replicate r's draws; a stack of one agrees with the
+    same row of a larger stack to rounding, not bit for bit.
+    """
     a, b = scn.plant.a, scn.plant.b
-    v, w = _draws(scn, steps, seed)
-    x = np.array(scn.eval_state, dtype=float)
-    states = np.empty((steps + 1, scn.n))
-    inputs = np.empty((steps, scn.m))
-    states[0] = x
-    cost = float(x @ scn.weights.q @ x)
+    R, steps = v.shape[:2]
+    v, w = v.transpose(1, 0, 2), w.transpose(1, 0, 2)
+    states = np.empty((steps + 1, R, scn.n))
+    inputs = np.empty((steps, R, scn.m))
+    applied = np.empty((steps, R, scn.m))
+    x0 = np.asarray(scn.eval_state, dtype=float)
+    states[0] = x0
     for k in range(steps):
-        u = u_of(k, x)
-        inputs[k] = u
-        applied = v[k] * u
-        x = a @ x + b @ applied + w[k]
-        states[k + 1] = x
-        om_k, psi_k = _stage_weights(scn, k)
-        cost += float(x @ om_k @ x) + float(applied @ psi_k @ applied)
-    return TrajectoryRecord(states=states, inputs=inputs, transmissions=v,
-                            realized_cost=cost, seed=int(seed))
+        inputs[k] = sequence[k] if gain is None else -(states[k] @ gain.T)
+        applied[k] = v[k] * inputs[k]
+        states[k + 1] = states[k] @ a.T + applied[k] @ b.T + w[k]
+    # stage costs from the stored trajectory; add.accumulate (unlike sum)
+    # adds them onto the x_0 term strictly step by step
+    om, psi = _stage_weights(scn, steps)
+    x = states[1:]
+    terms = np.empty((steps + 1, R))
+    terms[0] = float(x0 @ scn.weights.q @ x0)
+    terms[1:] = ((x @ om) * x).sum(axis=2) + ((applied @ psi) * applied).sum(axis=2)
+    return states, inputs, np.add.accumulate(terms, axis=0)[-1]
+
+
+def _record(scn: Scenario, seed: int, steps: int, sequence=None, gain=None) -> TrajectoryRecord:
+    """One rollout: the stack of one replicate with seed ``seed``."""
+    v, w = _draws(scn, steps, [seed])
+    states, inputs, cost = _rollout(scn, v, w, sequence=sequence, gain=gain)
+    return TrajectoryRecord(states=states[:, 0], inputs=inputs[:, 0], transmissions=v[0],
+                            realized_cost=float(cost[0]), seed=int(seed))
+
+
+def _open_loop_sequence(scn: Scenario, protocol: Protocol) -> np.ndarray:
+    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
+    law = synthesize(ops, protocol)
+    return optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
 
 
 def open_loop_rollout(scn: Scenario, protocol: Protocol, seed: int) -> TrajectoryRecord:
     """Apply the full optimal sequence planned at ``eval_state`` over one
     horizon, with fresh losses and noise at every step."""
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    law = synthesize(ops, protocol)
-    u_star = optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
-    return _simulate(scn, lambda k, x: u_star[k], scn.horizon, seed)
+    return _record(scn, seed, scn.horizon, sequence=_open_loop_sequence(scn, protocol))
 
 
 def receding_horizon_sim(scn: Scenario, protocol: Protocol, steps: int, seed: int) -> TrajectoryRecord:
@@ -152,38 +168,20 @@ def receding_horizon_sim(scn: Scenario, protocol: Protocol, steps: int, seed: in
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     law = synthesize(ops, protocol)  # the law is state-independent; re-solving
     kf = law.k_first                 # each step would rebuild this same gain
-    return _simulate(scn, lambda k, x: -(kf @ x), steps, seed)
-
-
-def _batch_costs(scn: Scenario, u_star: np.ndarray, seeds: list[int]) -> np.ndarray:
-    """Open-loop realized costs for a batch of replicates (vectorized over
-    replicates; per-replicate values independent of batch size)."""
-    a, b = scn.plant.a, scn.plant.b
-    steps = scn.horizon
-    R = len(seeds)
-    v = np.empty((R, steps, scn.m))
-    w = np.empty((R, steps, scn.n))
-    for i, s in enumerate(seeds):
-        v[i], w[i] = _draws(scn, steps, s)
-    x0 = np.asarray(scn.eval_state, dtype=float)
-    x = np.broadcast_to(x0, (R, scn.n)).copy()
-    cost = np.full(R, float(x0 @ scn.weights.q @ x0))
-    for k in range(steps):
-        applied = v[:, k, :] * u_star[k]
-        x = x @ a.T + applied @ b.T + w[:, k, :]
-        om_k, psi_k = _stage_weights(scn, k)
-        cost += ((x @ om_k) * x).sum(axis=1) + ((applied @ psi_k) * applied).sum(axis=1)
-    return cost
+    return _record(scn, seed, steps, gain=kf)
 
 
 def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
-                     base_seed: int, threads: int | None = None,
-                     chunk: int = 4096) -> MonteCarloStats:
+                     base_seed: int, threads: int | None = None) -> MonteCarloStats:
     """Mean and standard error of the open-loop realized cost.
 
     Replicate ``r`` reproduces ``open_loop_rollout`` at seed
-    ``replicate_seed(base_seed, r)``.  Aggregation uses exact (fsum)
-    summation, so the result does not depend on chunking or thread count.
+    ``replicate_seed(base_seed, r)`` to rounding (see ``_rollout``).
+    Replicates run in chunks of about ``_CHUNK_BYTES`` of stored states and
+    inputs, so the chunk size follows from the horizon and the dimensions,
+    never from ``threads``.  A replicate's cost depends only on its own
+    draws, and aggregation uses exact (fsum) summation, so the result does
+    not depend on the thread count or on the order in which chunks finish.
 
     The mean estimates the expected realized cost of the protocol's
     open-loop sequence, which is the unacknowledged objective at that
@@ -193,24 +191,22 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     """
     if replicates < 2:
         raise ValueError("replicates must be ≥ 2")
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    law = synthesize(ops, protocol)
-    u_star = optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
-
+    u_star = _open_loop_sequence(scn, protocol)
+    rows = max(1, _CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
     costs = np.empty(replicates)
-    ranges = [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
 
-    def run(span):
-        lo, hi = span
-        seeds = [replicate_seed(base_seed, r) for r in range(lo, hi)]
-        costs[lo:hi] = _batch_costs(scn, u_star, seeds)
+    def run(lo):
+        hi = min(lo + rows, replicates)
+        v, w = _draws(scn, scn.horizon, [replicate_seed(base_seed, r) for r in range(lo, hi)])
+        costs[lo:hi] = _rollout(scn, v, w, sequence=u_star)[2]
 
+    starts = range(0, replicates, rows)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, ranges))
+            list(pool.map(run, starts))
     else:
-        for span in ranges:
-            run(span)
+        for lo in starts:
+            run(lo)
 
     mean = math.fsum(costs) / replicates
     ssq = math.fsum((c - mean) ** 2 for c in costs)
@@ -231,11 +227,11 @@ def write_trajectory_csv(path, record: TrajectoryRecord, scn: Scenario) -> None:
               + [f"u_{i+1}" for i in range(m)] + [f"v_{i+1}" for i in range(m)]
               + ["stage_cost"])
     lines = [",".join(header)]
+    om, psi = _stage_weights(scn, steps)
     for k in range(steps):
         x_next = record.states[k + 1]
         applied = record.transmissions[k] * record.inputs[k]
-        om_k, psi_k = _stage_weights(scn, k)
-        stage = float(x_next @ om_k @ x_next) + float(applied @ psi_k @ applied)
+        stage = float(x_next @ om[k] @ x_next) + float(applied @ psi[k] @ applied)
         if k == 0:
             x0 = record.states[0]
             stage += float(x0 @ scn.weights.q @ x0)

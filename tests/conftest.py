@@ -9,6 +9,7 @@ package internals they check.
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 
 from nclab import (ChannelModel, PlantModel, Scenario, SimOptions, WeightSpec,
                    build_prediction_operators, fixture_path, load_scenario)
@@ -333,3 +334,20 @@ def acknowledged_rollout_oracle(scn, gains, v, w):
         cost += (np.einsum("ri,ij,rj->r", x, scn.weights.omega_steps[k], x)
                  + np.einsum("ri,ij,rj->r", applied, scn.weights.psi_steps[k], applied))
     return cost
+
+
+def draws_oracle(scn, steps, seed):
+    """Deliveries (steps, m) and noise (steps, n) of one rollout by the
+    documented seed rule: SeedSequence(seed) -> Philox -> uniforms of shape
+    (steps, m), then (steps, n); a delivery is u < mean (a schedule's last
+    row holding past its end) and the noise is ndtri(u) @ L' with
+    L L' = Sigma_w (L = 0 when Sigma_w = 0)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    uv = rng.random((steps, scn.m))
+    uw = rng.random((steps, scn.n))
+    means = np.asarray(scn.channel.means, dtype=float)
+    if means.ndim == 2:
+        means = means[[min(k, means.shape[0] - 1) for k in range(steps)]]
+    sw = np.asarray(scn.plant.sigma_w, dtype=float)
+    lw = np.linalg.cholesky(sw) if np.any(sw) else np.zeros_like(sw)
+    return (uv < means).astype(float), scipy.special.ndtri(uw) @ lw.T

@@ -42,7 +42,7 @@ from nclab import (ChannelModel, Protocol, Scenario,
                    monotonic_sweep, optimal_sequence, optimize_allocation,
                    scalar_cost_gap, synthesize)
 from nclab.analysis import derivative_matrix, determinant_root_candidates
-from nclab.simulator import _batch_costs, _draws, replicate_seed
+from nclab.simulator import _draws, _rollout, replicate_seed
 
 from conftest import (acknowledged_rollout_oracle, enumerate_bernoulli_quadratic,
                       gap_maximizer_oracle, lossy_riccati_oracle,
@@ -230,27 +230,20 @@ def test_criterion_07_determinant_root_residuals(mixed):
 
 def _paired_mc(scn, replicates, base_seed):
     """Realized costs at common random numbers: each protocol's optimal
-    open-loop sequence (the library's batched rollout) and the
-    acknowledged re-planning policy (``acknowledged_rollout_oracle`` on
-    the same replicates' draws), with the open-loop sequences."""
-    costs, seqs = {}, {}
+    open-loop sequence (the library's rollout) and the acknowledged
+    re-planning policy (``acknowledged_rollout_oracle`` on the same
+    replicates' draws), with the open-loop sequences."""
     seeds = [replicate_seed(base_seed, r) for r in range(replicates)]
-    for tag, p in (("tcp", TCP), ("udp", UDP)):
-        ops = ops_of(scn)
-        law = synthesize(ops, p)
-        seqs[tag] = optimal_sequence(law, scn.eval_state)
-        useq = seqs[tag].reshape(scn.horizon, scn.m)
-        costs[tag] = np.concatenate([
-            _batch_costs(scn, useq, seeds[lo:lo + 8192])
-            for lo in range(0, replicates, 8192)])
+    seqs = {tag: optimal_sequence(synthesize(ops_of(scn), p), scn.eval_state)
+            for tag, p in (("tcp", TCP), ("udp", UDP))}
     gains, _ = lossy_riccati_oracle(scn, "ack")
-    ack = []
-    for lo in range(0, replicates, 8192):
-        draws = [_draws(scn, scn.horizon, s) for s in seeds[lo:lo + 8192]]
-        ack.append(acknowledged_rollout_oracle(scn, gains, np.array([d[0] for d in draws]),
-                                               np.array([d[1] for d in draws])))
-    costs["ack"] = np.concatenate(ack)
-    return costs, seqs
+    costs = {tag: [] for tag in ("tcp", "udp", "ack")}
+    for lo in range(0, replicates, 4096):
+        v, w = _draws(scn, scn.horizon, seeds[lo:lo + 4096])
+        for tag, useq in seqs.items():
+            costs[tag].append(_rollout(scn, v, w, sequence=useq.reshape(scn.horizon, scn.m))[2])
+        costs["ack"].append(acknowledged_rollout_oracle(scn, gains, v, w))
+    return {tag: np.concatenate(c) for tag, c in costs.items()}, seqs
 
 
 def test_criterion_08_monte_carlo_consistency(pendulum):

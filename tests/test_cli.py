@@ -8,6 +8,8 @@ from nclab.cli import run
 
 from conftest import ops_of
 
+ALLOCATE = ["--alpha", "119", "--beta", "0.05,1", "--resolution", "0.1"]
+
 
 @pytest.fixture(scope="module")
 def pend_path():
@@ -238,3 +240,75 @@ def test_fractional_horizon_is_rejected(tmp_path, capsys, mixed_path):
     path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=2.7))
     assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
     assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["montecarlo", "--protocol", "udp", "--replicates", "0"], "--replicates"),
+    (["montecarlo", "--protocol", "udp", "--replicates", "1"], "--replicates"),
+    (["montecarlo", "--protocol", "udp", "--threads", "0"], "--threads"),
+    (["simulate", "--protocol", "udp", "--mode", "receding", "--steps", "0"], "--steps"),
+    (["simulate", "--protocol", "udp", "--mode", "receding", "--steps", "-2"], "--steps"),
+    (["simulate", "--protocol", "udp", "--mode", "open", "--steps", "50"], "--steps"),
+    (["simulate", "--protocol", "udp", "--steps", "50"], "--steps"),
+])
+def test_count_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch, mixed_path,
+                                                  argv, flag):
+    from nclab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded the scenario before rejecting the flags")
+
+    monkeypatch.setattr(cli, "load_scenario", refuse)
+    out = tmp_path / "t.csv"
+    extra = ["--out", str(out)] if argv[0] == "simulate" else []
+    assert run(argv[:1] + ["--scenario", mixed_path] + argv[1:] + extra) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_count_flags_are_honoured(tmp_path, capsys, mixed_path):
+    assert run(["montecarlo", "--scenario", mixed_path, "--protocol", "udp",
+                "--replicates", "2", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["replicates"] == 2
+    out = tmp_path / "rh.csv"
+    assert run(["simulate", "--scenario", mixed_path, "--protocol", "udp",
+                "--mode", "receding", "--steps", "1", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--protocol", "tcp"], ["cost", "--protocol", "tcp"], ["gap"],
+    ["eigs", "--protocol", "tcp"], ["sweep", "--points", "3"], ["maxdiff", "--scalar"],
+    ["simulate", "--protocol", "tcp"], ["allocate", "--protocol", "udp", *ALLOCATE],
+])
+def test_threads_is_only_a_montecarlo_flag(tmp_path, capsys, mixed_path, argv):
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] in ("sweep", "simulate") else []
+    assert run(argv[:1] + ["--scenario", mixed_path] + argv[1:] + out) == 0
+    capsys.readouterr()
+    assert run(argv[:1] + ["--scenario", mixed_path] + argv[1:] + out + ["--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--points", "3"], ["maxdiff", "--scalar"], ["allocate", "--protocol", "udp", *ALLOCATE],
+])
+def test_upsilon_is_refused_where_it_changes_nothing(tmp_path, capsys, mixed_path, argv):
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "sweep" else []
+    assert run(argv[:1] + ["--scenario", mixed_path] + argv[1:] + out + ["--upsilon", "0.5"]) == 2
+    assert "--upsilon" in capsys.readouterr().err
+
+
+def test_allocate_rejects_oversized_grid_before_building_it(tmp_path, capsys, monkeypatch,
+                                                            mixed_path):
+    from nclab import allocation
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("built an oversized allocation grid")
+
+    monkeypatch.setattr(allocation, "grid_points", no_grid)
+    frontier = tmp_path / "frontier.csv"
+    rc = run(["allocate", "--scenario", mixed_path, "--protocol", "udp", *ALLOCATE,
+              "--resolution", "0.0009", "--frontier-out", str(frontier)])  # 1111^2 points
+    assert rc == 2
+    assert "1234321 grid points" in capsys.readouterr().err
+    assert not frontier.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nclab import ChannelModel, build_prediction_operators, build_upsilon_bar
+from nclab import ChannelModel, build_prediction_operators
 
 from conftest import make_scenario, ops_of, random_scenario, stack_operators_oracle
 
@@ -35,19 +35,20 @@ def test_pendulum_dimensions(pendulum):
     ops = ops_of(pendulum)
     assert ops.phi.shape == (320, 4)
     assert ops.gamma.shape == (320, 80)
-    assert ops.upsilon_bar.shape == (80, 80)
+    assert ops.upsilon_diag.shape == (80,)
     assert ops.omega_l.shape == (320, 320)
 
 
-def test_upsilon_bar_examples():
-    assert np.allclose(build_upsilon_bar(ChannelModel(means=np.array([0.5])), 3),
-                       np.diag([0.5, 0.5, 0.5]))
-    assert np.allclose(build_upsilon_bar(ChannelModel(means=np.array([1.0, 1.0])), 2),
-                       np.eye(4))
+def test_step_means_examples():
+    assert np.array_equal(ChannelModel(means=np.array([0.5])).step_means(3), [[0.5]] * 3)
+    assert np.array_equal(ChannelModel(means=np.array([1.0, 0.7])).step_means(2),
+                          [[1.0, 0.7], [1.0, 0.7]])
     sched = ChannelModel(means=np.array([[0.9], [0.5]]))
-    assert np.allclose(build_upsilon_bar(sched, 2), np.diag([0.9, 0.5]))
+    assert np.array_equal(sched.step_means(2), [[0.9], [0.5]])
+    assert np.array_equal(sched.step_means(4), [[0.9], [0.5], [0.5], [0.5]])
+    scn = make_scenario([[1.0]], [[1.0]], [[[1.0]]] * 3, [[[1.0]]] * 3, [[1.0]], [0.5])
     with pytest.raises(ValueError, match="schedule length"):
-        build_upsilon_bar(sched, 3)
+        build_prediction_operators(scn.plant, scn.weights, sched)
 
 
 def test_block_structure_matches_independent_construction():

@@ -1,40 +1,64 @@
 import numpy as np
 import pytest
 
-from nclab import (Protocol, expected_cost, monte_carlo_cost, open_loop_rollout,
-                   optimal_sequence, receding_horizon_sim, replicate_seed,
-                   sample_transmission, synthesize, write_trajectory_csv)
+from nclab import (ChannelModel, Protocol, Scenario, expected_cost, monte_carlo_cost,
+                   open_loop_rollout, optimal_sequence, receding_horizon_sim,
+                   replicate_seed, synthesize, write_trajectory_csv)
+from nclab import simulator
+from nclab.simulator import _draws
 
-from conftest import (make_scenario, open_loop_expected_cost_oracle, ops_of,
-                      toy_scenario)
+from conftest import (draws_oracle, make_scenario, open_loop_expected_cost_oracle,
+                      ops_of, toy_scenario)
 
 TCP, UDP = Protocol.TCP_LIKE, Protocol.UDP_LIKE
 
 
-def _rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+def _channel(mu, steps=1):
+    """Two-state scenario with one actuator per entry of mu."""
+    m = len(mu)
+    return make_scenario(np.eye(2), np.ones((2, m)), [np.eye(2)] * steps,
+                         [np.eye(m)] * steps, np.eye(2), mu)
+
+
+def _with_channel(scn, means):
+    return Scenario(plant=scn.plant, channel=ChannelModel(means=np.asarray(means, dtype=float)),
+                    weights=scn.weights, eval_state=scn.eval_state, sim=scn.sim)
 
 
 def test_transmission_perfect_channel_always_delivers():
-    rng = _rng(1)
-    for _ in range(100):
-        assert np.array_equal(sample_transmission(np.array([1.0, 1.0]), rng), [1.0, 1.0])
+    v, _ = _draws(_channel([1.0, 1.0]), 100, range(100))
+    assert np.array_equal(v, np.ones((100, 100, 2)))
 
 
 def test_transmission_mean_within_binomial_bounds():
-    rng = _rng(2)
-    draws = np.array([sample_transmission(np.array([0.5]), rng)[0] for _ in range(100000)])
+    v, _ = _draws(_channel([0.5]), 100, range(1000))
+    draws = v.reshape(-1)
     stderr = 0.5 / np.sqrt(len(draws))
     assert abs(draws.mean() - 0.5) <= 4 * stderr
 
 
 def test_transmission_channels_are_independent():
-    rng = _rng(3)
-    mu = np.array([0.3, 0.7])
-    draws = np.array([sample_transmission(mu, rng) for _ in range(100000)])
+    v, _ = _draws(_channel([0.3, 0.7]), 100, range(1000))
+    draws = v.reshape(-1, 2)
     cov = np.mean((draws[:, 0] - draws[:, 0].mean()) * (draws[:, 1] - draws[:, 1].mean()))
     stderr = np.sqrt(0.3 * 0.7 * 0.7 * 0.3 / len(draws))
     assert abs(cov) <= 4 * stderr
+
+
+def test_chunked_draws_equal_the_seed_rule_bit_for_bit(pendulum, mixed):
+    # one chunk of seeds gives each seed's draws exactly as the documented
+    # rule does seed by seed: fixtures, a schedule, and sigma_w = 0
+    sched = _with_channel(pendulum, np.linspace(0.2, 0.9, pendulum.horizon)[:, np.newaxis])
+    quiet = make_scenario(mixed.plant.a, mixed.plant.b, mixed.weights.omega_steps,
+                          mixed.weights.psi_steps, mixed.weights.q, mixed.channel.means)
+    for scn, count in ((mixed, 10_000), (pendulum, 10_000), (sched, 2000), (quiet, 2000)):
+        seeds = [replicate_seed(31, r) for r in range(count)]
+        for lo in range(0, count, 2500):
+            v, w = _draws(scn, scn.horizon, seeds[lo:lo + 2500])
+            for i, s in enumerate(seeds[lo:lo + 2500]):
+                v_ref, w_ref = draws_oracle(scn, scn.horizon, s)
+                assert np.array_equal(v[i], v_ref) and np.array_equal(w[i], w_ref)
+    assert not np.any(w)  # the last chunk is the noiseless scenario's
 
 
 def test_rollout_is_deterministic():
@@ -152,11 +176,11 @@ def test_monte_carlo_replicates_reproduce_individual_rollouts():
     assert "SeedSequence" in stats.per_replicate_seeds
 
 
-def test_monte_carlo_thread_count_does_not_change_the_result():
+def test_monte_carlo_thread_count_does_not_change_the_result(monkeypatch):
     scn = toy_scenario(mu=0.5, sigma_w=0.2, x=1.0)
-    serial = monte_carlo_cost(scn, TCP, replicates=5000, base_seed=3, chunk=512)
-    threaded = monte_carlo_cost(scn, TCP, replicates=5000, base_seed=3,
-                                threads=4, chunk=512)
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 512 * 8 * (scn.n + scn.m))  # 10 chunks
+    serial = monte_carlo_cost(scn, TCP, replicates=5000, base_seed=3)
+    threaded = monte_carlo_cost(scn, TCP, replicates=5000, base_seed=3, threads=4)
     assert serial.mean_cost == threaded.mean_cost
     assert serial.stderr == threaded.stderr
 
@@ -179,14 +203,21 @@ def test_trajectory_csv_layout(tmp_path):
 
 
 def test_scheduled_channel_uses_per_step_means():
-    from nclab.scenario import ChannelModel, Scenario
     base = make_scenario(np.eye(2), np.eye(2), [np.eye(2)] * 4, [np.eye(2)] * 4,
                          np.eye(2), [0.5, 0.5], x=[1.0, 1.0])
     sched = np.array([[1.0, 1.0], [1e-9, 1e-9], [1.0, 1.0], [1e-9, 1e-9]])
-    scn = Scenario(plant=base.plant, channel=ChannelModel(means=sched),
-                   weights=base.weights, eval_state=base.eval_state, sim=base.sim)
+    scn = _with_channel(base, sched)
     rec = open_loop_rollout(scn, TCP, seed=9)
     assert np.array_equal(rec.transmissions[0], [1.0, 1.0])
     assert np.array_equal(rec.transmissions[2], [1.0, 1.0])
     assert np.array_equal(rec.transmissions[1], [0.0, 0.0])
     assert np.array_equal(rec.transmissions[3], [0.0, 0.0])
+
+
+def test_receding_past_the_horizon_holds_the_schedules_last_row():
+    base = make_scenario(np.eye(2), np.eye(2), [np.eye(2)] * 4, [np.eye(2)] * 4,
+                         np.eye(2), [0.5, 0.5], x=[1.0, 1.0])
+    scn = _with_channel(base, [[1e-9, 1e-9]] * 3 + [[1.0, 1.0]])
+    rec = receding_horizon_sim(scn, UDP, steps=12, seed=9)
+    assert np.array_equal(rec.transmissions[:3], np.zeros((3, 2)))
+    assert np.array_equal(rec.transmissions[3:], np.ones((9, 2)))
