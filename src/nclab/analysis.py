@@ -73,14 +73,12 @@ class RootCandidate:
     value: complex          # real-valued candidates carry zero imaginary part
     lam: float              # generating eigenvalue
     real: bool
-    in_unit: bool           # real and within [0, 1]
     eigcond: bool           # derivative matrix annihilated at the candidate
-    valid: bool             # real and in_unit
+    valid: bool             # real and within [0, 1]
 
 
 @dataclass(frozen=True)
 class MaxDiffReport:
-    lambdas: np.ndarray
     candidates: list[RootCandidate]
     maximizer: float
     gap_at_max: float
@@ -198,10 +196,9 @@ def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]
                 value = complex(_polish_root(value.real, t, h_diag))
                 eigs = np.linalg.eigvals(derivative_matrix(ops, value.real))
                 eigcond = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
-            in_unit = bool(is_real and 0.0 <= value.real <= 1.0)
             out.append(RootCandidate(value=value, lam=float(lam), real=bool(is_real),
-                                     in_unit=in_unit, eigcond=eigcond,
-                                     valid=bool(is_real and in_unit)))
+                                     eigcond=eigcond,
+                                     valid=bool(is_real and 0.0 <= value.real <= 1.0)))
     return out
 
 
@@ -238,7 +235,6 @@ def maximal_gap(ops: PredictionOperators, x: np.ndarray) -> MaxDiffReport:
     """
     x = np.asarray(x, dtype=float)
     cands = determinant_root_candidates(ops)
-    lams = np.array(sorted({c.lam for c in cands}))
 
     def gap(u: float) -> float:
         if not 0.0 < u < 1.0:
@@ -255,7 +251,7 @@ def maximal_gap(ops: PredictionOperators, x: np.ndarray) -> MaxDiffReport:
     else:
         best = _grid_maximize(gap)
         method = "grid_fallback"
-    return MaxDiffReport(lambdas=lams, candidates=cands, maximizer=float(best),
+    return MaxDiffReport(candidates=cands, maximizer=float(best),
                          gap_at_max=gap(float(best)), method=method,
                          analytic_best=analytic_best)
 

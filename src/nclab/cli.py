@@ -136,15 +136,15 @@ def cmd_eigs(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scn = _load(args)
-    scalar = scn.m == 1 or args.scalar
     if args.points < 2:
         raise UsageError("--points must be at least 2")
+    if not (0.0 < args.start <= 1.0 and 0.0 < args.stop <= 1.0):
+        raise UsageError("--start and --stop must lie in (0,1]")
+    scn = _load(args)
+    scalar = scn.m == 1 or args.scalar
     _check_grid("sweep", args.points, 1 if scalar else scn.m)
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     pts = np.linspace(args.start, args.stop, args.points)
-    if np.any(pts <= 0.0) or np.any(pts > 1.0):
-        raise UsageError("sweep range must lie in (0,1]")
     if scalar:
         mus = np.repeat(pts[:, np.newaxis], scn.m, axis=1)
     else:

@@ -7,13 +7,21 @@ trajectory obeys
 
 where block row i of Phi is A^(i+1), Gamma has block (i, j) = A^(i-j) B for
 i >= j, Lambda has block (i, j) = A^(i-j) for i >= j (identity diagonal),
-and Y is the diagonal 0/1 transmission matrix over the horizon.  The weight
+and Y is the diagonal 0/1 transmission matrix over the horizon.  With Omega
+the block-diagonal stack of the per-step state penalties, the weight
 products consumed downstream are
 
     Omega_p  = Phi' Omega Phi          Omega_g  = Gamma' Omega Gamma
-    Omega_gp = Gamma' Omega Phi        Omega_l  = Lambda' Omega Lambda
-    Omega_d  = I ∘ Omega_g  (off-diagonal entries zeroed)
-    Omega_h  = Omega_g - Omega_d
+    Omega_gp = Gamma' Omega Phi        Omega_d  = I ∘ Omega_g
+    Omega_h  = Omega_g - Omega_d       (I ∘ zeroes off-diagonal entries)
+
+Phi, Gamma and Omega are locals of the build, and Lambda is not built: the
+noise cost tr(Omega_l Sigma_W_stacked), Omega_l = Lambda' Omega Lambda,
+needs only the diagonal blocks L_k of Omega_l, which obey
+
+    L_(N-1) = Omega_(N-1),    L_k = Omega_k + A' L_(k+1) A,
+
+so it is stored as the number sum_k tr(L_k Sigma_W).
 
 Powers of A are accumulated incrementally (A^(i+1) = A * A^i) so repeated
 builds are bit-for-bit reproducible.  Everything is dense; desk-scale
@@ -25,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .scenario import ChannelModel, PlantModel, WeightSpec
 
@@ -34,35 +41,36 @@ __all__ = ["PredictionOperators", "build_prediction_operators"]
 
 @dataclass(frozen=True)
 class PredictionOperators:
-    """Stacked operators for one plant/weights/channel combination.
+    """What the solvers and the gap analysis read for one
+    plant/weights/channel combination.
 
     ``upsilon_diag`` is the diagonal of the stacked channel-mean matrix
     (length N*m, entries in (0, 1]).  ``q`` is carried along so cost
-    evaluations need no extra argument.
+    evaluations need no extra argument.  ``noise_trace`` is
+    tr(Omega_l Sigma_W_stacked), the irreducible noise cost.
     """
 
-    phi: np.ndarray            # (N n, n)
-    gamma: np.ndarray          # (N n, N m)
-    lam: np.ndarray            # (N n, N n)
     upsilon_diag: np.ndarray   # (N m,)
-    sigma_w_stacked: np.ndarray  # (N n, N n)
-    omega: np.ndarray          # (N n, N n)
-    psi: np.ndarray            # (N m, N m)
+    psi: np.ndarray            # (N m, N m), block diagonal
     q: np.ndarray              # (n, n)
     omega_p: np.ndarray        # (n, n)
     omega_g: np.ndarray        # (N m, N m)
     omega_gp: np.ndarray       # (N m, n)
-    omega_l: np.ndarray        # (N n, N n)
     omega_d: np.ndarray        # (N m, N m), diagonal
     omega_h: np.ndarray        # (N m, N m), zero diagonal
+    noise_trace: float
     n: int
     m: int
     horizon: int
 
-    @property
-    def noise_trace(self) -> float:
-        """tr(Omega_l Sigma_W_stacked), the irreducible noise cost."""
-        return float(np.sum(self.omega_l * self.sigma_w_stacked))
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix of a (N, k, k) stack of blocks."""
+    N, k = blocks.shape[:2]
+    out = np.zeros((N, k, N, k))
+    i = np.arange(N)
+    out[i, :, i, :] = blocks
+    return out.reshape(N * k, N * k)
 
 
 def build_prediction_operators(
@@ -84,39 +92,39 @@ def build_prediction_operators(
     powers = [np.eye(n)]
     for _ in range(N):
         powers.append(A @ powers[-1])
+    powers = np.array(powers)
 
-    phi = np.vstack(powers[1:])
-    gamma = np.zeros((N * n, N * m))
-    lam = np.zeros((N * n, N * n))
-    for i in range(N):
-        for j in range(i + 1):
-            gamma[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[i - j] @ B
-            lam[i * n:(i + 1) * n, j * n:(j + 1) * n] = powers[i - j]
-
-    omega = scipy.linalg.block_diag(*weights.omega_steps)
-    psi = scipy.linalg.block_diag(*weights.psi_steps)
-    sigma_w_stacked = scipy.linalg.block_diag(*([plant.sigma_w] * N))
+    phi = powers[1:].reshape(N * n, n)
+    # block (i, j) of Gamma is A^(i-j) B for i >= j: gather the N blocks
+    # A^k B by lag, with lag N selecting an appended zero block
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    lag[lag < 0] = N
+    blocks = np.concatenate([powers[:N] @ B, np.zeros((1, n, m))])
+    gamma = blocks[lag].transpose(0, 2, 1, 3).reshape(N * n, N * m)
+    omega = _block_diag(weights.omega_steps)
 
     omega_gamma = omega @ gamma
     omega_g = gamma.T @ omega_gamma
     omega_g = 0.5 * (omega_g + omega_g.T)  # enforce exact symmetry
     omega_d = np.diag(np.diag(omega_g))
 
+    # the diagonal blocks L_k of Omega_l, from the last step back
+    ell = weights.omega_steps[N - 1]
+    ell_sum = ell
+    for k in range(N - 2, -1, -1):
+        ell = weights.omega_steps[k] + A.T @ ell @ A
+        ell_sum = ell_sum + ell
+
     return PredictionOperators(
-        phi=phi,
-        gamma=gamma,
-        lam=lam,
         upsilon_diag=channel.step_means(N).reshape(-1),
-        sigma_w_stacked=sigma_w_stacked,
-        omega=omega,
-        psi=psi,
+        psi=_block_diag(weights.psi_steps),
         q=np.array(weights.q, dtype=float),
         omega_p=phi.T @ omega @ phi,
         omega_g=omega_g,
         omega_gp=gamma.T @ (omega @ phi),
-        omega_l=lam.T @ omega @ lam,
         omega_d=omega_d,
         omega_h=omega_g - omega_d,
+        noise_trace=float(np.sum(ell_sum * plant.sigma_w)),
         n=n,
         m=m,
         horizon=N,

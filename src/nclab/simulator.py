@@ -57,7 +57,8 @@ class TrajectoryRecord:
     states: np.ndarray         # (steps+1, n)
     inputs: np.ndarray         # (steps, m), commanded inputs
     transmissions: np.ndarray  # (steps, m), realized 0/1 deliveries
-    realized_cost: float
+    stage_costs: np.ndarray    # (steps,), row 0 includes the x_0 term
+    realized_cost: float       # in-order sum of stage_costs
     seed: int
 
 
@@ -109,15 +110,17 @@ def _stage_weights(scn: Scenario, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray | None = None,
-             gain: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             gain: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Rollouts of a stack of R replicates from ``eval_state`` with
     deliveries v (R, steps, m) and noise w (R, steps, n).
 
     The commanded input at step k is ``sequence[k]`` (open loop) or
     -gain @ x_k (state feedback).  Returns the states (steps+1, R, n), the
-    commanded inputs (steps, R, m) and the realized costs (R,).  Row r
-    depends only on replicate r's draws; a stack of one agrees with the
-    same row of a larger stack to rounding, not bit for bit.
+    commanded inputs (steps, R, m), the realized costs (R,) and the stage
+    costs (steps, R).  Stage k is the cost added by the transition out of
+    step k; stage 0 also carries the x_0 term.  Row r depends only on
+    replicate r's draws; a stack of one agrees with the same row of a larger
+    stack to rounding, not bit for bit.
     """
     a, b = scn.plant.a, scn.plant.b
     R, steps = v.shape[:2]
@@ -131,22 +134,21 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
         inputs[k] = sequence[k] if gain is None else -(states[k] @ gain.T)
         applied[k] = v[k] * inputs[k]
         states[k + 1] = states[k] @ a.T + applied[k] @ b.T + w[k]
-    # stage costs from the stored trajectory; add.accumulate (unlike sum)
-    # adds them onto the x_0 term strictly step by step
     om, psi = _stage_weights(scn, steps)
     x = states[1:]
-    terms = np.empty((steps + 1, R))
-    terms[0] = float(x0 @ scn.weights.q @ x0)
-    terms[1:] = ((x @ om) * x).sum(axis=2) + ((applied @ psi) * applied).sum(axis=2)
-    return states, inputs, np.add.accumulate(terms, axis=0)[-1]
+    stages = ((x @ om) * x).sum(axis=2) + ((applied @ psi) * applied).sum(axis=2)
+    stages[0] += float(x0 @ scn.weights.q @ x0)
+    # add.accumulate (unlike sum) adds the stages strictly step by step
+    return states, inputs, np.add.accumulate(stages, axis=0)[-1], stages
 
 
 def _record(scn: Scenario, seed: int, steps: int, sequence=None, gain=None) -> TrajectoryRecord:
     """One rollout: the stack of one replicate with seed ``seed``."""
     v, w = _draws(scn, steps, [seed])
-    states, inputs, cost = _rollout(scn, v, w, sequence=sequence, gain=gain)
+    states, inputs, cost, stages = _rollout(scn, v, w, sequence=sequence, gain=gain)
     return TrajectoryRecord(states=states[:, 0], inputs=inputs[:, 0], transmissions=v[0],
-                            realized_cost=float(cost[0]), seed=int(seed))
+                            stage_costs=stages[:, 0], realized_cost=float(cost[0]),
+                            seed=int(seed))
 
 
 def _open_loop_sequence(scn: Scenario, protocol: Protocol) -> np.ndarray:
@@ -217,9 +219,9 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
 def write_trajectory_csv(path, record: TrajectoryRecord, scn: Scenario) -> None:
     """Write ``step,x_1..x_n,u_1..u_m,v_1..v_m,stage_cost`` rows.
 
-    Row k holds the pre-update state x_k; stage_cost is the cost added by
-    the transition out of step k (row 0 also carries the x_0 term), so the
-    column sums to the record's realized cost.
+    Row k holds the pre-update state x_k and the record's stage cost k,
+    the cost added by the transition out of step k (row 0 also carries the
+    x_0 term), so the column sums to the record's realized cost.
     """
     n, m = scn.n, scn.m
     steps = record.inputs.shape[0]
@@ -227,18 +229,11 @@ def write_trajectory_csv(path, record: TrajectoryRecord, scn: Scenario) -> None:
               + [f"u_{i+1}" for i in range(m)] + [f"v_{i+1}" for i in range(m)]
               + ["stage_cost"])
     lines = [",".join(header)]
-    om, psi = _stage_weights(scn, steps)
     for k in range(steps):
-        x_next = record.states[k + 1]
-        applied = record.transmissions[k] * record.inputs[k]
-        stage = float(x_next @ om[k] @ x_next) + float(applied @ psi[k] @ applied)
-        if k == 0:
-            x0 = record.states[0]
-            stage += float(x0 @ scn.weights.q @ x0)
         cells = ([str(k)] + [f"{v:.9g}" for v in record.states[k]]
                  + [f"{v:.9g}" for v in record.inputs[k]]
                  + [f"{v:.9g}" for v in record.transmissions[k]]
-                 + [f"{stage:.9g}"])
+                 + [f"{record.stage_costs[k]:.9g}"])
         lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -250,6 +250,9 @@ def test_fractional_horizon_is_rejected(tmp_path, capsys, mixed_path):
     (["simulate", "--protocol", "udp", "--mode", "receding", "--steps", "-2"], "--steps"),
     (["simulate", "--protocol", "udp", "--mode", "open", "--steps", "50"], "--steps"),
     (["simulate", "--protocol", "udp", "--steps", "50"], "--steps"),
+    (["sweep", "--points", "1"], "--points"),
+    (["sweep", "--start", "0"], "--start"),
+    (["sweep", "--stop", "1.5"], "--stop"),
 ])
 def test_count_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch, mixed_path,
                                                   argv, flag):
@@ -260,7 +263,7 @@ def test_count_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(cli, "load_scenario", refuse)
     out = tmp_path / "t.csv"
-    extra = ["--out", str(out)] if argv[0] == "simulate" else []
+    extra = ["--out", str(out)] if argv[0] in ("simulate", "sweep") else []
     assert run(argv[:1] + ["--scenario", mixed_path] + argv[1:] + extra) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()

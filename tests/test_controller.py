@@ -6,7 +6,7 @@ from nclab import (Protocol, bernoulli_quadratic_expectation,
                    expected_cost, expected_costs, optimal_sequence, synthesize)
 
 from conftest import (enumerate_bernoulli_quadratic, make_scenario,
-                      minimize_quadratic_oracle, ops_of,
+                      minimize_quadratic_oracle, noise_trace_oracle, ops_of,
                       protocol_objective_oracle, random_scenario,
                       riccati_first_gain_oracle, toy_scenario)
 
@@ -294,14 +294,15 @@ def _with_means(scn, means):
                     weights=scn.weights, eval_state=scn.eval_state, sim=scn.sim)
 
 
-def _lu_cost(ops, protocol, x, diag):
+def _lu_cost(ops, protocol, x, diag, noise):
     """Per-point reference through an LU solve of the asymmetric Gram
-    matrix G, using none of the Cholesky path."""
+    matrix G, using none of the Cholesky path; ``noise`` is the oracle's
+    noise trace."""
     g = ops.omega_g * diag[np.newaxis, :] + ops.psi
     if protocol is UDP:
         g = g + np.diag(np.diag(ops.omega_g) * (1.0 - diag))
     f = ops.omega_gp @ x
-    constant = x @ (ops.q + ops.omega_p) @ x + np.sum(ops.omega_l * ops.sigma_w_stacked)
+    constant = x @ (ops.q + ops.omega_p) @ x + noise
     return constant - f @ (diag * np.linalg.solve(g, f))
 
 
@@ -313,6 +314,7 @@ def test_batched_costs_match_per_point_costs_on_random_ensemble():
         if trial % 3 == 0:
             scn = _with_means(scn, rng.uniform(0.1, 0.9, (scn.horizon, scn.m)))
         ops = ops_of(scn)
+        noise = noise_trace_oracle(scn)
         nm = scn.horizon * scn.m
         for stack in (rng.uniform(0.02, 1.0, (7, scn.m)), rng.uniform(0.02, 1.0, (7, nm)),
                       rng.uniform(0.02, 1.0, 7)):
@@ -321,7 +323,7 @@ def test_batched_costs_match_per_point_costs_on_random_ensemble():
                 ref = [expected_cost(ops, p, scn.eval_state, upsilon=u).total for u in stack]
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
                 diags = [np.resize(u, nm) for u in np.reshape(stack, (len(stack), -1))]
-                lu = [_lu_cost(ops, p, scn.eval_state, d) for d in diags]
+                lu = [_lu_cost(ops, p, scn.eval_state, d, noise) for d in diags]
                 np.testing.assert_allclose(got, lu, rtol=1e-12, atol=0.0)
 
 

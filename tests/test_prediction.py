@@ -1,18 +1,31 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nclab import ChannelModel, build_prediction_operators
 
-from conftest import make_scenario, ops_of, random_scenario, stack_operators_oracle
+from conftest import (make_scenario, noise_trace_oracle, ops_of, random_scenario,
+                      stack_operators_oracle, stacked_weights_oracle)
+
+
+def _oracle_products(scn):
+    """Omega_g, Omega_gp and Omega_p from the oracle's stacked operators."""
+    phi, gamma, _ = stack_operators_oracle(scn.plant.a, scn.plant.b, scn.horizon)
+    omega, _, _ = stacked_weights_oracle(scn)
+    return gamma.T @ omega @ gamma, gamma.T @ omega @ phi, phi.T @ omega @ phi
 
 
 def test_scalar_unit_plant_blocks():
+    # Phi = [1; 1], Gamma = Lambda = [[1, 0], [1, 1]], unit weights
     scn = make_scenario([[1.0]], [[1.0]], [[[1.0]]] * 2, [[[1.0]]] * 2,
-                        [[1.0]], [0.5])
+                        [[1.0]], [0.5], sigma_w=[[1.0]])
     ops = ops_of(scn)
-    assert np.array_equal(ops.phi, [[1.0], [1.0]])
-    assert np.array_equal(ops.gamma, [[1.0, 0.0], [1.0, 1.0]])
-    assert np.array_equal(ops.lam, [[1.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(ops.omega_g, [[2.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(ops.omega_gp, [[2.0], [1.0]])
+    assert np.array_equal(ops.omega_p, [[2.0]])
+    assert np.array_equal(ops.psi, np.eye(2))
+    assert ops.noise_trace == 3.0  # tr(Lambda' Lambda)
 
 
 def test_single_step_collapse():
@@ -23,9 +36,6 @@ def test_single_step_collapse():
     om = om @ om.T + np.eye(3)
     scn = make_scenario(a, b, [om], [np.diag([1.0, 2.0])], np.eye(3), [0.5, 0.5])
     ops = ops_of(scn)
-    assert np.allclose(ops.phi, a)
-    assert np.allclose(ops.gamma, b)
-    assert np.allclose(ops.lam, np.eye(3))
     assert np.allclose(ops.omega_p, a.T @ om @ a)
     assert np.allclose(ops.omega_g, b.T @ om @ b)
     assert np.allclose(ops.omega_gp, b.T @ om @ a)
@@ -33,10 +43,10 @@ def test_single_step_collapse():
 
 def test_pendulum_dimensions(pendulum):
     ops = ops_of(pendulum)
-    assert ops.phi.shape == (320, 4)
-    assert ops.gamma.shape == (320, 80)
+    assert ops.omega_g.shape == ops.psi.shape == (80, 80)
+    assert ops.omega_gp.shape == (80, 4)
+    assert ops.omega_p.shape == (4, 4)
     assert ops.upsilon_diag.shape == (80,)
-    assert ops.omega_l.shape == (320, 320)
 
 
 def test_step_means_examples():
@@ -56,10 +66,21 @@ def test_block_structure_matches_independent_construction():
     for _ in range(5):
         scn = random_scenario(rng, n_max=3, m_max=3, n_horizon_max=5)
         ops = ops_of(scn)
-        phi, gamma, lam = stack_operators_oracle(scn.plant.a, scn.plant.b, scn.horizon)
-        assert np.allclose(ops.phi, phi, rtol=1e-12, atol=1e-12)
-        assert np.allclose(ops.gamma, gamma, rtol=1e-12, atol=1e-12)
-        assert np.allclose(ops.lam, lam, rtol=1e-12, atol=1e-12)
+        for got, ref in zip((ops.omega_g, ops.omega_gp, ops.omega_p), _oracle_products(scn)):
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(ops.psi, stacked_weights_oracle(scn)[1])
+
+
+def test_noise_trace_matches_oracle():
+    # per-step Omega; every fourth scenario has no noise
+    rng = np.random.default_rng(13)
+    for trial in range(20):
+        scn = random_scenario(rng, n_max=4, m_max=2, n_horizon_max=12)
+        f = rng.normal(size=(scn.n, scn.n))
+        sigma_w = np.zeros((scn.n, scn.n)) if trial % 4 == 0 else f @ f.T
+        scn = replace(scn, plant=replace(scn.plant, sigma_w=sigma_w))
+        np.testing.assert_allclose(ops_of(scn).noise_trace, noise_trace_oracle(scn),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_stacked_equation_matches_step_iteration():
@@ -68,14 +89,12 @@ def test_stacked_equation_matches_step_iteration():
     for _ in range(10):
         scn = random_scenario(rng, n_max=3, m_max=3, n_horizon_max=5)
         n, m, N = scn.n, scn.m, scn.horizon
-        ops = ops_of(scn)
+        phi, gamma, lam = stack_operators_oracle(scn.plant.a, scn.plant.b, N)
         x0 = rng.normal(size=n)
         useq = rng.normal(size=N * m)
         vs = (rng.random((N, m)) < 0.5).astype(float)
         ws = rng.normal(size=(N, n))
-        stacked = (ops.phi @ x0
-                   + ops.gamma @ (vs.reshape(-1) * useq)
-                   + ops.lam @ ws.reshape(-1))
+        stacked = phi @ x0 + gamma @ (vs.reshape(-1) * useq) + lam @ ws.reshape(-1)
         x = x0.copy()
         for k in range(N):
             x = scn.plant.a @ x + scn.plant.b @ (vs[k] * useq[k * m:(k + 1) * m]) + ws[k]
@@ -87,10 +106,6 @@ def test_weight_products_and_hadamard_split():
     rng = np.random.default_rng(5)
     scn = random_scenario(rng, n_max=3, m_max=2, n_horizon_max=4)
     ops = ops_of(scn)
-    assert np.allclose(ops.omega_p, ops.phi.T @ ops.omega @ ops.phi)
-    assert np.allclose(ops.omega_g, ops.gamma.T @ ops.omega @ ops.gamma)
-    assert np.allclose(ops.omega_gp, ops.gamma.T @ ops.omega @ ops.phi)
-    assert np.allclose(ops.omega_l, ops.lam.T @ ops.omega @ ops.lam)
     assert np.count_nonzero(ops.omega_d - np.diag(np.diag(ops.omega_d))) == 0
     assert np.all(np.diag(ops.omega_d) > 0)
     assert np.allclose(np.diag(ops.omega_h), 0.0)
@@ -110,15 +125,16 @@ def test_omega_g_and_omega_l_positive_definite():
         done += 1
         ops = ops_of(scn)
         assert np.min(np.linalg.eigvalsh(ops.omega_g)) > 0
-        assert np.min(np.linalg.eigvalsh(ops.omega_l)) > 0
-        assert ops.noise_trace > 0
+        assert ops.noise_trace > 0  # Omega_l definite, Sigma_W = 0.1 I
 
 
 def test_builds_are_bit_reproducible(pendulum):
     a = ops_of(pendulum)
     b = ops_of(pendulum)
-    for name in ("phi", "gamma", "lam", "omega_g", "omega_gp", "omega_l"):
+    for name in ("upsilon_diag", "psi", "omega_p", "omega_g", "omega_gp", "omega_d",
+                 "omega_h"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.noise_trace == b.noise_trace
 
 
 def test_scheduled_channel_stacks_per_step_means():

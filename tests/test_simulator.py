@@ -198,8 +198,18 @@ def test_trajectory_csv_layout(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "step,x_1,u_1,v_1,stage_cost"
     assert len(lines) == 1 + rec.inputs.shape[0]
-    stage_sum = sum(float(ln.split(",")[-1]) for ln in lines[1:])
-    assert stage_sum == pytest.approx(rec.realized_cost, rel=1e-6)
+    cells = [ln.split(",")[-1] for ln in lines[1:]]
+    assert cells == [f"{c:.9g}" for c in rec.stage_costs]
+    assert sum(map(float, cells)) == pytest.approx(rec.realized_cost, rel=1e-6)
+
+
+def test_stage_costs_sum_in_order_to_the_realized_cost(pendulum, mixed):
+    for scn in (pendulum, mixed):
+        for p in (TCP, UDP):
+            for rec in (open_loop_rollout(scn, p, seed=4),
+                        receding_horizon_sim(scn, p, steps=scn.horizon + 7, seed=4)):
+                assert rec.stage_costs.shape == (rec.inputs.shape[0],)
+                assert np.add.accumulate(rec.stage_costs)[-1] == rec.realized_cost
 
 
 def test_scheduled_channel_uses_per_step_means():
