@@ -5,14 +5,26 @@ The cost gap between operating without and with acknowledgments is
     gap(x) = J_udp(x) - J_tcp(x) = red_tcp(x) - red_udp(x) >= 0,
 
 computed directly from the two reduction terms so the shared constant
-terms cancel exactly.  For a scalar (shared) channel mean y in (0, 1) the
-gap has the closed form
+terms cancel exactly.  For a scalar (shared) channel mean y in [0, 1] the
+gap is
 
     gap(y) = y (1 - y) * f' GG(y) Omega_d GF(y) f,        f = Omega_gp x,
 
 with the resolvent maps GF(y) = (y Omega_g + Psi)^{-1} and
-GG(y) = (y Omega_h + Omega_d + Psi)^{-1}.  Its derivative in y is the
-quadratic form of
+GG(y) = (y Omega_h + Omega_d + Psi)^{-1}.  Psi and Omega_d + Psi are
+diagonal and positive, so each resolvent comes from one symmetric-definite
+eigendecomposition (Golub and Van Loan, Matrix Computations, sec. 8.7):
+
+    Omega_g V = Psi V diag(lam),              V' Psi V = I,
+    Omega_h W = (Omega_d + Psi) W diag(kap),  W' (Omega_d + Psi) W = I,
+
+and the whole curve is
+
+    gap(y) = y (1 - y) sum_ij b_i C_ij a_j / ((1 + y kap_i)(1 + y lam_j)),
+
+with a = V' f, b = W' f and C = W' Omega_d V (``_gap_curve``).  Every gap
+value of the maximizer is read from that one curve; no point needs a
+solve.  The derivative in y is f' fmat(y) f with
 
     fmat(y) = GG(y) [ (1-2y) Omega_d
                       - y(1-y) (Omega_h GG(y) Omega_d + Omega_d GF(y) Omega_g) ] GF(y),
@@ -28,6 +40,14 @@ A candidate is only a critical point of the gap when the whole derivative
 matrix is annihilated there (Rayleigh-quotient condition); on stacked
 multichannel systems that filter typically rejects every candidate and the
 maximizer falls back to a grid + golden-section search.
+
+The candidates are Newton-polished (``_polish_root``) and the fallback
+stops at a bracket of ``REFINE_TOL``.  Neither is the best available
+method: the raw candidates are already roots to working precision, and
+Brent's method on the exact derivative would fix more digits.  Both stay
+as they are because the recorded ``maxdiff`` outputs (9 significant
+digits) pin the values they produce; the candidates are ill-conditioned
+past about 7 digits, so another correct method prints different ones.
 """
 
 from __future__ import annotations
@@ -71,7 +91,6 @@ class GapReport:
 @dataclass(frozen=True)
 class RootCandidate:
     value: complex          # real-valued candidates carry zero imaginary part
-    lam: float              # generating eigenvalue
     real: bool
     eigcond: bool           # derivative matrix annihilated at the candidate
     valid: bool             # real and within [0, 1]
@@ -94,6 +113,31 @@ def cost_gap(ops: PredictionOperators, x: np.ndarray, upsilon=None) -> GapReport
                      gap=tcp.reduction_term - udp.reduction_term)
 
 
+def _gap_curve(ops: PredictionOperators, x: np.ndarray):
+    """The shared-mean gap as a vectorized function of y in [0, 1] (module
+    docstring).  Scaling by Psi^(-1/2) and (Omega_d+Psi)^(-1/2) makes each
+    pencil one symmetric eigenproblem: V = Psi^(-1/2) Q and
+    W = (Omega_d+Psi)^(-1/2) P with Q, P its orthogonal eigenvectors."""
+    f = ops.omega_gp @ np.asarray(x, dtype=float)
+    s_f = 1.0 / np.sqrt(np.diag(ops.psi))
+    s_g = 1.0 / np.sqrt(np.diag(ops.omega_d) + np.diag(ops.psi))
+    lam, q = np.linalg.eigh(s_f[:, None] * ops.omega_g * s_f)
+    kap, p = np.linalg.eigh(s_g[:, None] * ops.omega_h * s_g)
+    v = s_f[:, None] * q
+    w = s_g[:, None] * p
+    a = v.T @ f
+    b = w.T @ f
+    c = w.T @ (np.diag(ops.omega_d)[:, None] * v)
+
+    def gap(y):
+        y = np.asarray(y, dtype=float)
+        yc = y[..., None]
+        quad = np.sum(((b / (1.0 + yc * kap)) @ c) * (a / (1.0 + yc * lam)), axis=-1)
+        return y * (1.0 - y) * quad
+
+    return gap
+
+
 def _check_scalar_upsilon(u: float) -> float:
     u = float(u)
     if not 0.0 < u < 1.0:
@@ -102,27 +146,16 @@ def _check_scalar_upsilon(u: float) -> float:
 
 
 def scalar_cost_gap(ops: PredictionOperators, upsilon: float, x: np.ndarray) -> float:
-    """Gap for a single shared channel mean, via the trace form."""
+    """Gap for a single shared channel mean, from the spectral curve."""
     u = _check_scalar_upsilon(upsilon)
-    f = ops.omega_gp @ np.asarray(x, dtype=float)
-    gf_f = np.linalg.solve(u * ops.omega_g + ops.psi, f)
-    gg_df = np.linalg.solve(u * ops.omega_h + ops.omega_d + ops.psi, ops.omega_d @ gf_f)
-    return u * (1.0 - u) * float(f @ gg_df)
+    return float(_gap_curve(ops, x)(u))
 
 
 def gap_derivative(ops: PredictionOperators, upsilon: float, x: np.ndarray) -> float:
-    """d gap / d upsilon at a shared channel mean."""
+    """d gap / d upsilon at a shared channel mean: f' fmat(y) f."""
     u = _check_scalar_upsilon(upsilon)
-    og, od, oh, psi = ops.omega_g, ops.omega_d, ops.omega_h, ops.psi
     f = ops.omega_gp @ np.asarray(x, dtype=float)
-    gf_i = u * og + psi
-    gg_i = u * oh + od + psi
-    a = np.linalg.solve(gf_i, f)             # GF f
-    bvec = np.linalg.solve(gg_i, f)          # GG f
-    term = (1.0 - 2.0 * u) * float(bvec @ od @ a)
-    term -= u * (1.0 - u) * float(bvec @ oh @ np.linalg.solve(gg_i, od @ a))
-    term -= u * (1.0 - u) * float(bvec @ od @ np.linalg.solve(gf_i, og @ a))
-    return term
+    return float(f @ derivative_matrix(ops, u) @ f)
 
 
 def derivative_matrix(ops: PredictionOperators, upsilon: float) -> np.ndarray:
@@ -144,11 +177,13 @@ def _pencil(ops: PredictionOperators) -> tuple[np.ndarray, np.ndarray]:
     return t, h_diag
 
 
+def _pencil_lambdas(t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
+    return np.sort(scipy.linalg.eigh(t, np.diag(h_diag), eigvals_only=True))
+
+
 def root_lambdas(ops: PredictionOperators) -> np.ndarray:
     """Generalized eigenvalues of (T, H), ascending."""
-    t, h_diag = _pencil(ops)
-    lam = scipy.linalg.eigh(t, np.diag(h_diag), eigvals_only=True)
-    return np.sort(lam)
+    return _pencil_lambdas(*_pencil(ops))
 
 
 def _polish_root(u: float, t: np.ndarray, h_diag: np.ndarray) -> float:
@@ -176,11 +211,10 @@ def _polish_root(u: float, t: np.ndarray, h_diag: np.ndarray) -> float:
 def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]:
     """All 2Nm candidate channel means where the derivative matrix is
     singular; complex and out-of-range values are flagged invalid."""
-    lams = root_lambdas(ops)
     t, h_diag = _pencil(ops)
     scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
     out: list[RootCandidate] = []
-    for lam in lams:
+    for lam in _pencil_lambdas(t, h_diag):
         disc = 1.0 + lam
         if disc < 0.0:
             root = complex(0.0, np.sqrt(-disc))
@@ -196,17 +230,15 @@ def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]
                 value = complex(_polish_root(value.real, t, h_diag))
                 eigs = np.linalg.eigvals(derivative_matrix(ops, value.real))
                 eigcond = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
-            out.append(RootCandidate(value=value, lam=float(lam), real=bool(is_real),
-                                     eigcond=eigcond,
+            out.append(RootCandidate(value=value, real=bool(is_real), eigcond=eigcond,
                                      valid=bool(is_real and 0.0 <= value.real <= 1.0)))
     return out
 
 
-def _grid_maximize(gap, lo: float = 1e-6, hi: float = 1.0 - 1e-6) -> float:
-    """Grid scan + golden-section refinement of a scalar gap function."""
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    vals = np.array([gap(u) for u in grid])
-    i = int(np.argmax(vals))
+def _grid_maximize(gap) -> float:
+    """Grid scan + golden-section refinement of a vectorized gap function."""
+    grid = np.linspace(1e-6, 1.0 - 1e-6, GRID_POINTS)
+    i = int(np.argmax(gap(grid)))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, GRID_POINTS - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -231,15 +263,12 @@ def maximal_gap(ops: PredictionOperators, x: np.ndarray) -> MaxDiffReport:
     the annihilation condition, pick the one with the largest gap.  When no
     candidate passes (the usual case for stacked multichannel systems), a
     1000-point grid with golden-section refinement locates the maximum and
-    the report records ``method="grid_fallback"``.
+    the report records ``method="grid_fallback"``.  Every gap value comes
+    from one spectral curve (``_gap_curve``); valid candidates and the grid
+    lie in (0, 1], where the curve needs no guard (it is 0 at 1).
     """
-    x = np.asarray(x, dtype=float)
     cands = determinant_root_candidates(ops)
-
-    def gap(u: float) -> float:
-        if not 0.0 < u < 1.0:
-            return 0.0
-        return scalar_cost_gap(ops, u, x)
+    gap = _gap_curve(ops, x)
 
     interior = [c.value.real for c in cands if c.valid]
     analytic_best = max(interior, key=gap) if interior else None
@@ -252,7 +281,7 @@ def maximal_gap(ops: PredictionOperators, x: np.ndarray) -> MaxDiffReport:
         best = _grid_maximize(gap)
         method = "grid_fallback"
     return MaxDiffReport(candidates=cands, maximizer=float(best),
-                         gap_at_max=gap(float(best)), method=method,
+                         gap_at_max=float(gap(best)), method=method,
                          analytic_best=analytic_best)
 
 

@@ -211,6 +211,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    if not np.isfinite(args.alpha):
+        raise UsageError("--alpha must be a finite number")
     scn = _load(args)
     _check_grid("allocation grid", allocation.grid_size(args.resolution), scn.m)
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)

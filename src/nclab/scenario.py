@@ -77,12 +77,6 @@ def _integer(x, name: str) -> int:
     return int(x)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class PlantModel:
     """Discrete-time linear plant x+ = A x + B diag(v) u + w."""
@@ -272,7 +266,7 @@ def validate_scenario(s: Scenario) -> list[str]:
     return v
 
 
-def _steps_from(block, steps_key: str, single, N: int, name: str) -> np.ndarray:
+def _steps_from(block, steps_key: str, single, N: int) -> np.ndarray:
     if steps_key in block and single in block:
         raise ParseError(f"weights must give either {single} or {steps_key}, not both")
     if steps_key in block:
@@ -286,14 +280,24 @@ def _steps_from(block, steps_key: str, single, N: int, name: str) -> np.ndarray:
     raise ParseError(f"weights is missing {single} (or {steps_key})")
 
 
+def _section(doc: dict, key: str, required: bool = True) -> dict:
+    if key not in doc:
+        if required:
+            raise ParseError(f"missing top-level section: {key!r}")
+        return {}
+    if not isinstance(doc[key], dict):
+        raise ParseError(f"{key} must be a JSON object")
+    return doc[key]
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and validate a Scenario from a parsed JSON document."""
-    try:
-        plant_doc = doc["plant"]
-        channel_doc = doc["channel"]
-        weights_doc = doc["weights"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing top-level section: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("a scenario must be a JSON object")
+    plant_doc = _section(doc, "plant")
+    channel_doc = _section(doc, "channel")
+    weights_doc = _section(doc, "weights")
+    sim_doc = _section(doc, "sim", required=False)
 
     for key in ("a", "b", "sigma_w", "x0_mean", "x0_cov"):
         if key not in plant_doc:
@@ -321,10 +325,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if key not in weights_doc:
             raise ParseError(f"weights is missing {key}")
     N = _integer(weights_doc["horizon"], "weights.horizon")
+    if N < 1:
+        raise ValidationError("horizon must be >= 1")
     weights = WeightSpec(
         q=_array(weights_doc["q"], "weights.q", 2),
-        omega_steps=_steps_from(weights_doc, "omega_steps", "omega", N, "omega"),
-        psi_steps=_steps_from(weights_doc, "psi_steps", "psi", N, "psi"),
+        omega_steps=_steps_from(weights_doc, "omega_steps", "omega", N),
+        psi_steps=_steps_from(weights_doc, "psi_steps", "psi", N),
         horizon=N,
     )
 
@@ -333,7 +339,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         eval_state = plant.x0_mean
 
-    sim_doc = doc.get("sim", {})
     sim = SimOptions(
         steps=_integer(sim_doc.get("steps", 0), "sim.steps"),
         replicates=_integer(sim_doc.get("replicates", 10000), "sim.replicates"),

@@ -56,6 +56,30 @@ def test_scalar_gap_toy_value_and_limits():
         scalar_cost_gap(ops, 1.0, [1.0])
 
 
+def _two_solve_gap(ops, u, x):
+    """gap(u) = u(1-u) f' GG(u) Omega_d GF(u) f by two dense solves."""
+    f = ops.omega_gp @ x
+    gf_f = np.linalg.solve(u * ops.omega_g + ops.psi, f)
+    gg_df = np.linalg.solve(u * ops.omega_h + ops.omega_d + ops.psi, ops.omega_d @ gf_f)
+    return u * (1.0 - u) * float(f @ gg_df)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "mixed"])
+def test_spectral_gap_curve_matches_solves_and_costs(name, request):
+    # the vectorized curve against the resolvent solves it replaces and
+    # against the difference of the two protocols' expected costs
+    from nclab.analysis import GRID_POINTS, _gap_curve
+    scn = request.getfixturevalue(name)
+    ops = ops_of(scn)
+    x = scn.eval_state
+    grid = np.linspace(1e-6, 1.0 - 1e-6, GRID_POINTS)
+    curve = _gap_curve(ops, x)(grid)
+    solves = np.array([_two_solve_gap(ops, u, x) for u in grid])
+    np.testing.assert_allclose(curve, solves, rtol=1e-10, atol=0.0)
+    costs = np.array([cost_gap(ops, x, upsilon=float(u)).gap for u in grid])
+    np.testing.assert_allclose(curve, costs, rtol=1e-8, atol=0.0)
+
+
 def test_pendulum_scalar_sweep_is_positive_with_interior_max(pendulum):
     ops = ops_of(pendulum)
     us = np.geomspace(1e-5, 0.999, 80)
@@ -161,8 +185,7 @@ def test_single_input_analytic_and_grid_paths_agree():
         ops = ops_of(scn)
         rep = maximal_gap(ops, scn.eval_state)
         assert rep.method == "analytic_roots"
-        grid = analysis._grid_maximize(
-            lambda u: scalar_cost_gap(ops, u, scn.eval_state) if 0 < u < 1 else 0.0)
+        grid = analysis._grid_maximize(analysis._gap_curve(ops, scn.eval_state))
         assert abs(rep.maximizer - grid) <= 1e-4
 
 

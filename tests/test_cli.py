@@ -240,6 +240,20 @@ def test_fractional_horizon_is_rejected(tmp_path, capsys, mixed_path):
     path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=2.7))
     assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
     assert "horizon" in capsys.readouterr().err
+    path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=-1))
+    assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
+    assert "horizon must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["plant", "channel", "weights", "sim"])
+@pytest.mark.parametrize("value", [0, None, True, [1], "x"])
+def test_non_object_sections_are_scenario_errors(tmp_path, capsys, mixed_path, section, value):
+    doc = json.loads(open(mixed_path).read())
+    doc[section] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    assert run(["cost", "--scenario", str(path), "--protocol", "tcp"]) == 1
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -253,6 +267,8 @@ def test_fractional_horizon_is_rejected(tmp_path, capsys, mixed_path):
     (["sweep", "--points", "1"], "--points"),
     (["sweep", "--start", "0"], "--start"),
     (["sweep", "--stop", "1.5"], "--stop"),
+    (["allocate", "--protocol", "udp", "--alpha", "nan", "--beta", "0.05,1"], "--alpha"),
+    (["allocate", "--protocol", "udp", "--alpha=inf", "--beta", "0.05,1"], "--alpha"),
 ])
 def test_count_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch, mixed_path,
                                                   argv, flag):
