@@ -25,13 +25,15 @@ from . import allocation, analysis, simulator
 from .controller import (Protocol, closed_loop_eigenvalues, expected_cost,
                          expected_costs, synthesize)
 from .prediction import build_prediction_operators
-from .scenario import (ChannelModel, Scenario, ScenarioError, SimOptions,
-                       load_scenario)
+from .scenario import (MAX_REPLICATES, MAX_STEPS, ChannelModel, Scenario,
+                       ScenarioError, SimOptions, load_scenario)
 
 __all__ = ["main", "run"]
 
 
 # Largest number of grid points one sweep or allocation grid may evaluate.
+# MAX_REPLICATES and MAX_STEPS (from scenario, which checks sim.replicates and
+# sim.steps against them) bound --replicates and --steps likewise.
 MAX_SWEEP_POINTS = 10 ** 6
 
 
@@ -175,12 +177,20 @@ def cmd_maxdiff(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise UsageError("--seed must be a nonnegative integer")
+
+
 def cmd_simulate(args) -> int:
     if args.steps is not None:
         if args.mode == "open":
             raise UsageError("--steps applies to --mode receding; an open-loop run spans the horizon")
         if args.steps < 1:
             raise UsageError("--steps must be at least 1")
+        if args.steps > MAX_STEPS:
+            raise UsageError(f"--steps must be at most {MAX_STEPS}")
+    _check_seed(args)
     scn = _load(args)
     seed = scn.sim.seed if args.seed is None else args.seed
     if args.mode == "open":
@@ -195,10 +205,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    if args.replicates is not None and args.replicates < 2:
-        raise UsageError("--replicates must be at least 2")
+    if args.replicates is not None and not 2 <= args.replicates <= MAX_REPLICATES:
+        raise UsageError(f"--replicates must lie in [2, {MAX_REPLICATES}]")
     if args.threads is not None and args.threads < 1:
         raise UsageError("--threads must be at least 1")
+    _check_seed(args)
     scn = _load(args)
     seed = scn.sim.seed if args.seed is None else args.seed
     replicates = scn.sim.replicates if args.replicates is None else args.replicates

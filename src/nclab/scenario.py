@@ -45,6 +45,11 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12
 
+# Largest Monte Carlo replicate count and simulated step count (horizon
+# included: an open-loop run spans it) a scenario or a command may ask for.
+MAX_REPLICATES = 10 ** 7
+MAX_STEPS = 10 ** 6
+
 
 class ScenarioError(Exception):
     """Base class for scenario loading/validation failures."""
@@ -222,8 +227,8 @@ def validate_scenario(s: Scenario) -> list[str]:
     if v:
         return v
 
-    if N < 1:
-        v.append("horizon must be >= 1")
+    if not 1 <= N <= MAX_STEPS:
+        v.append(f"horizon must be >= 1 and <= {MAX_STEPS}")
     if c.is_scheduled and c.means.shape[0] != N:
         v.append("channel schedule length ≠ N")
     if np.any(c.means <= 0.0) or np.any(c.means > 1.0):
@@ -259,8 +264,12 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     if s.sim.replicates < 2:
         v.append("sim.replicates must be >= 2")
+    if s.sim.replicates > MAX_REPLICATES:
+        v.append(f"sim.replicates must be <= {MAX_REPLICATES}")
     if s.sim.steps < 0:
         v.append("sim.steps must be >= 0")
+    if s.sim.steps > MAX_STEPS:
+        v.append(f"sim.steps must be <= {MAX_STEPS}")
     if s.sim.seed < 0:
         v.append("sim.seed must be a nonnegative integer")
     return v
@@ -325,8 +334,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if key not in weights_doc:
             raise ParseError(f"weights is missing {key}")
     N = _integer(weights_doc["horizon"], "weights.horizon")
-    if N < 1:
-        raise ValidationError("horizon must be >= 1")
+    if not 1 <= N <= MAX_STEPS:
+        raise ValidationError(f"horizon must be >= 1 and <= {MAX_STEPS}")
     weights = WeightSpec(
         q=_array(weights_doc["q"], "weights.q", 2),
         omega_steps=_steps_from(weights_doc, "omega_steps", "omega", N),

@@ -8,7 +8,16 @@ the transmissions and one of shape (steps, n) for the noise; Gaussians are
 produced deterministically from the uniforms by the inverse normal CDF.
 Replicate ``r`` of a Monte Carlo run with base seed ``b`` uses
 ``replicate_seed(b, r)``, so replicates are reproducible individually and
-independent of execution order or thread count.
+independent of execution order or thread count.  Seeds are nonnegative
+integers of any size.
+
+The rule is stated seed by seed, but no per-seed ``SeedSequence`` is built.
+Philox is counter-based, so a stream is fixed by its key alone (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC11).  ``_seed_states``
+runs numpy's SeedSequence hash on uint32 arrays for a whole chunk at once:
+it gives a Monte Carlo chunk's replicate seeds and every seed's Philox key,
+bit for bit as numpy's ``SeedSequence`` does.  One Philox per chunk is then
+re-keyed through its ``state`` for each seed.
 
 Transmission and noise streams depend only on (seed, step), never on the
 protocol: running both protocols at the same seed yields common random
@@ -16,7 +25,7 @@ numbers, which makes paired cost-gap estimates low-variance.
 
 Every simulation is one recursion (``_rollout``) over a stack of
 replicates: a single rollout is a stack of one, and Monte Carlo runs one
-stack per chunk.  Only the generators and their uniforms are per replicate.
+stack per chunk.  Only the Philox key and its uniforms are per replicate.
 
 A lost packet applies exactly zero input at that actuator, and the realized
 cost weights each stage's input penalty by the realized transmissions (a
@@ -26,6 +35,7 @@ lost packet incurs no input penalty).
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,6 +85,104 @@ def replicate_seed(base_seed: int, r: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(base_seed), int(r))).generate_state(1, np.uint64)[0])
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init·mult^k mod 2^32 for k = 0..count-1, as a (count, 1) column."""
+    c = np.full(count, mult, dtype=np.uint32)
+    c[0] = init
+    return np.multiply.accumulate(c, dtype=np.uint32)[:, np.newaxis]
+
+
+# numpy's SeedSequence hash (M. E. O'Neill's seed_seq_fe) with its pool of
+# four uint32 words.  Hash step k xors with _A[k] and multiplies by _A[k+1];
+# a pool takes 16 steps (4 to fill it, 12 to mix it), plus 4 for each entropy
+# word beyond the fourth.  Output word i uses _B[i] and _B[i+1] likewise.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_A = _hash_constants(_INIT_A, _MULT_A, 1 + _POOL * _POOL)
+_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 1 + 2 * 2)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """Hash steps on uint32 words, which wrap as numpy's do."""
+    x = (x ^ xor) * mul
+    return x ^ (x >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    z = _MIX_L * x - _MIX_R * y
+    return z ^ (z >> 16)
+
+
+def _round_constants(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mixing round s hashes pool word s with steps 4+3s, 5+3s, 6+3s into the
+    other three words in turn.  Word s keeps its value, so its row of the
+    (4, 1) xor and multiply columns is a placeholder."""
+    k = _POOL + 3 * s
+    return np.insert(_A[k:k + 3], s, 0, axis=0), np.insert(_A[k + 1:k + 4], s, 0, axis=0)
+
+
+_ROUNDS = [_round_constants(s) for s in range(_POOL)]
+
+
+def _words(values) -> tuple[np.ndarray, np.ndarray]:
+    """Little-endian uint32 words (R, L) of R nonnegative integers, zero-padded
+    on the right, and each one's word count (R,); zero is one word."""
+    x = np.asarray(values)
+    if x.dtype.kind in "iu":
+        if x.dtype.kind == "i" and np.any(x < 0):
+            raise ValueError("seeds must be nonnegative integers")
+        words = x.astype("<u8").view("<u4").reshape(-1, 2)
+        return words, 1 + (words[:, 1] != 0)
+    x = [operator.index(v) for v in np.asarray(values, dtype=object).ravel()]  # beyond 64 bits
+    if min(x) < 0:
+        raise ValueError("seeds must be nonnegative integers")
+    counts = np.array([max(1, -(-v.bit_length() // 32)) for v in x])
+    x = np.array(x, dtype=object)
+    words = np.stack([(x >> (32 * j)) & 0xFFFFFFFF for j in range(counts.max())], axis=1)
+    return words.astype(np.uint32), counts
+
+
+def _seed_states(words: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n, np.uint64)`` for R entropies
+    at once, as an (R, n) array, n <= 2 (half the pool).  Row r of ``words``
+    holds entropy r's uint32 words, zero-padded on the right, and
+    ``counts[r]`` how many it has.
+
+    Entropy of at most four words hashes as if zero-padded to the pool size,
+    as numpy's does; longer entropy runs the extra mixing loop, once for each
+    group of equal word count."""
+    pool = np.zeros((_POOL, len(words)), dtype=np.uint32)
+    pool[:words.shape[1]] = words[:, :_POOL].T
+    pool = _hashmix(pool, _A[:_POOL], _A[1:_POOL + 1])
+    for s, (xor, mul) in enumerate(_ROUNDS):  # word s mixes into the other three
+        kept = pool[s]
+        pool = _mix(pool, _hashmix(kept, xor, mul))
+        pool[s] = kept
+    longest = int(counts.max())
+    if longest > _POOL:
+        ca = _hash_constants(_INIT_A, _MULT_A, 1 + _POOL * longest)
+        for c in np.unique(counts[counts > _POOL]):
+            rows = np.flatnonzero(counts == c)
+            sub = pool[:, rows]
+            for j in range(_POOL, c):  # each further word into every pool word
+                k = _POOL * j
+                sub = _mix(sub, _hashmix(words[rows, j], ca[k:k + _POOL], ca[k + 1:k + _POOL + 1]))
+            pool[:, rows] = sub
+    out = _hashmix(pool[:2 * n], _B[:2 * n], _B[1:2 * n + 1])  # words 2i, 2i+1 are uint64 i's low, high
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _replicate_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``replicate_seed(base_seed, r)`` for r in [lo, hi), hashed at once from
+    the entropy words of (base_seed, r)."""
+    base, count = _words([base_seed])
+    base = base[:, :count[0]]
+    words, counts = _words(np.arange(lo, hi, dtype=np.uint64))
+    entropy = np.hstack([np.broadcast_to(base, (hi - lo, base.shape[1])), words])
+    return _seed_states(entropy, base.shape[1] + counts, 1)[:, 0]
+
+
 def _noise_factor(sigma_w: np.ndarray) -> np.ndarray:
     """Lower-triangular-ish factor L with L L' = sigma_w (PSD tolerated)."""
     if not np.any(sigma_w):
@@ -88,17 +196,24 @@ def _noise_factor(sigma_w: np.ndarray) -> np.ndarray:
 
 def _draws(scn: Scenario, steps: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Deliveries (R, steps, m) and noise (R, steps, n) for a chunk of R
-    seeds.  Each seed's generator draws its uniforms in the fixed order;
-    the delivery threshold, the inverse normal CDF and the noise factor
-    then act on the whole chunk."""
-    uv = np.empty((len(seeds), steps, scn.m))
-    uw = np.empty((len(seeds), steps, scn.n))
-    for i, s in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(s))))
-        rng.random(out=uv[i])
-        rng.random(out=uw[i])
-    v = (uv < scn.channel.step_means(steps)).astype(float)
-    w = ndtri(uw) @ _noise_factor(scn.plant.sigma_w).T
+    seeds.  Seed s keys Philox with ``SeedSequence(s).generate_state(2,
+    uint64)``, hashed for the whole chunk at once; one Philox is re-keyed per
+    seed and draws the seed's (steps, m) then (steps, n) uniforms as one block.
+    The delivery threshold, the inverse normal CDF and the noise factor then
+    act on the whole chunk."""
+    keys = _seed_states(*_words(seeds), 2)
+    split = steps * scn.m
+    u = np.empty((len(keys), split + steps * scn.n))
+    bits = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter 0 and an empty buffer: a fresh stream
+    for i, key in enumerate(keys):
+        state["state"]["key"] = key
+        bits.state = state
+        rng.random(out=u[i])
+    R = len(keys)
+    v = (u[:, :split].reshape(R, steps, scn.m) < scn.channel.step_means(steps)).astype(float)
+    w = ndtri(u[:, split:].reshape(R, steps, scn.n)) @ _noise_factor(scn.plant.sigma_w).T
     return v, w
 
 
@@ -193,13 +308,15 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     """
     if replicates < 2:
         raise ValueError("replicates must be ≥ 2")
+    if base_seed < 0:
+        raise ValueError("base_seed must be a nonnegative integer")
     u_star = _open_loop_sequence(scn, protocol)
     rows = max(1, _CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
     costs = np.empty(replicates)
 
     def run(lo):
         hi = min(lo + rows, replicates)
-        v, w = _draws(scn, scn.horizon, [replicate_seed(base_seed, r) for r in range(lo, hi)])
+        v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, lo, hi))
         costs[lo:hi] = _rollout(scn, v, w, sequence=u_star)[2]
 
     starts = range(0, replicates, rows)

@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from hypothesis import settings
 
 from nclab import (ChannelModel, PlantModel, Scenario, SimOptions, WeightSpec,
                    build_prediction_operators, fixture_path, load_scenario)
+
+# Reproducible property tests: the same examples on every run
+# (pytest --hypothesis-profile=ci); a plain run uses the same profile.
+settings.register_profile("ci", derandomize=True, deadline=None, database=None)
+settings.load_profile("ci")
 
 # ---------------------------------------------------------------------------
 # scenario builders

@@ -269,6 +269,11 @@ def test_non_object_sections_are_scenario_errors(tmp_path, capsys, mixed_path, s
     (["sweep", "--stop", "1.5"], "--stop"),
     (["allocate", "--protocol", "udp", "--alpha", "nan", "--beta", "0.05,1"], "--alpha"),
     (["allocate", "--protocol", "udp", "--alpha=inf", "--beta", "0.05,1"], "--alpha"),
+    (["simulate", "--protocol", "udp", "--seed", "-5"], "--seed must be a nonnegative integer"),
+    (["montecarlo", "--protocol", "udp", "--seed", "-5"], "--seed must be a nonnegative integer"),
+    (["montecarlo", "--protocol", "udp", "--replicates", "1000000000000000"], "--replicates"),
+    (["simulate", "--protocol", "udp", "--mode", "receding", "--steps", "1000000000000000"],
+     "--steps"),
 ])
 def test_count_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch, mixed_path,
                                                   argv, flag):
@@ -331,3 +336,26 @@ def test_allocate_rejects_oversized_grid_before_building_it(tmp_path, capsys, mo
     assert rc == 2
     assert "1234321 grid points" in capsys.readouterr().err
     assert not frontier.exists()
+
+
+@pytest.mark.parametrize("key, cap", [("replicates", 10 ** 7), ("steps", 10 ** 6)])
+def test_sim_counts_are_capped(tmp_path, capsys, mixed_path, key, cap):
+    from nclab import cli
+
+    assert getattr(cli, f"MAX_{key.upper()}") == cap
+    doc = json.loads(open(mixed_path).read())
+    path = tmp_path / "edited.json"
+    for value, rc in ((cap, 0), (cap + 1, 1), (10 ** 15, 1)):
+        doc["sim"] = {key: value}
+        path.write_text(json.dumps(doc))
+        assert run(["cost", "--scenario", str(path), "--protocol", "tcp"]) == rc
+        captured = capsys.readouterr()
+        if rc:
+            assert f"sim.{key} must be <= {cap}" in captured.err
+
+
+@pytest.mark.parametrize("horizon", [10 ** 6 + 1, 2 ** 40, 2 ** 70])
+def test_huge_horizon_is_a_validation_error(tmp_path, capsys, mixed_path, horizon):
+    path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=horizon))
+    assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
+    assert "horizon must be >= 1 and <= 1000000" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,15 @@ from nclab import (ChannelModel, Protocol, Scenario, expected_cost, monte_carlo_
                    open_loop_rollout, optimal_sequence, receding_horizon_sim,
                    replicate_seed, synthesize, write_trajectory_csv)
 from nclab import simulator
-from nclab.simulator import _draws
+from nclab.simulator import _draws, _replicate_seeds, _rollout, _seed_states, _words
 
 from conftest import (draws_oracle, make_scenario, open_loop_expected_cost_oracle,
                       ops_of, toy_scenario)
 
 TCP, UDP = Protocol.TCP_LIKE, Protocol.UDP_LIKE
+
+# seeds that take one to seven uint32 words, at the word boundaries
+DIRECT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3, 2**200]
 
 
 def _channel(mu, steps=1):
@@ -59,6 +64,27 @@ def test_chunked_draws_equal_the_seed_rule_bit_for_bit(pendulum, mixed):
                 v_ref, w_ref = draws_oracle(scn, scn.horizon, s)
                 assert np.array_equal(v[i], v_ref) and np.array_equal(w[i], w_ref)
     assert not np.any(w)  # the last chunk is the noiseless scenario's
+    # seeds of every word count, in one mixed chunk and one by one
+    chunk = DIRECT_SEEDS + seeds[:5]
+    v, w = _draws(pendulum, pendulum.horizon, chunk)
+    for i, s in enumerate(chunk):
+        v_ref, w_ref = draws_oracle(pendulum, pendulum.horizon, s)
+        assert np.array_equal(v[i], v_ref) and np.array_equal(w[i], w_ref)
+        v1, w1 = _draws(pendulum, pendulum.horizon, [s])
+        assert np.array_equal(v1[0], v_ref) and np.array_equal(w1[0], w_ref)
+
+
+def test_vectorized_seed_hash_matches_numpy():
+    # replicate seeds of 10^4 replicates at base seeds of one to three words
+    for base in (0, 7, 2**31 - 1, 2**32, 2**64 + 5):
+        got = _replicate_seeds(base, 0, 10_000)
+        ref = [np.random.SeedSequence(entropy=(base, r)).generate_state(1, np.uint64)[0]
+               for r in range(10_000)]
+        assert got.dtype == np.uint64 and np.array_equal(got, ref)
+    # Philox keys of direct seeds, the long ones through the extra mixing loop
+    keys = _seed_states(*_words(DIRECT_SEEDS), 2)
+    for key, s in zip(keys, DIRECT_SEEDS):
+        assert np.array_equal(key, np.random.SeedSequence(s).generate_state(2, np.uint64))
 
 
 def test_rollout_is_deterministic():
@@ -183,6 +209,47 @@ def test_monte_carlo_thread_count_does_not_change_the_result(monkeypatch):
     threaded = monte_carlo_cost(scn, TCP, replicates=5000, base_seed=3, threads=4)
     assert serial.mean_cost == threaded.mean_cost
     assert serial.stderr == threaded.stderr
+
+
+def test_monte_carlo_equals_chunked_oracle_bit_for_bit(pendulum, mixed):
+    # each chunk rebuilt from the documented seed rule, seed by seed
+    for scn, replicates in ((pendulum, 700), (mixed, 3500)):
+        rows = max(1, simulator._CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
+        assert replicates > rows
+        for p in (TCP, UDP):
+            u_star = simulator._open_loop_sequence(scn, p)
+            costs = []
+            for lo in range(0, replicates, rows):
+                pairs = [draws_oracle(scn, scn.horizon, replicate_seed(77, r))
+                         for r in range(lo, min(lo + rows, replicates))]
+                v, w = np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+                costs.extend(_rollout(scn, v, w, sequence=u_star)[2])
+            mean = math.fsum(costs) / replicates
+            ssq = math.fsum((c - mean) ** 2 for c in costs)
+            stderr = math.sqrt(ssq / (replicates - 1)) / math.sqrt(replicates)
+            stats = monte_carlo_cost(scn, p, replicates=replicates, base_seed=77)
+            assert stats.mean_cost == mean and stats.stderr == stderr
+
+
+def test_monte_carlo_builds_no_seed_sequence(monkeypatch):
+    scn = toy_scenario(mu=0.5, sigma_w=0.2, x=1.0)
+    ref = monte_carlo_cost(scn, UDP, replicates=500, base_seed=2**70)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a SeedSequence")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    stats = monte_carlo_cost(scn, UDP, replicates=500, base_seed=2**70)
+    assert (stats.mean_cost, stats.stderr) == (ref.mean_cost, ref.stderr)
+
+
+def test_negative_seeds_are_refused():
+    scn = toy_scenario()
+    for seeds in ([-1], [3, -5], [-(2**70)], np.array([4, -2])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _draws(scn, 3, seeds)
+    with pytest.raises(ValueError, match="nonnegative"):
+        monte_carlo_cost(scn, UDP, replicates=10, base_seed=-5)
 
 
 def test_monte_carlo_rejects_single_replicate():
