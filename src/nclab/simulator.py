@@ -202,8 +202,8 @@ def _draws(scn: Scenario, steps: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     The delivery threshold, the inverse normal CDF and the noise factor then
     act on the whole chunk."""
     keys = _seed_states(*_words(seeds), 2)
-    split = steps * scn.m
-    u = np.empty((len(keys), split + steps * scn.n))
+    R, split = len(keys), steps * scn.m
+    u = np.empty((R, split + steps * scn.n))
     bits = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty buffer: a fresh stream
@@ -211,7 +211,6 @@ def _draws(scn: Scenario, steps: int, seeds) -> tuple[np.ndarray, np.ndarray]:
         state["state"]["key"] = key
         bits.state = state
         rng.random(out=u[i])
-    R = len(keys)
     v = (u[:, :split].reshape(R, steps, scn.m) < scn.channel.step_means(steps)).astype(float)
     w = ndtri(u[:, split:].reshape(R, steps, scn.n)) @ _noise_factor(scn.plant.sigma_w).T
     return v, w
