@@ -15,6 +15,7 @@ by ``montecarlo``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,7 +247,10 @@ def cmd_allocate(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` makes
+    a fresh namespace on every call, so nothing carries over between runs."""
     p = argparse.ArgumentParser(prog="nclab",
                                 description="LQG/MPC synthesis and analysis over lossy actuation channels")
     sub = p.add_subparsers(dest="command", required=True)

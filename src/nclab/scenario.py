@@ -49,6 +49,9 @@ SYMMETRY_RTOL = 1e-12
 # included: an open-loop run spans it) a scenario or a command may ask for.
 MAX_REPLICATES = 10 ** 7
 MAX_STEPS = 10 ** 6
+# Largest stacked dimension N·max(n, m): it keeps one dense (N·n)² or (N·m)²
+# float64 prediction operator at 128 MiB or less.
+MAX_STACKED_DIM = 4096
 
 
 class ScenarioError(Exception):
@@ -168,15 +171,36 @@ class Scenario:
         return self.weights.horizon
 
 
-def _check_symmetric(a: np.ndarray) -> bool:
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    return bool(np.max(np.abs(a - a.T)) <= SYMMETRY_RTOL * scale)
+def _symmetric(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (K, d, d) stack: symmetric to SYMMETRY_RTOL of its
+    largest entry."""
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    return np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_RTOL * scale
 
 
-def _check_spd(a: np.ndarray) -> bool:
-    if not _check_symmetric(a):
-        return False
-    return bool(np.min(np.linalg.eigvalsh(0.5 * (a + a.T))) > 0.0)
+def _spd(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (K, d, d) stack: symmetric and positive definite, from
+    one batched ``eigvalsh`` over the symmetric ones."""
+    ok = _symmetric(stack)
+    sym = stack[ok]
+    ok[ok] = np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(1, 2))).min(axis=1) > 0.0
+    return ok
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (K, d, d) stack: no off-diagonal entry above
+    SYMMETRY_RTOL of its largest entry."""
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    off = np.where(np.eye(stack.shape[1], dtype=bool), 0.0, np.abs(stack)).max(axis=(1, 2))
+    return ~(off > SYMMETRY_RTOL * scale)
+
+
+def _stacked_dim_error(N: int, n: int, m: int) -> str | None:
+    d = N * max(n, m)
+    if d > MAX_STACKED_DIM:
+        return (f"horizon × max(n, m) is {N} × {max(n, m)} = {d}, "
+                f"above the operator-size cap of {MAX_STACKED_DIM}")
+    return None
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -229,6 +253,8 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     if not 1 <= N <= MAX_STEPS:
         v.append(f"horizon must be >= 1 and <= {MAX_STEPS}")
+    if (err := _stacked_dim_error(N, n, m)) is not None:
+        v.append(err)
     if c.is_scheduled and c.means.shape[0] != N:
         v.append("channel schedule length ≠ N")
     if np.any(c.means <= 0.0) or np.any(c.means > 1.0):
@@ -236,31 +262,20 @@ def validate_scenario(s: Scenario) -> list[str]:
     if c.beta is not None and np.any(c.beta < 0.0):
         v.append("beta must be nonnegative")
 
-    if not _check_symmetric(p.sigma_w):
-        v.append("sigma_w asymmetric")
-    elif not _check_spd(p.sigma_w):
-        v.append("sigma_w not positive definite")
-    if not _check_symmetric(p.x0_cov):
-        v.append("x0_cov asymmetric")
-    elif not _check_spd(p.x0_cov):
-        v.append("x0_cov not positive definite")
-    if not _check_spd(w.q):
+    for name, a in (("sigma_w", p.sigma_w), ("x0_cov", p.x0_cov)):
+        if not _symmetric(a[np.newaxis])[0]:
+            v.append(f"{name} asymmetric")
+        elif not _spd(a[np.newaxis])[0]:
+            v.append(f"{name} not positive definite")
+    if not _spd(w.q[np.newaxis])[0]:
         v.append("q not symmetric positive definite")
-    for k in range(N):
-        if not _check_spd(w.omega_steps[k]):
-            v.append(f"omega step {k} not symmetric positive definite")
-            break
-    for k in range(N):
-        if not _check_spd(w.psi_steps[k]):
-            v.append(f"psi step {k} not symmetric positive definite")
-            break
     # The optimal-law formulas require the input penalty to commute with the
     # channel-mean diagonal, so per-step psi must itself be diagonal.
-    for k in range(N):
-        off = w.psi_steps[k] - np.diag(np.diag(w.psi_steps[k]))
-        if np.max(np.abs(off)) > SYMMETRY_RTOL * max(np.max(np.abs(w.psi_steps[k])), 1.0):
-            v.append(f"psi step {k} must be diagonal")
-            break
+    for msg, ok in (("omega step {} not symmetric positive definite", _spd(w.omega_steps)),
+                    ("psi step {} not symmetric positive definite", _spd(w.psi_steps)),
+                    ("psi step {} must be diagonal", _diagonal(w.psi_steps))):
+        if not ok.all():
+            v.append(msg.format(np.flatnonzero(~ok)[0]))
 
     if s.sim.replicates < 2:
         v.append("sim.replicates must be >= 2")
@@ -336,6 +351,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     N = _integer(weights_doc["horizon"], "weights.horizon")
     if not 1 <= N <= MAX_STEPS:
         raise ValidationError(f"horizon must be >= 1 and <= {MAX_STEPS}")
+    if (err := _stacked_dim_error(N, plant.a.shape[0], plant.b.shape[1])) is not None:
+        raise ValidationError(err)
     weights = WeightSpec(
         q=_array(weights_doc["q"], "weights.q", 2),
         omega_steps=_steps_from(weights_doc, "omega_steps", "omega", N),

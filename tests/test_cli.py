@@ -359,3 +359,56 @@ def test_huge_horizon_is_a_validation_error(tmp_path, capsys, mixed_path, horizo
     path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=horizon))
     assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
     assert "horizon must be >= 1 and <= 1000000" in capsys.readouterr().err
+
+
+def _fresh_run(argv):
+    """``run`` with a newly built parser, as in a new process."""
+    from nclab import cli
+
+    cli._parser.cache_clear()
+    return run(argv)
+
+
+def test_repeated_runs_share_one_parser_and_no_state(tmp_path, capsys, pend_path, mixed_path):
+    from nclab import cli
+
+    cost = ["cost", "--scenario", pend_path, "--protocol", "udp"]
+    assert _fresh_run(cost) == 0
+    plain = capsys.readouterr().out
+    parser = cli._parser()
+    assert run(cost + ["--upsilon", "0.5"]) == 0
+    assert capsys.readouterr().out != plain
+    assert run(cost) == 0
+    assert capsys.readouterr().out == plain
+
+    # a usage error from argparse and one from the command, then valid commands
+    assert run(["cost", "--scenario", pend_path, "--protocol", "xyz"]) == 2
+    assert run(cost + ["--upsilon", "1.5"]) == 2
+    capsys.readouterr()
+    assert run(cost) == 0
+    assert capsys.readouterr().out == plain
+    assert cli._parser() is parser
+
+    out = tmp_path / "sweep.csv"
+    sweep = ["sweep", "--scenario", mixed_path, "--points", "5", "--out", str(out)]
+    assert _fresh_run(sweep) == 0
+    full = out.read_text()
+    assert run(sweep + ["--scalar"]) == 0
+    scalar = out.read_text()
+    assert len(scalar.splitlines()) == 1 + 5 and len(full.splitlines()) == 1 + 25
+    assert run(sweep) == 0
+    assert out.read_text() == full
+
+    assert run(["--help"]) == 0
+    usage = capsys.readouterr().out
+    for name in ("synthesize", "cost", "gap", "eigs", "sweep", "maxdiff", "simulate",
+                 "montecarlo", "allocate"):
+        assert name in usage
+
+
+def test_operator_size_cap_is_a_clean_error(tmp_path, capsys, mixed_path):
+    path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=5000))
+    assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
+    err = capsys.readouterr().err
+    assert "operator-size cap of 4096" in err
+    assert "Traceback" not in err

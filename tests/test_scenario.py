@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from nclab import (ParseError, ValidationError, fixture_path, load_scenario,
                    save_scenario, scenario_from_dict, scenario_to_dict,
                    validate_scenario)
+from nclab.scenario import MAX_STACKED_DIM
 
 from conftest import toy_scenario
 
@@ -151,3 +153,124 @@ def test_toy_builder_bypasses_file_validation():
     # zero process noise is fine for in-memory studies even though files
     # require a positive-definite covariance
     assert scn.plant.sigma_w[0, 0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched weight checks against the per-matrix loop they replace
+
+
+def _loop_matrix_checks(s):
+    """The weight and covariance checks of ``validate_scenario`` as one
+    symmetry test and one ``eigvalsh`` per matrix, stopping at the first
+    failing step of each stack."""
+    def symmetric(a):
+        scale = max(float(np.max(np.abs(a))), 1.0)
+        return bool(np.max(np.abs(a - a.T)) <= 1e-12 * scale)
+
+    def spd(a):
+        return symmetric(a) and bool(np.min(np.linalg.eigvalsh(0.5 * (a + a.T))) > 0.0)
+
+    v = []
+    for name, a in (("sigma_w", s.plant.sigma_w), ("x0_cov", s.plant.x0_cov)):
+        if not symmetric(a):
+            v.append(f"{name} asymmetric")
+        elif not spd(a):
+            v.append(f"{name} not positive definite")
+    if not spd(s.weights.q):
+        v.append("q not symmetric positive definite")
+    for k, om in enumerate(s.weights.omega_steps):
+        if not spd(om):
+            v.append(f"omega step {k} not symmetric positive definite")
+            break
+    for k, ps in enumerate(s.weights.psi_steps):
+        if not spd(ps):
+            v.append(f"psi step {k} not symmetric positive definite")
+            break
+    for k, ps in enumerate(s.weights.psi_steps):
+        off = ps - np.diag(np.diag(ps))
+        if np.max(np.abs(off)) > 1e-12 * max(np.max(np.abs(ps)), 1.0):
+            v.append(f"psi step {k} must be diagonal")
+            break
+    return v
+
+
+def _corrupt(scn, field, edit, k=None):
+    """A copy of ``scn`` with one weight or covariance matrix edited in place
+    (step ``k`` of a per-step stack)."""
+    section = "plant" if field in ("sigma_w", "x0_cov") else "weights"
+    owner = getattr(scn, section)
+    arr = getattr(owner, field).copy()
+    edit(arr if k is None else arr[k])
+    return replace(scn, **{section: replace(owner, **{field: arr})})
+
+
+def _asymmetric(a):
+    a[0, -1] += 0.5
+
+
+def _indefinite(a):
+    a[0, 0] = -abs(a[0, 0]) - 1.0
+
+
+def _off_diagonal(a):
+    a[0, 1] = a[1, 0] = 0.2
+
+
+def _tolerated_asymmetry(a):
+    a[0, -1] += 1e-13
+
+
+STEP_EDITS = [
+    ("omega_steps", _asymmetric), ("omega_steps", _indefinite),
+    ("omega_steps", _tolerated_asymmetry),
+    ("psi_steps", _asymmetric), ("psi_steps", _indefinite),
+    ("psi_steps", _off_diagonal), ("psi_steps", _tolerated_asymmetry),
+]
+WHOLE_EDITS = [(f, e) for f in ("sigma_w", "x0_cov", "q")
+               for e in (_asymmetric, _indefinite, _tolerated_asymmetry)]
+
+
+def _cases(scn):
+    N, m = scn.horizon, scn.m
+    for field, edit in STEP_EDITS:
+        if m == 1 and field == "psi_steps" and edit in (_asymmetric, _off_diagonal):
+            continue  # a 1x1 psi is always symmetric and diagonal
+        for k in sorted({0, N // 2, N - 1}):
+            yield f"{field}[{k}] {edit.__name__}", _corrupt(scn, field, edit, k)
+    for field, edit in WHOLE_EDITS:
+        yield f"{field} {edit.__name__}", _corrupt(scn, field, edit)
+    # several failing steps: each stack reports its first
+    both = _corrupt(_corrupt(scn, "omega_steps", _indefinite, N - 1),
+                    "omega_steps", _asymmetric, N // 2)
+    yield "omega_steps two steps", _corrupt(both, "psi_steps", _indefinite, N - 1)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "mixed"])
+def test_batched_checks_match_the_per_matrix_loop(name, request):
+    scn = request.getfixturevalue(name)
+    for label, bad in _cases(scn):
+        expected = _loop_matrix_checks(bad)
+        assert validate_scenario(bad) == expected, label
+        assert (expected == []) == ("tolerated" in label), label
+
+
+def test_operator_size_is_capped_at_load(pendulum):
+    assert MAX_STACKED_DIM == 4096
+    assert pendulum.horizon * pendulum.n <= MAX_STACKED_DIM
+    doc = json.loads(fixture_path("mixed").read_text())  # n = m = 2
+    doc["weights"]["horizon"] = MAX_STACKED_DIM // 2  # N·max(n, m) at the cap
+    assert scenario_from_dict(doc).horizon == 2048
+    for horizon in (MAX_STACKED_DIM // 2 + 1, 5000, 10 ** 6):
+        doc["weights"]["horizon"] = horizon
+        with pytest.raises(ValidationError, match="operator-size cap of 4096"):
+            scenario_from_dict(doc)
+
+
+def test_validate_reports_the_operator_size_cap(mixed):
+    N = MAX_STACKED_DIM // 2 + 1
+    w = mixed.weights
+    big = replace(mixed, weights=replace(
+        w, horizon=N, omega_steps=np.repeat(w.omega_steps[:1], N, axis=0),
+        psi_steps=np.repeat(w.psi_steps[:1], N, axis=0)))
+    assert validate_scenario(big) == [
+        f"horizon × max(n, m) is {N} × 2 = {2 * N}, above the operator-size cap of 4096"]
