@@ -9,7 +9,8 @@ up-set.  The grid stage evaluates every point of the k^m grid over
 feasible point and the minimal feasible points (the frontier) from the
 resulting arrays, and then bisects each priced coordinate onto the active
 constraint with single-point cost calls.  The grid is exhaustive, so its
-work grows as k^m.
+work grows as k^m.  The report keeps every grid cost, so the full-grid CSV
+(``write_frontier_csv``) is written from it with no second evaluation.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class AllocationReport:
     protocol: Protocol
     grid_resolution: float
     frontier: list[tuple[tuple[float, ...], float]]  # boundary (mu, control cost)
+    grid_costs: np.ndarray      # control cost of every grid point, in grid_points order
+    beta: np.ndarray            # channel prices the allocation was made at
 
 
 def communication_cost(mu, beta) -> float:
@@ -89,14 +92,18 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     Grid search over (0, 1]^m keeps feasible points and returns the
     communication-cost minimizer (ties broken by lexicographically smallest
     means), then bisects each priced coordinate down onto the budget
-    boundary to within 1e-6.  Raises when even perfect channels exceed the
-    budget.
+    boundary to within 1e-6.  Raises when alpha or beta is not finite and
+    when even perfect channels exceed the budget.
     """
     grid_size(resolution)  # rejects a resolution outside (0, 0.5]
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     beta = np.asarray(beta, dtype=float)
     m = ops.m
     if beta.shape != (m,):
         raise ValueError(f"beta must have length {m}")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta must be finite")
     if np.any(beta < 0.0):
         raise ValueError("beta must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -148,21 +155,16 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     return AllocationReport(m_star=mu_star, m_grid=mu_grid,
                             comm_cost=communication_cost(mu_star, beta),
                             alpha=float(alpha), protocol=protocol,
-                            grid_resolution=float(resolution), frontier=frontier)
+                            grid_resolution=float(resolution), frontier=frontier,
+                            grid_costs=costs, beta=beta)
 
 
-def write_frontier_csv(path, ops: PredictionOperators, protocol: Protocol,
-                       alpha: float, beta, x, resolution: float = 0.01) -> None:
-    """Full-grid export: ``mu_1..mu_m,control_cost,comm_cost,feasible``."""
-    beta = np.asarray(beta, dtype=float)
-    m = ops.m
-    points = grid_points(_grid_values(resolution), m)
-    costs = expected_costs(ops, protocol, x, points)
-    header = [f"mu_{i+1}" for i in range(m)] + ["control_cost", "comm_cost", "feasible"]
-    lines = [",".join(header)]
-    for mu, total, price in zip(points.tolist(), costs.tolist(), (points @ beta).tolist()):
-        cells = ([f"{v:.9g}" for v in mu]
-                 + [f"{total:.9g}", f"{price:.9g}", "1" if total <= alpha else "0"])
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_frontier_csv(path, ops: PredictionOperators, report: AllocationReport) -> None:
+    """Full-grid export of the grid ``report`` was chosen from:
+    ``mu_1..mu_m,control_cost,comm_cost,feasible``, every cell ``%.9g``."""
+    points = grid_points(_grid_values(report.grid_resolution), ops.m)
+    costs = report.grid_costs
+    header = [f"mu_{i+1}" for i in range(ops.m)] + ["control_cost", "comm_cost", "feasible"]
+    table = np.column_stack([points, costs, points @ report.beta, costs <= report.alpha])
+    with open(path, "w") as fh:  # a plain file, also for a path ending in .gz
+        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(header), comments="")

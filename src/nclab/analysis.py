@@ -340,13 +340,10 @@ def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray,
 
 
 def write_sweep_csv(path, mus, j_tcp, j_udp) -> None:
-    """CSV rows ``mu_1[,mu_2,...],j_tcp,j_udp,gap``."""
+    """CSV rows ``mu_1[,mu_2,...],j_tcp,j_udp,gap``, every cell ``%.9g``."""
     mus = np.asarray(mus, dtype=float).reshape(len(mus), -1)
+    j_tcp, j_udp = np.asarray(j_tcp, dtype=float), np.asarray(j_udp, dtype=float)
     header = [f"mu_{i+1}" for i in range(mus.shape[1])] + ["j_tcp", "j_udp", "gap"]
-    lines = [",".join(header)]
-    for mu, jt, ju in zip(mus.tolist(), np.asarray(j_tcp, dtype=float).tolist(),
-                          np.asarray(j_udp, dtype=float).tolist()):
-        cells = [f"{v:.9g}" for v in mu] + [f"{jt:.9g}", f"{ju:.9g}", f"{ju - jt:.9g}"]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.column_stack([mus, j_tcp, j_udp, j_udp - j_tcp])
+    with open(path, "w") as fh:  # a plain file, also for a path ending in .gz
+        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(header), comments="")

@@ -6,10 +6,11 @@ error.  All numbers are printed with 9 significant digits, so output is
 byte-identical across runs for identical inputs and seeds.  The environment
 variable NCLAB_SEED (a nonnegative integer) overrides the scenario's
 simulation seed.  ``sweep`` and ``allocate`` evaluate their grids with one
-batched cost call per protocol; a sweep needs at least two points per channel,
-and neither grid may exceed MAX_SWEEP_POINTS grid points in all.  ``--upsilon``
-is offered only by the commands whose output it changes, ``--threads`` only
-by ``montecarlo``.
+batched cost call per protocol, which ``--frontier-out`` writes as it is; a
+sweep needs at least two points per channel, and neither grid may exceed
+MAX_SWEEP_POINTS grid points in all.  Every CSV cell is printed as ``%.9g``.
+``--upsilon`` is offered only by the commands whose output it changes,
+``--threads`` only by ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def cmd_simulate(args) -> int:
     else:
         steps = args.steps if args.steps is not None else (scn.sim.steps or scn.horizon)
         rec = simulator.receding_horizon_sim(scn, _protocol(args), steps, seed)
-    simulator.write_trajectory_csv(args.out, rec, scn)
+    simulator.write_trajectory_csv(args.out, rec)
     print(json.dumps(_fmt({"realized_cost": rec.realized_cost, "seed": rec.seed,
                            "steps": int(rec.inputs.shape[0]), "out": args.out})))
     return 0
@@ -225,21 +226,27 @@ def cmd_montecarlo(args) -> int:
 def cmd_allocate(args) -> int:
     if not np.isfinite(args.alpha):
         raise UsageError("--alpha must be a finite number")
+    if not 0.0 < args.resolution <= 0.5:
+        raise UsageError("--resolution must lie in (0, 0.5]")
+    beta = None
+    if args.beta is not None:
+        try:
+            beta = np.array([float(v) for v in args.beta.split(",")])
+        except ValueError:
+            raise UsageError(f"--beta must be comma-separated numbers, got {args.beta!r}") from None
+        if not np.all(np.isfinite(beta) & (beta >= 0.0)):
+            raise UsageError("--beta entries must be finite and nonnegative")
     scn = _load(args)
     _check_grid("allocation grid", allocation.grid_size(args.resolution), scn.m)
+    if beta is None:
+        beta = np.ones(scn.m) if scn.channel.beta is None else scn.channel.beta
+    elif beta.shape != (scn.m,):
+        raise UsageError(f"--beta gives {beta.size} prices; the scenario has {scn.m} channels")
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    if args.beta is not None:
-        beta = np.array([float(v) for v in args.beta.split(",")])
-    elif scn.channel.beta is not None:
-        beta = scn.channel.beta
-    else:
-        beta = np.ones(scn.m)
     rep = allocation.optimize_allocation(ops, _protocol(args), args.alpha, beta,
                                          scn.eval_state, resolution=args.resolution)
     if args.frontier_out:
-        allocation.write_frontier_csv(args.frontier_out, ops, _protocol(args),
-                                      args.alpha, beta, scn.eval_state,
-                                      resolution=args.resolution)
+        allocation.write_frontier_csv(args.frontier_out, ops, rep)
     _emit({"m_star": rep.m_star, "m_grid": rep.m_grid, "comm_cost": rep.comm_cost,
            "alpha": rep.alpha, "protocol": rep.protocol.value,
            "grid_resolution": rep.grid_resolution,

@@ -4,7 +4,7 @@ A scenario file is a JSON document with lower_snake_case keys::
 
     {
       "plant":   {"a": [[...]], "b": [[...]], "sigma_w": [[...]],
-                  "x0_mean": [...], "x0_cov": [[...]]},
+                  "x0_mean": [...]},
       "channel": {"mu": [...] | "mu_schedule": [[...]], "beta": [...]},
       "weights": {"q": [[...]], "omega": [[...]] | "omega_steps": [[[...]]],
                   "psi": [[...]] | "psi_steps": [[[...]]], "horizon": N},
@@ -93,7 +93,6 @@ class PlantModel:
     b: np.ndarray        # (n, m) control
     sigma_w: np.ndarray  # (n, n) process-noise covariance
     x0_mean: np.ndarray  # (n,)
-    x0_cov: np.ndarray   # (n, n)
 
     @property
     def n(self) -> int:
@@ -220,8 +219,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         v.append("n and m must be >= 1")
 
     for name, arr in (("a", p.a), ("b", p.b), ("sigma_w", p.sigma_w),
-                      ("x0_mean", p.x0_mean), ("x0_cov", p.x0_cov),
-                      ("q", w.q), ("omega_steps", w.omega_steps),
+                      ("x0_mean", p.x0_mean), ("q", w.q), ("omega_steps", w.omega_steps),
                       ("psi_steps", w.psi_steps), ("eval_state", s.eval_state),
                       ("channel means", c.means)):
         if not np.all(np.isfinite(arr)):
@@ -234,8 +232,6 @@ def validate_scenario(s: Scenario) -> list[str]:
         v.append(f"dimension mismatch: sigma_w is {p.sigma_w.shape} but a is {n}x{n}")
     if p.x0_mean.shape != (n,):
         v.append(f"dimension mismatch: x0_mean has length {p.x0_mean.shape[0]} but a is {n}x{n}")
-    if p.x0_cov.shape != (n, n):
-        v.append(f"dimension mismatch: x0_cov is {p.x0_cov.shape} but a is {n}x{n}")
     if s.eval_state.shape != (n,):
         v.append(f"dimension mismatch: eval_state has length {s.eval_state.shape[0]} but a is {n}x{n}")
     if c.means.shape[-1] != m:
@@ -262,11 +258,10 @@ def validate_scenario(s: Scenario) -> list[str]:
     if c.beta is not None and np.any(c.beta < 0.0):
         v.append("beta must be nonnegative")
 
-    for name, a in (("sigma_w", p.sigma_w), ("x0_cov", p.x0_cov)):
-        if not _symmetric(a[np.newaxis])[0]:
-            v.append(f"{name} asymmetric")
-        elif not _spd(a[np.newaxis])[0]:
-            v.append(f"{name} not positive definite")
+    if not _symmetric(p.sigma_w[np.newaxis])[0]:
+        v.append("sigma_w asymmetric")
+    elif not _spd(p.sigma_w[np.newaxis])[0]:
+        v.append("sigma_w not positive definite")
     if not _spd(w.q[np.newaxis])[0]:
         v.append("q not symmetric positive definite")
     # The optimal-law formulas require the input penalty to commute with the
@@ -323,7 +318,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     weights_doc = _section(doc, "weights")
     sim_doc = _section(doc, "sim", required=False)
 
-    for key in ("a", "b", "sigma_w", "x0_mean", "x0_cov"):
+    for key in ("a", "b", "sigma_w", "x0_mean"):
         if key not in plant_doc:
             raise ParseError(f"plant is missing {key}")
     plant = PlantModel(
@@ -331,7 +326,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         b=_array(plant_doc["b"], "plant.b", 2),
         sigma_w=_array(plant_doc["sigma_w"], "plant.sigma_w", 2),
         x0_mean=_array(plant_doc["x0_mean"], "plant.x0_mean", 1),
-        x0_cov=_array(plant_doc["x0_cov"], "plant.x0_cov", 2),
     )
 
     if ("mu" in channel_doc) == ("mu_schedule" in channel_doc):
@@ -401,7 +395,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "b": s.plant.b.tolist(),
             "sigma_w": s.plant.sigma_w.tolist(),
             "x0_mean": s.plant.x0_mean.tolist(),
-            "x0_cov": s.plant.x0_cov.tolist(),
         },
         "channel": {},
         "weights": {

@@ -332,24 +332,19 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     return MonteCarloStats(mean_cost=mean, stderr=stderr, replicates=replicates)
 
 
-def write_trajectory_csv(path, record: TrajectoryRecord, scn: Scenario) -> None:
-    """Write ``step,x_1..x_n,u_1..u_m,v_1..v_m,stage_cost`` rows.
+def write_trajectory_csv(path, record: TrajectoryRecord) -> None:
+    """Write ``step,x_1..x_n,u_1..u_m,v_1..v_m,stage_cost`` rows, every cell
+    ``%.9g`` (steps are at most 10^6, so the step column prints as an integer).
 
     Row k holds the pre-update state x_k and the record's stage cost k,
     the cost added by the transition out of step k (row 0 also carries the
     x_0 term), so the column sums to the record's realized cost.
     """
-    n, m = scn.n, scn.m
-    steps = record.inputs.shape[0]
-    header = (["step"] + [f"x_{i+1}" for i in range(n)]
+    steps, m = record.inputs.shape
+    header = (["step"] + [f"x_{i+1}" for i in range(record.states.shape[1])]
               + [f"u_{i+1}" for i in range(m)] + [f"v_{i+1}" for i in range(m)]
               + ["stage_cost"])
-    lines = [",".join(header)]
-    for k in range(steps):
-        cells = ([str(k)] + [f"{v:.9g}" for v in record.states[k]]
-                 + [f"{v:.9g}" for v in record.inputs[k]]
-                 + [f"{v:.9g}" for v in record.transmissions[k]]
-                 + [f"{record.stage_costs[k]:.9g}"])
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.column_stack([np.arange(steps), record.states[:steps], record.inputs,
+                             record.transmissions, record.stage_costs])
+    with open(path, "w") as fh:  # a plain file, also for a path ending in .gz
+        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(header), comments="")

@@ -20,6 +20,11 @@ from nclab import (ChannelModel, PlantModel, Scenario, SimOptions, WeightSpec,
 settings.register_profile("ci", derandomize=True, deadline=None, database=None)
 settings.load_profile("ci")
 
+# Values every CSV writer must print exactly as ``f"{v:.9g}"`` does: a signed
+# zero, a tiny and the largest double, a repeating fraction, an
+# integer wider than nine digits and the step-count cap.
+CSV_EDGE_VALUES = [-0.0, 1e-300, 1.7976931348623157e308, 1 / 3, 123456789012.0, 1e6]
+
 # ---------------------------------------------------------------------------
 # scenario builders
 
@@ -33,7 +38,7 @@ def make_scenario(a, b, omega_steps, psi_steps, q, mu, sigma_w=None, x=None,
     if sigma_w is None:
         sigma_w = np.zeros((n, n))
     plant = PlantModel(a=a, b=b, sigma_w=np.asarray(sigma_w, dtype=float),
-                       x0_mean=np.zeros(n), x0_cov=np.eye(n))
+                       x0_mean=np.zeros(n))
     channel = ChannelModel(means=np.asarray(mu, dtype=float),
                            beta=None if beta is None else np.asarray(beta, dtype=float))
     weights = WeightSpec(q=np.asarray(q, dtype=float),

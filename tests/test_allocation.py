@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from nclab import (Protocol, communication_cost, expected_cost,
                    iso_cost_transmission, is_feasible, optimize_allocation,
                    write_frontier_csv)
+from nclab.allocation import grid_points
 
-from conftest import ops_of, random_scenario, toy_scenario
+from conftest import CSV_EDGE_VALUES, ops_of, random_scenario, toy_scenario
 
 TCP, UDP = Protocol.TCP_LIKE, Protocol.UDP_LIKE
 
@@ -120,16 +122,36 @@ def test_resolution_validation(pendulum):
         optimize_allocation(ops, TCP, 1e18, [1.0], pendulum.eval_state, resolution=0.6)
 
 
+@pytest.mark.parametrize("alpha, beta, name", [
+    (np.nan, [1.0, 1.0], "alpha"), (np.inf, [1.0, 1.0], "alpha"), (-np.inf, [1.0, 1.0], "alpha"),
+    (1e18, [np.nan, 1.0], "beta"), (1e18, [np.inf, 1.0], "beta"), (1e18, [1.0, -np.inf], "beta"),
+])
+def test_non_finite_alpha_or_beta_is_refused(mixed, alpha, beta, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        optimize_allocation(ops_of(mixed), UDP, alpha, beta, mixed.eval_state)
+
+
 def test_frontier_csv(tmp_path, mixed):
     ops = ops_of(mixed)
     x = mixed.eval_state
     alpha = expected_cost(ops, UDP, x, upsilon=np.array([0.9, 0.9])).total
+    rep = optimize_allocation(ops, UDP, alpha, [1.0, 1.0], x, resolution=0.25)
     path = tmp_path / "frontier.csv"
-    write_frontier_csv(path, ops, UDP, alpha, [1.0, 1.0], x, resolution=0.25)
+    write_frontier_csv(path, ops, rep)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "mu_1,mu_2,control_cost,comm_cost,feasible"
     assert len(lines) == 1 + 16  # 4 grid values per channel
     assert all(ln.split(",")[-1] in ("0", "1") for ln in lines[1:])
+
+    # edge values in the cost and price columns, against a per-cell reference
+    edge = replace(rep, grid_costs=np.resize(CSV_EDGE_VALUES, 16), alpha=1 / 3,
+                   beta=np.array([1e-300, 1.7976931348623157e308]))
+    write_frontier_csv(path, ops, edge)
+    points = grid_points([0.25, 0.5, 0.75, 1.0], 2)
+    rows = [",".join(f"{v:.9g}" for v in [*mu, c, p, float(c <= 1 / 3)])
+            for mu, c, p in zip(points.tolist(), edge.grid_costs.tolist(),
+                                (points @ edge.beta).tolist())]
+    assert path.read_text() == "\n".join([lines[0], *rows]) + "\n"
 
 
 def _looped_grid_stage(ops, protocol, alpha, beta, x, resolution):
@@ -169,6 +191,6 @@ def test_batched_grid_stage_matches_per_point_loop(tmp_path, mixed):
             assert np.array_equal(rep.m_grid, m_grid)
             assert rep.frontier == frontier
             path = tmp_path / "frontier.csv"
-            write_frontier_csv(path, ops, p, alpha, beta, x, resolution=res)
+            write_frontier_csv(path, ops, rep)
             rows = path.read_text().strip().split("\n")[1:]
             assert [r.endswith(",1") for r in rows] == flags

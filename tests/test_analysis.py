@@ -7,7 +7,7 @@ from nclab import (Protocol, cost_gap, determinant_root_candidates,
                    write_sweep_csv)
 from nclab.analysis import derivative_matrix, root_lambdas
 
-from conftest import ops_of, random_scenario, toy_scenario
+from conftest import CSV_EDGE_VALUES, ops_of, random_scenario, toy_scenario
 
 TCP, UDP = Protocol.TCP_LIKE, Protocol.UDP_LIKE
 SQRT2 = np.sqrt(2.0)
@@ -244,3 +244,16 @@ def test_sweep_csv_format(tmp_path):
     assert lines[0] == "mu_1,mu_2,j_tcp,j_udp,gap"
     assert len(lines) == 3
     assert lines[1].split(",")[-1] == "1"
+
+    # edge values in every column, one and two channels, against a per-cell reference
+    jt, ju = np.array(CSV_EDGE_VALUES), np.array(CSV_EDGE_VALUES[::-1])
+    for mus in (np.array(CSV_EDGE_VALUES), np.resize(CSV_EDGE_VALUES, (6, 2))):
+        write_sweep_csv(path, mus, jt, ju)
+        cols = mus.reshape(6, -1)
+        header = ",".join([f"mu_{i+1}" for i in range(cols.shape[1])] + ["j_tcp", "j_udp", "gap"])
+        rows = [",".join(f"{v:.9g}" for v in [*mu, t, u, u - t])
+                for mu, t, u in zip(cols.tolist(), jt.tolist(), ju.tolist())]
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"
+    gz = tmp_path / "sweep.csv.gz"  # plain text whatever the name
+    write_sweep_csv(gz, mus, jt, ju)
+    assert gz.read_text() == path.read_text()

@@ -148,6 +148,33 @@ def test_allocate_command(capsys, mixed_path):
     assert doc["comm_cost"] <= 2.0
 
 
+def test_allocate_beta_count_is_a_usage_error(capsys, mixed_path, pend_path):
+    for path, beta, m in ((mixed_path, "1,1,1", 2), (mixed_path, "1", 2), (pend_path, "1,1", 1)):
+        rc = run(["allocate", "--scenario", path, "--protocol", "udp", "--alpha", "1e9",
+                  "--beta", beta])
+        assert rc == 2
+        assert f"scenario has {m} channels" in capsys.readouterr().err
+
+
+def test_frontier_out_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, mixed_path):
+    from nclab import allocation
+
+    calls = []
+    counted = allocation.expected_costs
+
+    def counting(ops, protocol, x, mus):
+        calls.append(len(mus))
+        return counted(ops, protocol, x, mus)
+
+    monkeypatch.setattr(allocation, "expected_costs", counting)
+    frontier = tmp_path / "frontier.csv"
+    assert run(["allocate", "--scenario", mixed_path, "--protocol", "udp", *ALLOCATE,
+                "--frontier-out", str(frontier)]) == 0
+    assert calls == [100]  # resolution 0.1: one call for all 10^2 grid points
+    assert len(frontier.read_text().splitlines()) == 1 + 100
+    assert json.loads(capsys.readouterr().out)["frontier_size"] >= 1
+
+
 def test_invalid_scenario_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"plant\": {}}")
@@ -274,6 +301,15 @@ def test_non_object_sections_are_scenario_errors(tmp_path, capsys, mixed_path, s
     (["montecarlo", "--protocol", "udp", "--replicates", "1000000000000000"], "--replicates"),
     (["simulate", "--protocol", "udp", "--mode", "receding", "--steps", "1000000000000000"],
      "--steps"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--beta", "nan,1"], "--beta"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--beta", "inf,1"], "--beta"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--beta", "a,b"], "--beta"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--beta", "1,,1"], "--beta"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--beta=-0.05,1"], "--beta"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--resolution", "0"], "--resolution"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--resolution", "0.6"], "--resolution"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--resolution=-0.01"], "--resolution"),
+    (["allocate", "--protocol", "udp", "--alpha", "119", "--resolution", "nan"], "--resolution"),
 ])
 def test_count_flags_are_checked_before_any_work(tmp_path, capsys, monkeypatch, mixed_path,
                                                   argv, flag):

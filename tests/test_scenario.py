@@ -60,7 +60,7 @@ def test_validate_reports_every_violation(pendulum):
         plant=PlantModel(
             a=pendulum.plant.a, b=pendulum.plant.b,
             sigma_w=np.array(doc["plant"]["sigma_w"]),
-            x0_mean=pendulum.plant.x0_mean, x0_cov=pendulum.plant.x0_cov),
+            x0_mean=pendulum.plant.x0_mean),
         channel=ChannelModel(means=np.array(doc["channel"]["mu_schedule"])),
         weights=pendulum.weights, eval_state=pendulum.eval_state,
         sim=pendulum.sim)
@@ -109,6 +109,17 @@ def test_round_trip_is_identity(tmp_path, pendulum, mixed):
         assert np.array_equal(back.channel.means, scn.channel.means)
         assert np.array_equal(back.eval_state, scn.eval_state)
         assert back.sim == scn.sim
+
+
+def test_x0_cov_is_neither_saved_nor_read(tmp_path, mixed):
+    p = tmp_path / "saved.json"
+    save_scenario(mixed, p)
+    doc = json.loads(p.read_text())
+    assert "x0_cov" not in doc["plant"]
+    # a file that still carries the key loads to the same scenario, whatever it holds
+    doc["plant"]["x0_cov"] = [[-1.0, 5.0], [0.0, float("nan")]]
+    p.write_text(json.dumps(doc))
+    assert scenario_to_dict(load_scenario(p)) == scenario_to_dict(mixed)
 
 
 def test_eval_state_defaults_to_x0_mean(pendulum):
@@ -171,11 +182,10 @@ def _loop_matrix_checks(s):
         return symmetric(a) and bool(np.min(np.linalg.eigvalsh(0.5 * (a + a.T))) > 0.0)
 
     v = []
-    for name, a in (("sigma_w", s.plant.sigma_w), ("x0_cov", s.plant.x0_cov)):
-        if not symmetric(a):
-            v.append(f"{name} asymmetric")
-        elif not spd(a):
-            v.append(f"{name} not positive definite")
+    if not symmetric(s.plant.sigma_w):
+        v.append("sigma_w asymmetric")
+    elif not spd(s.plant.sigma_w):
+        v.append("sigma_w not positive definite")
     if not spd(s.weights.q):
         v.append("q not symmetric positive definite")
     for k, om in enumerate(s.weights.omega_steps):
@@ -197,7 +207,7 @@ def _loop_matrix_checks(s):
 def _corrupt(scn, field, edit, k=None):
     """A copy of ``scn`` with one weight or covariance matrix edited in place
     (step ``k`` of a per-step stack)."""
-    section = "plant" if field in ("sigma_w", "x0_cov") else "weights"
+    section = "plant" if field == "sigma_w" else "weights"
     owner = getattr(scn, section)
     arr = getattr(owner, field).copy()
     edit(arr if k is None else arr[k])
@@ -226,7 +236,7 @@ STEP_EDITS = [
     ("psi_steps", _asymmetric), ("psi_steps", _indefinite),
     ("psi_steps", _off_diagonal), ("psi_steps", _tolerated_asymmetry),
 ]
-WHOLE_EDITS = [(f, e) for f in ("sigma_w", "x0_cov", "q")
+WHOLE_EDITS = [(f, e) for f in ("sigma_w", "q")
                for e in (_asymmetric, _indefinite, _tolerated_asymmetry)]
 
 

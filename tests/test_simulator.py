@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nclab import (ChannelModel, Protocol, Scenario, expected_cost, monte_carlo_cost,
-                   open_loop_rollout, optimal_sequence, receding_horizon_sim,
-                   replicate_seed, synthesize, write_trajectory_csv)
+from nclab import (ChannelModel, Protocol, Scenario, TrajectoryRecord, expected_cost,
+                   monte_carlo_cost, open_loop_rollout, optimal_sequence,
+                   receding_horizon_sim, replicate_seed, synthesize, write_trajectory_csv)
 from nclab import simulator
 from nclab.simulator import _draws, _replicate_seeds, _rollout, _seed_states, _words
 
-from conftest import (draws_oracle, make_scenario, open_loop_expected_cost_oracle,
-                      ops_of, toy_scenario)
+from conftest import (CSV_EDGE_VALUES, draws_oracle, make_scenario,
+                      open_loop_expected_cost_oracle, ops_of, toy_scenario)
 
 TCP, UDP = Protocol.TCP_LIKE, Protocol.UDP_LIKE
 
@@ -101,7 +101,7 @@ def test_rollout_noiseless_perfect_channel_matches_expected_cost(pendulum):
     from nclab.scenario import ChannelModel, PlantModel, Scenario
     p = pendulum.plant
     plant = PlantModel(a=p.a, b=p.b, sigma_w=np.zeros((4, 4)),
-                       x0_mean=p.x0_mean, x0_cov=p.x0_cov)
+                       x0_mean=p.x0_mean)
     scn = Scenario(plant=plant, channel=ChannelModel(means=np.array([1.0])),
                    weights=pendulum.weights, eval_state=pendulum.eval_state,
                    sim=pendulum.sim)
@@ -261,13 +261,38 @@ def test_trajectory_csv_layout(tmp_path):
     scn = toy_scenario(mu=0.5, sigma_w=0.1, x=1.0)
     rec = open_loop_rollout(scn, TCP, seed=17)
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(out, rec, scn)
+    write_trajectory_csv(out, rec)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "step,x_1,u_1,v_1,stage_cost"
     assert len(lines) == 1 + rec.inputs.shape[0]
     cells = [ln.split(",")[-1] for ln in lines[1:]]
     assert cells == [f"{c:.9g}" for c in rec.stage_costs]
     assert sum(map(float, cells)) == pytest.approx(rec.realized_cost, rel=1e-6)
+
+    # edge values in every column (n = 2, m = 3) and a 10^6-step record, whose
+    # step column must print plain integers; each against a per-cell reference
+    def record(steps, n, m):
+        return TrajectoryRecord(states=np.resize(CSV_EDGE_VALUES, (steps + 1, n)),
+                                inputs=np.resize(CSV_EDGE_VALUES[::-1], (steps, m)),
+                                transmissions=np.resize([1.0, 0.0], (steps, m)),
+                                stage_costs=np.resize(CSV_EDGE_VALUES, steps),
+                                realized_cost=0.0, seed=0)
+
+    def reference_row(rec, k):
+        return ",".join(f"{v:.9g}" for v in [k, *rec.states[k], *rec.inputs[k],
+                                             *rec.transmissions[k], rec.stage_costs[k]])
+
+    rec = record(7, 2, 3)
+    write_trajectory_csv(out, rec)
+    header = "step,x_1,x_2,u_1,u_2,u_3,v_1,v_2,v_3,stage_cost"
+    assert out.read_text() == "\n".join([header] + [reference_row(rec, k) for k in range(7)]) + "\n"
+    rec = record(10 ** 6, 1, 1)
+    write_trajectory_csv(out, rec)
+    lines = out.read_text().split("\n")
+    assert len(lines) == 10 ** 6 + 2 and lines[-1] == ""  # header, rows, final newline
+    for k in (0, 1, 5, 10 ** 6 - 1):  # the writer formats every row alike
+        assert lines[1 + k] == reference_row(rec, k)
+    assert lines[-2].startswith("999999,")
 
 
 def test_stage_costs_sum_in_order_to_the_realized_cost(pendulum, mixed):
