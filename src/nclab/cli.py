@@ -5,8 +5,9 @@ write CSV files.  Exit codes: 0 success, 1 validation/domain error, 2 usage
 error.  All numbers are printed with 9 significant digits, so output is
 byte-identical across runs for identical inputs and seeds.  The environment
 variable NCLAB_SEED (a nonnegative integer) overrides the scenario's
-simulation seed.  ``sweep`` and ``allocate`` evaluate their grids with one
-batched cost call per protocol, which ``--frontier-out`` writes as it is; a
+simulation seed.  ``sweep`` evaluates its grid with one batched cost call
+per protocol.  ``allocate`` bisects along the lines of its grid, and
+``--frontier-out`` evaluates only the grid points the bisection left out; a
 sweep needs at least two points per channel, and neither grid may exceed
 MAX_SWEEP_POINTS grid points in all.  Every CSV cell is printed as ``%.9g``.
 ``--upsilon`` is offered only by the commands whose output it changes,
@@ -246,7 +247,7 @@ def cmd_allocate(args) -> int:
     rep = allocation.optimize_allocation(ops, _protocol(args), args.alpha, beta,
                                          scn.eval_state, resolution=args.resolution)
     if args.frontier_out:
-        allocation.write_frontier_csv(args.frontier_out, ops, rep)
+        allocation.write_frontier_csv(args.frontier_out, ops, rep, scn.eval_state)
     _emit({"m_star": rep.m_star, "m_grid": rep.m_grid, "comm_cost": rep.comm_cost,
            "alpha": rep.alpha, "protocol": rep.protocol.value,
            "grid_resolution": rep.grid_resolution,

@@ -218,10 +218,12 @@ def validate_scenario(s: Scenario) -> list[str]:
     if n < 1 or m < 1:
         v.append("n and m must be >= 1")
 
-    for name, arr in (("a", p.a), ("b", p.b), ("sigma_w", p.sigma_w),
-                      ("x0_mean", p.x0_mean), ("q", w.q), ("omega_steps", w.omega_steps),
-                      ("psi_steps", w.psi_steps), ("eval_state", s.eval_state),
-                      ("channel means", c.means)):
+    arrays = [("a", p.a), ("b", p.b), ("sigma_w", p.sigma_w), ("x0_mean", p.x0_mean),
+              ("q", w.q), ("omega_steps", w.omega_steps), ("psi_steps", w.psi_steps),
+              ("eval_state", s.eval_state), ("channel means", c.means)]
+    if c.beta is not None:
+        arrays.append(("channel.beta", c.beta))
+    for name, arr in arrays:
         if not np.all(np.isfinite(arr)):
             v.append(f"{name} has non-finite entries")
 

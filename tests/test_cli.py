@@ -163,14 +163,19 @@ def test_frontier_out_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, mix
     counted = allocation.expected_costs
 
     def counting(ops, protocol, x, mus):
-        calls.append(len(mus))
+        calls.append(np.array(mus))
         return counted(ops, protocol, x, mus)
 
     monkeypatch.setattr(allocation, "expected_costs", counting)
     frontier = tmp_path / "frontier.csv"
     assert run(["allocate", "--scenario", mixed_path, "--protocol", "udp", *ALLOCATE,
                 "--frontier-out", str(frontier)]) == 0
-    assert calls == [100]  # resolution 0.1: one call for all 10^2 grid points
+    # resolution 0.1: ceil(log2(11)) = 4 bisection rounds, then one call for
+    # the points they left out, which covers every one of the 10^2 points once
+    assert len(calls) <= 4 + 1
+    evaluated = np.concatenate(calls)
+    grid = allocation.grid_points(np.round(np.arange(1, 11) * 0.1, 12), 2)
+    assert np.array_equal(evaluated[np.lexsort(evaluated.T[::-1])], grid)
     assert len(frontier.read_text().splitlines()) == 1 + 100
     assert json.loads(capsys.readouterr().out)["frontier_size"] >= 1
 

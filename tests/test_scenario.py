@@ -159,6 +159,16 @@ def test_negative_beta_rejected(mixed):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_beta_rejected_at_load(tmp_path, mixed, bad):
+    doc = scenario_to_dict(mixed)
+    doc["channel"]["beta"] = [bad, 1.0]
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps(doc))  # NaN, Infinity and -Infinity, which json reads back
+    with pytest.raises(ValidationError, match="channel.beta has non-finite entries"):
+        load_scenario(path)
+
+
 def test_toy_builder_bypasses_file_validation():
     scn = toy_scenario()
     # zero process noise is fine for in-memory studies even though files
