@@ -10,11 +10,11 @@ from .analysis import (GapReport, MaxDiffReport, RootCandidate, cost_gap,
                        determinant_root_candidates, gap_derivative,
                        iso_cost_transmission, maximal_gap, monotonic_sweep,
                        scalar_cost_gap, write_sweep_csv)
-from .controller import (ControlLaw, CostReport, Protocol,
+from .controller import (ControlLaw, CostReport, LineResolvents, Protocol,
                          bernoulli_quadratic_expectation,
                          closed_loop_eigenvalues, error_quadratic_expectation,
-                         expected_cost, expected_costs, optimal_sequence,
-                         synthesize)
+                         expected_cost, expected_costs, line_resolvents,
+                         optimal_sequence, synthesize)
 from .prediction import PredictionOperators, build_prediction_operators
 from .scenario import (ChannelModel, ParseError, PlantModel, Scenario,
                        ScenarioError, SimOptions, ValidationError, WeightSpec,

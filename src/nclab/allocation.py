@@ -4,16 +4,17 @@ Feasible channel means are those whose expected optimal control cost stays
 at or below a budget alpha; the communication cost of a configuration is
 the price-weighted sum of its delivery probabilities.  Because the control
 cost is strictly decreasing in every channel mean, the feasible set is an
-up-set, so each line of the k^m grid over (0, 1]^m (the points that share
-their first m-1 means) is feasible from one index on.  The grid stage finds
-that index on all k^(m-1) lines at once by bisection, one batched cost call
-(``expected_costs``) per round on the midpoints of the lines still open,
-so about k^(m-1) log2(k) points are evaluated instead of k^m.  It takes the
-cheapest feasible point and the minimal feasible points (the frontier) from
-the resulting feasibility mask, and then bisects each priced coordinate
-onto the active constraint with single-point cost calls.  The report keeps
-the cost of every point the search evaluated; the full-grid CSV
-(``write_frontier_csv``) evaluates only the others.
+up-set.  The grid stage evaluates every point of the k^m grid over (0, 1]^m
+along its k^(m-1) lines (the points that share their first m-1 means) with
+one ``line_resolvents`` call, which costs O(N) per point once each line is
+diagonalized.  Points whose cost lies within TIE_RTOL of the budget, and
+the frontier points, take the single-point cost (``expected_costs``), so
+that feasibility is decided as ``is_feasible`` decides it.  The stage takes
+the cheapest feasible point and the minimal feasible points (the frontier)
+from the feasibility mask, and then bisects each priced coordinate onto the
+active constraint with single-point cost calls.  The report keeps the cost
+of every grid point, which the full-grid CSV (``write_frontier_csv``)
+prints without evaluating anything.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import Protocol, expected_cost, expected_costs
+from ._csv import write_csv
+from .controller import Protocol, expected_cost, expected_costs, line_resolvents
 from .prediction import PredictionOperators
 
 __all__ = [
@@ -36,6 +38,10 @@ __all__ = [
 ]
 
 REFINE_TOL = 1e-6
+# Relative band (of the cost with no input) around the budget in which a grid
+# point's line cost is replaced by its single-point cost.  The two agree to
+# about 1e-13, so outside the band both fall on the same side of the budget.
+TIE_RTOL = 1e-10
 # Relative width of the price shortlist ranked exactly in the grid stage.
 SHORTLIST_TOL = 1e-9
 
@@ -49,8 +55,7 @@ class AllocationReport:
     protocol: Protocol
     grid_resolution: float
     frontier: list[tuple[tuple[float, ...], float]]  # boundary (mu, control cost)
-    grid_costs: np.ndarray      # control cost of each grid point the search evaluated,
-                                # NaN elsewhere, in grid_points order
+    grid_costs: np.ndarray      # control cost of every grid point, in grid_points order
     beta: np.ndarray            # channel prices the allocation was made at
 
 
@@ -89,41 +94,12 @@ def grid_points(values, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
-def _first_feasible(ops: PredictionOperators, protocol: Protocol, alpha: float,
-                    x, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First feasible index of every grid line (k where there is none), and
-    the costs of the points the batched bisection evaluated, NaN elsewhere.
-
-    ``points`` are the k^m grid points in ``grid_points`` order, so each
-    run of k rows is one line with the last mean rising.  Every line keeps
-    an infeasible index ``lo`` (-1 before any is found) and a feasible index
-    ``hi`` (k before any is found); each round evaluates the midpoints of
-    the lines with ``hi - lo > 1`` in one call.  After ceil(log2(k + 1))
-    rounds, ``hi`` is each line's first feasible index, and its cost is
-    among those evaluated unless it is k.
-    """
-    lines = points.shape[0] // k
-    costs = np.full(points.shape[0], np.nan)
-    lo = np.full(lines, -1)
-    hi = np.full(lines, k)
-    live = np.arange(lines)
-    while live.size:
-        mid = (lo[live] + hi[live]) // 2
-        at = live * k + mid
-        costs[at] = expected_costs(ops, protocol, x, points[at])
-        ok = costs[at] <= alpha
-        hi[live[ok]] = mid[ok]
-        lo[live[~ok]] = mid[~ok]
-        live = live[hi[live] - lo[live] > 1]
-    return hi, costs
-
-
 def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: float,
                         beta, x, resolution: float = 0.01) -> AllocationReport:
     """Cheapest channel configuration meeting the cost budget.
 
-    A bisection along every line of the grid over (0, 1]^m finds the
-    feasible grid points and returns the communication-cost minimizer
+    The grid over (0, 1]^m is evaluated line by line; among its feasible
+    points the communication-cost minimizer is returned
     (ties broken by lexicographically smallest means), then bisects each
     priced coordinate down onto the budget boundary to within 1e-6.
     Raises when alpha or beta is not finite and when even perfect channels
@@ -148,8 +124,12 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     vals = _grid_values(resolution)
     k = len(vals)
     points = grid_points(vals, m)
-    first, costs = _first_feasible(ops, protocol, alpha, x, points, k)
-    ok = (np.arange(k) >= first[:, np.newaxis]).ravel()
+    lines = line_resolvents(ops, protocol, x, grid_points(vals, m - 1) if m > 1 else None)
+    costs = lines.costs(vals).ravel()
+    near = np.flatnonzero(np.abs(costs - alpha) <= TIE_RTOL * lines.constant)
+    if near.size:
+        costs[near] = expected_costs(ops, protocol, x, points[near])
+    ok = costs <= alpha
     feasible = np.flatnonzero(ok)
 
     # Shortlist by a vectorized price, then rank the shortlist with the
@@ -165,8 +145,9 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
         below = np.roll(feas, 1, axis=i)
         np.moveaxis(below, i, 0)[0] = False  # the lowest grid value has no lower neighbour
         minimal &= ~below
-    # every minimal point is its line's first feasible point, so its cost is known
-    frontier = [(tuple(points[j]), float(costs[j])) for j in np.flatnonzero(minimal)]
+    edge = np.flatnonzero(minimal)
+    costs[edge] = expected_costs(ops, protocol, x, points[edge])
+    frontier = [(tuple(points[j]), float(costs[j])) for j in edge]
 
     mu_grid = points[best].astype(float)
     mu_star = mu_grid.copy()
@@ -194,16 +175,12 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
                             grid_costs=costs, beta=beta)
 
 
-def write_frontier_csv(path, ops: PredictionOperators, report: AllocationReport, x) -> None:
+def write_frontier_csv(path, ops: PredictionOperators, report: AllocationReport) -> None:
     """Full-grid export of the grid ``report`` was chosen from:
     ``mu_1..mu_m,control_cost,comm_cost,feasible``, every cell ``%.9g``.
-    The points the search left unevaluated are evaluated at measured state
-    x in one batched call, so each grid point is evaluated once in all."""
+    The costs are the report's; nothing is evaluated."""
     points = grid_points(_grid_values(report.grid_resolution), ops.m)
-    costs = report.grid_costs.copy()
-    missing = np.isnan(costs)
-    costs[missing] = expected_costs(ops, report.protocol, x, points[missing])
+    costs = report.grid_costs
     header = [f"mu_{i+1}" for i in range(ops.m)] + ["control_cost", "comm_cost", "feasible"]
-    table = np.column_stack([points, costs, points @ report.beta, costs <= report.alpha])
-    with open(path, "w") as fh:  # a plain file, also for a path ending in .gz
-        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(header), comments="")
+    write_csv(path, header, np.column_stack([points, costs, points @ report.beta,
+                                             costs <= report.alpha]))

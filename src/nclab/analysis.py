@@ -57,7 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .controller import Protocol, expected_cost, expected_costs
+from ._csv import write_csv
+from .controller import Protocol, expected_cost, expected_costs, line_resolvents
 from .prediction import PredictionOperators
 
 __all__ = [
@@ -304,39 +305,32 @@ def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray,
 
     Because the gap is positive below a perfect channel and costs decrease
     in the means, t* < m1 whenever m1 < 1: acknowledged operation tolerates
-    more loss at equal cost.  Bisection on (0, m1].
+    more loss at equal cost.  m1 itself is returned when its TCP cost is
+    within rtol of the target.  Otherwise, on the shared-mean TCP line
+    (``line_resolvents``), the TCP reduction term at t = 1/s is
+    offset + sum_i h_i^2 / (lam_i + s): decreasing and convex in s.  Newton's
+    method from s = 1/m1, left of the root, then rises monotonically onto the
+    s at which it equals the reduction the target leaves.
     """
     m1 = float(m1)
     if not 0.0 < m1 <= 1.0:
         raise ValueError("channel mean must lie in (0,1]")
     target = expected_cost(ops, Protocol.UDP_LIKE, x, upsilon=m1).total
-
-    def resid(t: float) -> float:
-        return expected_cost(ops, Protocol.TCP_LIKE, x, upsilon=t).total - target
-
-    hi = m1
-    r_hi = resid(hi)
-    if abs(r_hi) <= rtol * abs(target):
-        return hi
-    if r_hi > 0.0:
+    line = line_resolvents(ops, Protocol.TCP_LIKE, x)
+    lam, h2 = line.lam[0], line.h2[0]
+    need = line.constant - line.offset[0] - target
+    s = 1.0 / m1
+    excess = float(np.sum(h2 / (lam + s))) - need  # the UDP cost minus the TCP cost
+    if abs(excess) <= rtol * abs(target):
+        return m1
+    if excess < 0.0:
         raise ValueError("no root bracketed: TCP cost at m1 exceeds the UDP target")
-    lo = m1
     while True:
-        lo *= 0.5
-        if resid(lo) > 0.0:
-            break
-        if lo < 1e-300:
-            raise ValueError("no root bracketed below m1")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        r = resid(mid)
-        if abs(r) <= rtol * abs(target):
-            return mid
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        w = h2 / (lam + s)
+        step = (float(np.sum(w)) - need) / float(np.sum(w / (lam + s)))
+        if not step > 4.0 * np.finfo(float).eps * s:
+            return float(1.0 / s)
+        s += step
 
 
 def write_sweep_csv(path, mus, j_tcp, j_udp) -> None:
@@ -344,6 +338,4 @@ def write_sweep_csv(path, mus, j_tcp, j_udp) -> None:
     mus = np.asarray(mus, dtype=float).reshape(len(mus), -1)
     j_tcp, j_udp = np.asarray(j_tcp, dtype=float), np.asarray(j_udp, dtype=float)
     header = [f"mu_{i+1}" for i in range(mus.shape[1])] + ["j_tcp", "j_udp", "gap"]
-    table = np.column_stack([mus, j_tcp, j_udp, j_udp - j_tcp])
-    with open(path, "w") as fh:  # a plain file, also for a path ending in .gz
-        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(header), comments="")
+    write_csv(path, header, np.column_stack([mus, j_tcp, j_udp, j_udp - j_tcp]))

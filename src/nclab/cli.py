@@ -5,11 +5,11 @@ write CSV files.  Exit codes: 0 success, 1 validation/domain error, 2 usage
 error.  All numbers are printed with 9 significant digits, so output is
 byte-identical across runs for identical inputs and seeds.  The environment
 variable NCLAB_SEED (a nonnegative integer) overrides the scenario's
-simulation seed.  ``sweep`` evaluates its grid with one batched cost call
-per protocol.  ``allocate`` bisects along the lines of its grid, and
-``--frontier-out`` evaluates only the grid points the bisection left out; a
-sweep needs at least two points per channel, and neither grid may exceed
-MAX_SWEEP_POINTS grid points in all.  Every CSV cell is printed as ``%.9g``.
+simulation seed.  ``sweep`` and ``allocate`` evaluate their grids line by
+line with one ``line_resolvents`` call per protocol, and ``--frontier-out``
+prints the costs ``allocate`` found without evaluating any; a sweep needs at
+least two points per channel, and neither grid may exceed MAX_SWEEP_POINTS
+grid points in all.  Every CSV cell is printed as ``%.9g``.
 ``--upsilon`` is offered only by the commands whose output it changes,
 ``--threads`` only by ``montecarlo``.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import allocation, analysis, simulator
 from .controller import (Protocol, closed_loop_eigenvalues, expected_cost,
-                         expected_costs, synthesize)
+                         line_resolvents, synthesize)
 from .prediction import build_prediction_operators
 from .scenario import (MAX_REPLICATES, MAX_STEPS, ChannelModel, Scenario,
                        ScenarioError, SimOptions, load_scenario)
@@ -151,11 +151,11 @@ def cmd_sweep(args) -> int:
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     pts = np.linspace(args.start, args.stop, args.points)
     if scalar:
-        mus = np.repeat(pts[:, np.newaxis], scn.m, axis=1)
+        fixed, mus = None, np.repeat(pts[:, np.newaxis], scn.m, axis=1)
     else:
-        mus = allocation.grid_points(pts, scn.m)
-    jt = expected_costs(ops, Protocol.TCP_LIKE, scn.eval_state, mus)
-    ju = expected_costs(ops, Protocol.UDP_LIKE, scn.eval_state, mus)
+        fixed, mus = allocation.grid_points(pts, scn.m - 1), allocation.grid_points(pts, scn.m)
+    jt, ju = (line_resolvents(ops, p, scn.eval_state, fixed).costs(pts).ravel()
+              for p in (Protocol.TCP_LIKE, Protocol.UDP_LIKE))
     analysis.write_sweep_csv(args.out, mus, jt, ju)
     return 0
 
@@ -247,7 +247,7 @@ def cmd_allocate(args) -> int:
     rep = allocation.optimize_allocation(ops, _protocol(args), args.alpha, beta,
                                          scn.eval_state, resolution=args.resolution)
     if args.frontier_out:
-        allocation.write_frontier_csv(args.frontier_out, ops, rep, scn.eval_state)
+        allocation.write_frontier_csv(args.frontier_out, ops, rep)
     _emit({"m_star": rep.m_star, "m_grid": rep.m_grid, "comm_cost": rep.comm_cost,
            "alpha": rep.alpha, "protocol": rep.protocol.value,
            "grid_resolution": rep.grid_resolution,

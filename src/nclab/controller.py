@@ -7,19 +7,33 @@ are
     unacknowledged (UDP-like):  G = Omega_g Y + Psi + (I ∘ Omega_g)(I - Y)
 
 and the optimal stacked input is U*(x) = -K x with K = G^{-1} Omega_gp.
-G is asymmetric as written, so K is obtained from the equivalent symmetric
-positive-definite system (Y G) K = Y Omega_gp, which admits a Cholesky
-factorization.  The optimal planning cost (see ``expected_cost``) is
+G is asymmetric as written, so ``synthesize`` obtains K from the equivalent
+symmetric positive-definite system (Y G) K = Y Omega_gp, which admits a
+Cholesky factorization.  The optimal planning cost (see ``expected_cost``)
+is
 
-    J*(x) = x'(Q + Omega_p) x + tr(Sigma_W Omega_l) - x' Omega_gp' Y G^{-1} Omega_gp x,
+    J*(x) = x'(Q + Omega_p) x + tr(Sigma_W Omega_l) - x' Omega_gp' Y G^{-1} Omega_gp x.
 
-evaluated through the same symmetric solve: with S = Y G = L L', the
-reduction term is |L^{-1} Y Omega_gp x|^2, a nonnegative quadratic form.
+Psi and Omega_d = I ∘ Omega_g are diagonal, so Y G = Y (Omega_g + D) Y with
+the diagonal
 
-There is one Gram-solve path.  It assembles and factors S for a stack of B
-channel-mean diagonals at once (``expected_costs``); ``expected_cost`` and
-``synthesize`` are batches of one, so a sweep or a grid and a single query
-give the same numbers for the same means.
+    D = Psi / u                      (acknowledged)
+    D = (Psi + Omega_d) / u - Omega_d   (unacknowledged),
+
+u the stacked channel means, and the reduction term is f'(Omega_g + D)^{-1} f
+with f = Omega_gp x.  Costs are evaluated in that form, one way for a single
+point and for a grid:
+
+* a point factors Omega_g + D by Cholesky; ``expected_cost`` is a batch of
+  one of ``expected_costs``;
+* on a line of points along which only one channel's mean u moves (or one
+  mean shared by every channel), D = D0 + E/u with E diagonal and supported
+  on the moving indices.  ``line_resolvents`` eliminates the fixed indices
+  by one Cholesky factor, scales the Schur complement by E^(-1/2) and takes
+  one symmetric eigendecomposition (Golub and Van Loan, sec. 8.7), after
+  which each point of the line costs sum_i h_i^2 / (lam_i + 1/u): the
+  low-rank resolvent update of Hager, "Updating the inverse of a matrix",
+  SIAM Review 1989.  A point is the line with nothing moving.
 
 The acknowledgment itself has no runtime effect on the law under perfect
 state feedback: transmission realizations enter only the estimator error,
@@ -32,6 +46,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 from scipy.linalg.blas import dtrsm as _dtrsm
 
 from .prediction import PredictionOperators
@@ -39,6 +55,10 @@ from .scenario import PlantModel
 
 # Byte budget of one chunk of (N m)^2 Gram matrices in a batched evaluation.
 _CHUNK_BYTES = 1 << 20
+# Lines whose moving block has at least this many rows are diagonalized one
+# by one through the tridiagonal form (``_tridiagonal_spectrum``) instead of
+# by one batched ``np.linalg.eigh``.
+_TRIDIAGONAL_ROWS = 32
 
 __all__ = [
     "Protocol",
@@ -47,6 +67,8 @@ __all__ = [
     "synthesize",
     "expected_cost",
     "expected_costs",
+    "LineResolvents",
+    "line_resolvents",
     "error_quadratic_expectation",
     "bernoulli_quadratic_expectation",
     "optimal_sequence",
@@ -115,21 +137,162 @@ def _constant_term(ops: PredictionOperators, x: np.ndarray) -> float:
     return float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace
 
 
+def _diagonal_split(ops: PredictionOperators, protocol: Protocol) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (D0, E) with D(u) = D0 + E/u, so that Y G = Y (Omega_g + D) Y."""
+    psi = ops.psi.diagonal()
+    if protocol is Protocol.TCP_LIKE:
+        return np.zeros(psi.size), psi
+    od = ops.omega_d.diagonal()
+    return -od, psi + od
+
+
+def _fixed_solve(block: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs for each row of ``d``, where L L' = block + diag(d) is the
+    Cholesky factor of the Omega_g + D block of the fixed stacked indices."""
+    a = np.repeat(block[np.newaxis], d.shape[0], axis=0)
+    a.reshape(d.shape[0], -1)[:, ::block.shape[0] + 1] += d
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"singular protocol Gram system: {exc}") from exc
+    return _trsolve(factor, np.repeat(rhs[np.newaxis], d.shape[0], axis=0))
+
+
+def _tridiagonal_spectrum(mat: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the symmetric ``mat`` and the coordinates of
+    v in its eigenvector basis, from the tridiagonal form Q' mat Q = T
+    (LAPACK sytrd), the eigenpairs of T (stemr) and Q' v (ormqr on sytrd's
+    reflectors).  On a loaded 2-CPU host ``np.linalg.eigh`` (syevd) of an
+    80 x 80 line took ~130 ms instead of ~1 ms in some processes, for runs of
+    consecutive calls, and never with one OpenBLAS thread; this route did
+    not stall and is as fast from about 48 rows on."""
+    c, d, e, tau, info = lapack.dsytrd(mat, lower=1)
+    lam, w = scipy.linalg.eigh_tridiagonal(d, e)
+    qv = v.copy()
+    qv[1:] = lapack.dormqr("L", "T", c[1:, :-1], tau, v[1:, np.newaxis], v.size)[0][:, 0]
+    return lam, w.T @ qv
+
+
 def _reductions(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
-    """Reduction terms b' S^{-1} b = |L^{-1} b|^2, b = Y Omega_gp x, for a
-    validated stack from ``_resolve_stack``.  Rows are expanded to stacked
-    diagonals and factored in chunks of about _CHUNK_BYTES of Gram matrices,
-    so that memory stays flat in the number of rows."""
+    """Reduction terms f'(Omega_g + D)^{-1} f = |L^-1 f|^2, f = Omega_gp x,
+    for a validated stack from ``_resolve_stack``: each row is a line with
+    every index fixed.  Rows are expanded to stacked diagonals and factored
+    in chunks of about _CHUNK_BYTES of Gram matrices, so that memory stays
+    flat in the number of rows."""
     nm = ops.horizon * ops.m
-    f = ops.omega_gp @ x
+    f = (ops.omega_gp @ x)[:, np.newaxis]
+    d0, e = _diagonal_split(ops, protocol)
     rows = max(1, _CHUNK_BYTES // (8 * nm * nm))
     out = np.empty(u.shape[0])
     for lo in range(0, u.shape[0], rows):
         chunk = np.tile(u[lo:lo + rows], (1, nm // u.shape[1]))
-        w = _trsolve(_cholesky(ops, protocol, chunk), (chunk * f)[:, :, np.newaxis])
+        w = _fixed_solve(ops.omega_g, d0 + e / chunk, f)
         out[lo:lo + rows] = np.einsum("bij,bij->b", w, w)
     return out
+
+
+@dataclass(frozen=True)
+class LineResolvents:
+    """Planning costs along L lines of channel means (see ``line_resolvents``).
+
+    On line l the reduction term at moving mean u is
+    ``offset[l] + sum_i h2[l, i] / (lam[l, i] + 1/u)`` and the cost is
+    ``constant`` minus it; ``lam`` is ascending in each row.
+    """
+
+    constant: float       # x'(Q+Omega_p)x + tr(Sigma_W Omega_l)
+    offset: np.ndarray    # (L,) reduction share of the fixed indices
+    lam: np.ndarray       # (L, r) eigenvalues of the scaled Schur complement
+    h2: np.ndarray        # (L, r) squared weights of f on its eigenvectors
+
+    def costs(self, means) -> np.ndarray:
+        """(L, k) costs at the moving means ``means`` (k,), each in (0, 1]:
+        row l, column j is line l's cost at means[j].  Raises LinAlgError
+        when a point's Gram system is not positive definite.  The terms are
+        positive, so they are summed in index order, one (L, k) pass each."""
+        t = 1.0 / _check_means(means)
+        if self.lam.size and t.size and not np.all(self.lam[:, 0] + t.min() > 0.0):
+            raise np.linalg.LinAlgError("singular protocol Gram system: "
+                                        "a line point is not positive definite")
+        red = np.repeat(self.offset[:, np.newaxis], t.size, axis=1)
+        term = np.empty_like(red)
+        for lam, h2 in zip(self.lam.T[:, :, np.newaxis], self.h2.T[:, :, np.newaxis]):
+            np.add(lam, t, out=term)
+            np.divide(h2, term, out=term)
+            red += term
+        return np.subtract(self.constant, red, out=red)
+
+
+def _check_means(means) -> np.ndarray:
+    u = np.asarray(means, dtype=float)
+    if not np.all((u > 0.0) & (u <= 1.0)):
+        raise ValueError("channel mean must lie in (0,1]")
+    return u
+
+
+def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
+                    fixed=None) -> LineResolvents:
+    """Resolvents of the protocol's planning cost along lines of stationary
+    channel means, for evaluation with ``LineResolvents.costs``.
+
+    ``fixed`` (L, m-1) holds the means of the first m-1 channels on each of
+    L lines, whose last channel's mean moves; ``fixed=None`` is the single
+    line on which one mean is shared by every channel (for m = 1 the two
+    coincide).  ``line_resolvents(ops, p, x, fixed).costs(v)[l, j]`` equals
+    ``expected_cost(ops, p, x, upsilon=[*fixed[l], v[j]]).total``.
+
+    Per chunk of lines (about _CHUNK_BYTES of (N m)^2 matrices) the fixed
+    indices are eliminated with one batched Cholesky factor, and the N x N
+    Schur complement of the moving channel (N m x N m on the shared line),
+    scaled by E^(-1/2), is diagonalized with one batched ``eigh``, or line
+    by line through its tridiagonal form from _TRIDIAGONAL_ROWS rows on.
+    """
+    nm, m = ops.horizon * ops.m, ops.m
+    x = np.asarray(x, dtype=float)
+    f = ops.omega_gp @ x
+    d0, e = _diagonal_split(ops, protocol)
+    if fixed is None:
+        fixed_means, moving = np.ones((1, 0)), np.arange(nm)
+    else:
+        fixed_means = np.asarray(fixed, dtype=float)
+        if fixed_means.ndim != 2 or fixed_means.shape[1] != m - 1:
+            raise ValueError(f"fixed means have shape {fixed_means.shape}; expected (L, {m - 1})")
+        _check_means(fixed_means)
+        moving = np.arange(m - 1, nm, m)
+    rest = np.setdiff1d(np.arange(nm), moving)
+    if not np.all(e[moving] > 0.0):
+        raise np.linalg.LinAlgError("singular protocol Gram system: "
+                                    "the moving channel's input penalty is not positive")
+    scale = 1.0 / np.sqrt(e[moving])
+    lines = fixed_means.shape[0]
+    offset = np.empty(lines)
+    lam, h2 = np.empty((lines, moving.size)), np.empty((lines, moving.size))
+    rows = max(1, _CHUNK_BYTES // (8 * nm * nm))
+    og = ops.omega_g
+    block = og[np.ix_(rest, rest)]
+    rhs = np.column_stack([og[np.ix_(rest, moving)], f[rest]])
+    base = og[np.ix_(moving, moving)] + np.diag(d0[moving])
+    for lo in range(0, lines, rows):
+        hi = min(lo + rows, lines)
+        schur = np.broadcast_to(base, (hi - lo,) + base.shape)
+        g = np.broadcast_to(f[moving], (hi - lo, moving.size))
+        offset[lo:hi] = 0.0
+        if rest.size:
+            d = d0[rest] + e[rest] / fixed_means[lo:hi][:, rest % m]
+            z = _fixed_solve(block, d, rhs)
+            z, w = z[:, :, :-1], z[:, :, -1]
+            offset[lo:hi] = np.einsum("bi,bi->b", w, w)
+            schur, g = schur - z.transpose(0, 2, 1) @ z, g - np.einsum("bij,bi->bj", z, w)
+        mat, v = scale[:, np.newaxis] * schur * scale, g * scale
+        if moving.size < _TRIDIAGONAL_ROWS:
+            lam[lo:hi], q = np.linalg.eigh(mat)
+            h2[lo:hi] = np.einsum("bij,bi->bj", q, v) ** 2
+        else:
+            for b in range(lo, hi):
+                lam[b], h = _tridiagonal_spectrum(mat[b - lo], v[b - lo])
+                h2[b] = h ** 2
+    return LineResolvents(constant=_constant_term(ops, x), offset=offset, lam=lam, h2=h2)
 
 
 def _resolve_stack(ops: PredictionOperators, upsilon) -> np.ndarray:
@@ -144,9 +307,7 @@ def _resolve_stack(ops: PredictionOperators, upsilon) -> np.ndarray:
     if u.ndim != 2 or u.shape[1] not in (1, ops.m, nm):
         raise ValueError(f"upsilon override has shape {u.shape[1:]}; expected scalar, "
                          f"({ops.m},) or ({nm},)")
-    if not np.all((u > 0.0) & (u <= 1.0)):
-        raise ValueError("channel mean must lie in (0,1]")
-    return u
+    return _check_means(u)
 
 
 def _resolve_upsilon(ops: PredictionOperators, upsilon) -> np.ndarray:

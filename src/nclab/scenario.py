@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
+# sigma_w may be singular: its smallest eigenvalue must be at least
+# -PSD_RTOL times its largest absolute entry (so sigma_w = 0 is accepted).
+PSD_RTOL = 1e-12
 
 # Largest Monte Carlo replicate count and simulated step count (horizon
 # included: an open-loop run spans it) a scenario or a command may ask for.
@@ -262,8 +265,9 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     if not _symmetric(p.sigma_w[np.newaxis])[0]:
         v.append("sigma_w asymmetric")
-    elif not _spd(p.sigma_w[np.newaxis])[0]:
-        v.append("sigma_w not positive definite")
+    elif (np.linalg.eigvalsh(0.5 * (p.sigma_w + p.sigma_w.T)).min()
+          < -PSD_RTOL * np.abs(p.sigma_w).max()):
+        v.append("sigma_w not positive semidefinite")
     if not _spd(w.q[np.newaxis])[0]:
         v.append("q not symmetric positive definite")
     # The optimal-law formulas require the input penalty to commute with the

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from ._csv import write_csv
 from .controller import Protocol, optimal_sequence, synthesize
 from .prediction import build_prediction_operators
 from .scenario import Scenario
@@ -344,7 +345,6 @@ def write_trajectory_csv(path, record: TrajectoryRecord) -> None:
     header = (["step"] + [f"x_{i+1}" for i in range(record.states.shape[1])]
               + [f"u_{i+1}" for i in range(m)] + [f"v_{i+1}" for i in range(m)]
               + ["stage_cost"])
-    table = np.column_stack([np.arange(steps), record.states[:steps], record.inputs,
-                             record.transmissions, record.stage_costs])
-    with open(path, "w") as fh:  # a plain file, also for a path ending in .gz
-        np.savetxt(fh, table, fmt="%.9g", delimiter=",", header=",".join(header), comments="")
+    write_csv(path, header, np.column_stack([np.arange(steps), record.states[:steps],
+                                             record.inputs, record.transmissions,
+                                             record.stage_costs]))

@@ -137,7 +137,7 @@ def test_frontier_csv(tmp_path, mixed):
     alpha = expected_cost(ops, UDP, x, upsilon=np.array([0.9, 0.9])).total
     rep = optimize_allocation(ops, UDP, alpha, [1.0, 1.0], x, resolution=0.25)
     path = tmp_path / "frontier.csv"
-    write_frontier_csv(path, ops, rep, x)
+    write_frontier_csv(path, ops, rep)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "mu_1,mu_2,control_cost,comm_cost,feasible"
     assert len(lines) == 1 + 16  # 4 grid values per channel
@@ -146,7 +146,7 @@ def test_frontier_csv(tmp_path, mixed):
     # edge values in the cost and price columns, against a per-cell reference
     edge = replace(rep, grid_costs=np.resize(CSV_EDGE_VALUES, 16), alpha=1 / 3,
                    beta=np.array([1e-300, 1.7976931348623157e308]))
-    write_frontier_csv(path, ops, edge, x)
+    write_frontier_csv(path, ops, edge)
     points = grid_points([0.25, 0.5, 0.75, 1.0], 2)
     rows = [",".join(f"{v:.9g}" for v in [*mu, c, p, float(c <= 1 / 3)])
             for mu, c, p in zip(points.tolist(), edge.grid_costs.tolist(),
@@ -155,8 +155,8 @@ def test_frontier_csv(tmp_path, mixed):
 
 
 def _looped_grid_stage(ops, protocol, alpha, beta, x, resolution, costs=None):
-    """Per-point reference for the grid stage: (m_grid, frontier, flags,
-    totals).  ``costs``, in ``grid_points`` order, stands in for the
+    """Per-point reference for the allocation: (m_grid, m_star, frontier,
+    flags, totals).  ``costs``, in ``grid_points`` order, stands in for the
     per-point cost calls on grids too large to loop over."""
     k = int(round(1.0 / resolution))
     vals = np.round(np.arange(1, k + 1) * resolution, 12)
@@ -174,7 +174,19 @@ def _looped_grid_stage(ops, protocol, alpha, beta, x, resolution, costs=None):
         lower = [idx[:i] + (idx[i] - 1,) + idx[i + 1:] for i in range(ops.m) if idx[i] > 0]
         if ok and not any(flags[j][0] for j in lower):
             frontier.append((tuple(vals[list(idx)]), total))
-    return (np.array(best[1]), frontier, [flags[i][0] for i in sorted(flags)],
+    # each priced coordinate bisected onto the budget, dearest first
+    mu_star = np.array(best[1])
+    for i in sorted(range(ops.m), key=lambda i: (-beta[i], i)):
+        lo, hi = 0.0, mu_star[i]
+        trial = mu_star.copy()
+        while beta[i] != 0.0 and hi - lo > 1e-6:
+            trial[i] = 0.5 * (lo + hi)
+            if expected_cost(ops, protocol, x, upsilon=trial).total <= alpha:
+                hi = trial[i]
+            else:
+                lo = trial[i]
+        mu_star[i] = hi
+    return (np.array(best[1]), mu_star, frontier, [flags[i][0] for i in sorted(flags)],
             [flags[i][1] for i in sorted(flags)])
 
 
@@ -191,7 +203,7 @@ def test_batched_grid_stage_matches_per_point_loop(tmp_path, mixed):
     while (scn := random_scenario(rng, m_max=3, n_horizon_max=4)).m != 3:
         pass
     cases.append((scn, rng.uniform(0.5, 0.95, 3), rng.uniform(0.0, 2.0, 3), 0.05))
-    # the default resolution, against an exhaustive batched mask
+    # the default resolution, against an exhaustive per-point mask
     cases += [(mixed, np.array([0.9, 0.8]), [1.0, 1.0], 0.01),
               (mixed, np.array([0.7, 0.95]), [0.05, 1.0], 0.01)]
     for c, (scn, mu_alpha, beta, res) in enumerate(cases):
@@ -204,19 +216,19 @@ def test_batched_grid_stage_matches_per_point_loop(tmp_path, mixed):
         for p in (TCP, UDP):
             alpha = expected_cost(ops, p, x, upsilon=mu_alpha).total
             exhaustive = None if c < looped else expected_costs(ops, p, x, points)
-            m_grid, frontier, flags, totals = _looped_grid_stage(ops, p, alpha, beta, x, res,
-                                                                 exhaustive)
+            m_grid, m_star, frontier, flags, totals = _looped_grid_stage(ops, p, alpha, beta, x,
+                                                                         res, exhaustive)
             rep = optimize_allocation(ops, p, alpha, beta, x, resolution=res)
             assert np.array_equal(rep.m_grid, m_grid)
+            assert np.array_equal(rep.m_star, m_star)
+            assert rep.comm_cost == communication_cost(m_star, beta)
             assert rep.frontier == frontier
             if c == looped:
                 assert [mu for mu, _ in rep.frontier] == [(1.0, 1.0)]
-            # the bisection evaluates at most ceil(log2(k + 1)) points per grid line
-            evaluated = ~np.isnan(rep.grid_costs)
-            assert np.count_nonzero(evaluated) <= k ** (ops.m - 1) * int(np.ceil(np.log2(k + 1)))
-            assert np.array_equal(rep.grid_costs[evaluated], np.array(totals)[evaluated])
+            # every grid cost is known, and agrees with the per-point cost
+            np.testing.assert_allclose(rep.grid_costs, totals, rtol=1e-12, atol=0.0)
             path = tmp_path / "frontier.csv"
-            write_frontier_csv(path, ops, rep, x)
+            write_frontier_csv(path, ops, rep)
             rows = path.read_text().strip().split("\n")[1:]
             assert [r.endswith(",1") for r in rows] == flags
             assert [r.split(",")[ops.m] for r in rows] == [f"{v:.9g}" for v in totals]

@@ -159,23 +159,37 @@ def test_allocate_beta_count_is_a_usage_error(capsys, mixed_path, pend_path):
 def test_frontier_out_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, mixed_path):
     from nclab import allocation
 
-    calls = []
-    counted = allocation.expected_costs
+    lines, writing = [], []
 
-    def counting(ops, protocol, x, mus):
-        calls.append(np.array(mus))
-        return counted(ops, protocol, x, mus)
+    def guarded(fn):
+        def call(*args, **kwargs):
+            assert not writing, "the frontier CSV writer evaluated a cost"
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(allocation, "expected_costs", counting)
+    counted = allocation.line_resolvents
+
+    def counting(ops, protocol, x, fixed=None):
+        lines.append(np.array(fixed))
+        return counted(ops, protocol, x, fixed)
+
+    monkeypatch.setattr(allocation, "line_resolvents", guarded(counting))
+    for name in ("expected_cost", "expected_costs"):
+        monkeypatch.setattr(allocation, name, guarded(getattr(allocation, name)))
+    write = allocation.write_frontier_csv
+
+    def writer(*args):
+        writing.append(True)
+        write(*args)
+        writing.pop()
+
+    monkeypatch.setattr(allocation, "write_frontier_csv", writer)
     frontier = tmp_path / "frontier.csv"
     assert run(["allocate", "--scenario", mixed_path, "--protocol", "udp", *ALLOCATE,
                 "--frontier-out", str(frontier)]) == 0
-    # resolution 0.1: ceil(log2(11)) = 4 bisection rounds, then one call for
-    # the points they left out, which covers every one of the 10^2 points once
-    assert len(calls) <= 4 + 1
-    evaluated = np.concatenate(calls)
-    grid = allocation.grid_points(np.round(np.arange(1, 11) * 0.1, 12), 2)
-    assert np.array_equal(evaluated[np.lexsort(evaluated.T[::-1])], grid)
+    # resolution 0.1: one line per value of mu_1, which covers all 10^2 points
+    assert len(lines) == 1
+    assert np.array_equal(lines[0], np.round(np.arange(1, 11) * 0.1, 12)[:, np.newaxis])
     assert len(frontier.read_text().splitlines()) == 1 + 100
     assert json.loads(capsys.readouterr().out)["frontier_size"] >= 1
 
@@ -215,6 +229,22 @@ def test_sweep_matches_per_point_costs(tmp_path, mixed_path):
             assert cell == f"{ref:.9g}"
 
 
+@pytest.mark.parametrize("fixture, flags", [("mixed", ["--scalar"]), ("pendulum", [])])
+def test_shared_mean_sweep_matches_per_point_costs(tmp_path, fixture, flags):
+    out = tmp_path / "sweep.csv"
+    path = str(fixture_path(fixture))
+    assert run(["sweep", "--scenario", path, *flags, "--points", "7", "--out", str(out)]) == 0
+    scn = load_scenario(path)
+    ops = ops_of(scn)
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 7
+    for line, mu in zip(rows, np.linspace(0.01, 0.99, 7)):
+        cells = line.split(",")
+        assert cells[:scn.m] == scn.m * [f"{mu:.9g}"]
+        for p, cell in ((Protocol.TCP_LIKE, cells[-3]), (Protocol.UDP_LIKE, cells[-2])):
+            assert cell == f"{expected_cost(ops, p, scn.eval_state, upsilon=mu).total:.9g}"
+
+
 @pytest.mark.parametrize("points", ["0", "1", "-3"])
 def test_sweep_rejects_fewer_than_two_points(tmp_path, capsys, mixed_path, points):
     out = tmp_path / "sweep.csv"
@@ -231,7 +261,7 @@ def test_sweep_rejects_oversized_grid_before_evaluating(tmp_path, capsys, monkey
     def no_eval(*args, **kwargs):
         raise AssertionError("evaluated an oversized sweep")
 
-    monkeypatch.setattr(cli, "expected_costs", no_eval)
+    monkeypatch.setattr(cli, "line_resolvents", no_eval)
     out = tmp_path / "sweep.csv"
     points = str(int(cli.MAX_SWEEP_POINTS ** 0.5) + 1)  # squared over two channels
     rc = run(["sweep", "--scenario", mixed_path, "--points", points, "--out", str(out)])
@@ -260,6 +290,31 @@ def test_null_horizon_is_a_scenario_error(tmp_path, capsys, mixed_path):
     path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=None))
     assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1
     assert "horizon" in capsys.readouterr().err
+
+
+def _sigma_w_file(tmp_path, mixed_path, sigma_w):
+    doc = json.loads(open(mixed_path).read())
+    doc["plant"]["sigma_w"] = sigma_w
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# zero, rank one, and a smallest eigenvalue of -1e-13 times the largest entry
+@pytest.mark.parametrize("sigma_w", [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                                     [[1.0, 0.0], [0.0, -1e-13]]])
+def test_positive_semidefinite_sigma_w_is_accepted(tmp_path, capsys, mixed_path, sigma_w):
+    path = _sigma_w_file(tmp_path, mixed_path, sigma_w)
+    assert run(["cost", "--scenario", path, "--protocol", "udp"]) == 0
+    assert run(["simulate", "--scenario", path, "--protocol", "udp",
+                "--out", str(tmp_path / "traj.csv")]) == 0
+
+
+@pytest.mark.parametrize("sigma_w", [[[1.0, 0.0], [0.0, -1e-11]], [[1.0, 2.0], [2.0, 1.0]]])
+def test_indefinite_sigma_w_is_a_scenario_error(tmp_path, capsys, mixed_path, sigma_w):
+    path = _sigma_w_file(tmp_path, mixed_path, sigma_w)
+    assert run(["cost", "--scenario", path, "--protocol", "udp"]) == 1
+    assert "sigma_w not positive semidefinite" in capsys.readouterr().err
 
 
 def test_missing_q_weight_is_a_scenario_error(tmp_path, capsys, mixed_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nclab import (Protocol, bernoulli_quadratic_expectation,
                    closed_loop_eigenvalues, error_quadratic_expectation,
-                   expected_cost, expected_costs, optimal_sequence, synthesize)
+                   expected_cost, expected_costs, line_resolvents, optimal_sequence,
+                   synthesize)
 
-from conftest import (enumerate_bernoulli_quadratic, make_scenario,
+from conftest import (enumerate_bernoulli_quadratic, lossy_riccati_oracle, make_scenario,
                       minimize_quadratic_oracle, noise_trace_oracle, ops_of,
                       protocol_objective_oracle, random_scenario,
                       riccati_first_gain_oracle, toy_scenario)
@@ -378,3 +380,89 @@ def test_batched_costs_do_not_depend_on_the_chunk_size(monkeypatch, mixed):
         assert np.array_equal(expected_costs(ops, UDP, mixed.eval_state, stack), ref)
     # a batch of one is the single-point path
     assert ref[5] == expected_cost(ops, UDP, mixed.eval_state, upsilon=stack[5]).total
+    # lines likewise: 600 lines of 5 points each
+    fixed, vals = stack[:600, :1], stack[:5, 1]
+    monkeypatch.undo()
+    ref = line_resolvents(ops, UDP, mixed.eval_state, fixed).costs(vals)
+    for rows in (1, 3, 64, 10_000):
+        monkeypatch.setattr(controller, "_CHUNK_BYTES", rows * nm2_bytes)
+        assert np.array_equal(line_resolvents(ops, UDP, mixed.eval_state, fixed).costs(vals), ref)
+
+
+# ---------------------------------------------------------------------------
+# line resolvents
+
+
+def _gram_cost(ops, protocol, x, diag):
+    """Per-point reference with the arithmetic of the S = Y G path: a
+    Cholesky factor L of the symmetrised S and the reduction |L^-1 Y f|^2."""
+    s = diag[:, np.newaxis] * ops.omega_g * diag + diag[:, np.newaxis] * ops.psi
+    if protocol is UDP:
+        s = s + np.diag(diag * np.diag(ops.omega_g) * (1.0 - diag))
+    factor = np.linalg.cholesky(0.5 * (s + s.T))
+    w = scipy.linalg.solve_triangular(factor, diag * (ops.omega_gp @ x), lower=True)
+    return float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace - float(w @ w)
+
+
+def _riccati_cost(scn, protocol, upsilon=None):
+    _, p0 = lossy_riccati_oracle(scn, protocol.value, upsilon)
+    x = scn.eval_state
+    return float(x @ scn.weights.q @ x) + float(x @ p0 @ x) + noise_trace_oracle(scn)
+
+
+@pytest.mark.parametrize("tridiagonal_rows", [32, 2])
+def test_line_resolvents_match_per_point_reference_and_riccati_oracle(monkeypatch, pendulum,
+                                                                       tridiagonal_rows):
+    # per-channel lines (last channel moving) and the shared-mean line, m <= 3,
+    # per-step psi, both protocols; at the default threshold only pendulum's
+    # 80-row line takes the tridiagonal route, at 2 every line of two rows or
+    # more does
+    from nclab import controller
+    monkeypatch.setattr(controller, "_TRIDIAGONAL_ROWS", tridiagonal_rows)
+    rng = np.random.default_rng(93)
+    for trial in range(11):
+        scn = (pendulum if trial == 10 else
+               random_scenario(rng, m_max=3, n_horizon_max=6, sigma_scale=0.2 * (trial % 2)))
+        ops, x = ops_of(scn), scn.eval_state
+        vals = np.append(rng.uniform(0.05, 1.0, 4), 1.0)
+        fixed = rng.uniform(0.05, 1.0, (3 if scn.m > 1 else 1, scn.m - 1))
+        for p in (TCP, UDP):
+            for rows in (fixed, None):
+                got = line_resolvents(ops, p, x, rows).costs(vals)
+                assert got.shape == (1 if rows is None else len(rows), 5)
+                for line, costs in enumerate(got):
+                    for v, cost in zip(vals, costs):
+                        mu = np.full(scn.m, v) if rows is None else np.append(rows[line], v)
+                        ref = _gram_cost(ops, p, x, np.tile(mu, scn.horizon))
+                        assert cost == pytest.approx(ref, rel=1e-12, abs=0.0)
+                        assert cost == pytest.approx(_riccati_cost(scn, p, mu), rel=1e-12, abs=0.0)
+
+
+def test_scheduled_points_match_per_point_reference_and_riccati_oracle():
+    rng = np.random.default_rng(94)
+    for trial in range(8):
+        scn = random_scenario(rng, m_max=3, n_horizon_max=6, sigma_scale=0.2 * (trial % 2))
+        scn = _with_means(scn, rng.uniform(0.05, 1.0, (scn.horizon, scn.m)))
+        ops = ops_of(scn)
+        for p in (TCP, UDP):
+            cost = expected_cost(ops, p, scn.eval_state).total
+            ref = _gram_cost(ops, p, scn.eval_state, ops.upsilon_diag)
+            assert cost == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert cost == pytest.approx(_riccati_cost(scn, p), rel=1e-12, abs=0.0)
+
+
+def test_line_resolvents_refuse_bad_means_and_indefinite_lines(mixed):
+    ops, x = ops_of(mixed), mixed.eval_state
+    with pytest.raises(ValueError, match=r"channel mean must lie in \(0,1\]"):
+        line_resolvents(ops, TCP, x).costs([0.5, 0.0])
+    with pytest.raises(ValueError, match=r"channel mean must lie in \(0,1\]"):
+        line_resolvents(ops, TCP, x, [[0.5], [1.5]])
+    with pytest.raises(ValueError, match="shape"):
+        line_resolvents(ops, TCP, x, [0.5, 0.5])
+    # psi = -1/2 (see the test above): no line through these points is
+    # positive definite at every point
+    for p, steps, means in ((TCP, 1, [0.9, 0.1]), (UDP, 2, [0.3, 0.95])):
+        scn = make_scenario([[1.0]], [[1.0]], steps * [[[1.0]]], steps * [[[-0.5]]],
+                            [[1.0]], [0.9], x=[1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="singular protocol Gram system"):
+            line_resolvents(ops_of(scn), p, [1.0]).costs(means)

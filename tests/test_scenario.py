@@ -73,7 +73,7 @@ def test_validate_reports_every_violation(pendulum):
 def test_not_positive_definite_message(pendulum):
     doc = scenario_to_dict(pendulum)
     doc["plant"]["sigma_w"] = (-1e-6 * np.eye(4)).tolist()
-    with pytest.raises(ValidationError, match="sigma_w not positive definite"):
+    with pytest.raises(ValidationError, match="sigma_w not positive semidefinite"):
         scenario_from_dict(doc)
 
 
@@ -171,8 +171,7 @@ def test_non_finite_beta_rejected_at_load(tmp_path, mixed, bad):
 
 def test_toy_builder_bypasses_file_validation():
     scn = toy_scenario()
-    # zero process noise is fine for in-memory studies even though files
-    # require a positive-definite covariance
+    # zero process noise, which files accept too
     assert scn.plant.sigma_w[0, 0] == 0.0
 
 
@@ -191,11 +190,14 @@ def _loop_matrix_checks(s):
     def spd(a):
         return symmetric(a) and bool(np.min(np.linalg.eigvalsh(0.5 * (a + a.T))) > 0.0)
 
+    def psd(a):
+        return bool(np.min(np.linalg.eigvalsh(0.5 * (a + a.T))) >= -1e-12 * np.max(np.abs(a)))
+
     v = []
     if not symmetric(s.plant.sigma_w):
         v.append("sigma_w asymmetric")
-    elif not spd(s.plant.sigma_w):
-        v.append("sigma_w not positive definite")
+    elif not psd(s.plant.sigma_w):
+        v.append("sigma_w not positive semidefinite")
     if not spd(s.weights.q):
         v.append("q not symmetric positive definite")
     for k, om in enumerate(s.weights.omega_steps):
