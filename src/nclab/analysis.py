@@ -27,9 +27,14 @@ value of the maximizer is read from that one curve; no point needs a
 solve.  The derivative in y is f' fmat(y) f with
 
     fmat(y) = GG(y) [ (1-2y) Omega_d
-                      - y(1-y) (Omega_h GG(y) Omega_d + Omega_d GF(y) Omega_g) ] GF(y),
+                      - y(1-y) (Omega_h GG(y) Omega_d + Omega_d GF(y) Omega_g) ] GF(y)
+            = W X(y) V',
+    X_ij(y) = C_ij [(1-2y) - y(1-y) (kap_i/(1+y kap_i) + lam_j/(1+y lam_j))]
+              / ((1 + y kap_i)(1 + y lam_j)),
 
-whose determinant vanishes at 2Nm analytic candidate points
+so the derivative is b' X(y) a and tr fmat(y) = sum_ij X_ij (V'W)_ji, each
+O((Nm)^2) per point from the same two decompositions (``_spectrum``).
+The determinant of fmat vanishes at 2Nm analytic candidate points
 1 / (1 ± sqrt(1 + lambda_i)), where lambda_i are the generalized
 eigenvalues of
 
@@ -41,13 +46,25 @@ matrix is annihilated there (Rayleigh-quotient condition); on stacked
 multichannel systems that filter typically rejects every candidate and the
 maximizer falls back to a grid + golden-section search.
 
-The candidates are Newton-polished (``_polish_root``) and the fallback
-stops at a bracket of ``REFINE_TOL``.  Neither is the best available
-method: the raw candidates are already roots to working precision, and
-Brent's method on the exact derivative would fix more digits.  Both stay
-as they are because the recorded ``maxdiff`` outputs (9 significant
+The candidates are Newton-polished (``_polish_roots``): each round runs one
+stacked ``eigh`` over the candidates still moving, which is the same LAPACK
+call per matrix, and every other step stays per candidate, so the iterates
+are those of a per-candidate loop bit for bit.  The annihilation test asks
+whether the spectral radius of fmat is at most ``EIGCOND_RTOL`` times its
+2-norm at y = 1/2.  The radius is at least |tr fmat| / Nm, so a trace
+above twice that threshold times Nm rejects a candidate without
+eigenvalues; only a candidate the bound leaves open goes through
+``np.linalg.eigvals``.  On ``pendulum`` and ``mixed`` the bound decides
+every candidate with a margin above 10^5.
+
+The polish and the fallback's ``REFINE_TOL`` bracket are not the best
+available methods: the raw candidates are already roots to working
+precision, and Brent's method on the exact derivative would fix more
+digits.  Both stay because the recorded ``maxdiff`` outputs (9 significant
 digits) pin the values they produce; the candidates are ill-conditioned
 past about 7 digits, so another correct method prints different ones.
+Removing the polish or switching to Brent's method belongs with a
+benchmark change that re-records the ``maxdiff`` reference entries.
 """
 
 from __future__ import annotations
@@ -80,6 +97,8 @@ __all__ = [
 EIGCOND_RTOL = 1e-8
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
+# Byte budget of one stack of candidate pencils in the Newton polish.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -114,21 +133,27 @@ def cost_gap(ops: PredictionOperators, x: np.ndarray, upsilon=None) -> GapReport
                      gap=tcp.reduction_term - udp.reduction_term)
 
 
-def _gap_curve(ops: PredictionOperators, x: np.ndarray):
-    """The shared-mean gap as a vectorized function of y in [0, 1] (module
-    docstring).  Scaling by Psi^(-1/2) and (Omega_d+Psi)^(-1/2) makes each
-    pencil one symmetric eigenproblem: V = Psi^(-1/2) Q and
+def _spectrum(ops: PredictionOperators):
+    """The two symmetric-definite pencils of the module docstring, as
+    (lam, V, kap, W, C).  Scaling by Psi^(-1/2) and (Omega_d+Psi)^(-1/2)
+    makes each pencil one symmetric eigenproblem: V = Psi^(-1/2) Q and
     W = (Omega_d+Psi)^(-1/2) P with Q, P its orthogonal eigenvectors."""
-    f = ops.omega_gp @ np.asarray(x, dtype=float)
     s_f = 1.0 / np.sqrt(np.diag(ops.psi))
     s_g = 1.0 / np.sqrt(np.diag(ops.omega_d) + np.diag(ops.psi))
     lam, q = np.linalg.eigh(s_f[:, None] * ops.omega_g * s_f)
     kap, p = np.linalg.eigh(s_g[:, None] * ops.omega_h * s_g)
     v = s_f[:, None] * q
     w = s_g[:, None] * p
+    return lam, v, kap, w, w.T @ (np.diag(ops.omega_d)[:, None] * v)
+
+
+def _gap_curve(ops: PredictionOperators, x: np.ndarray):
+    """The shared-mean gap as a vectorized function of y in [0, 1] (module
+    docstring)."""
+    f = ops.omega_gp @ np.asarray(x, dtype=float)
+    lam, v, kap, w, c = _spectrum(ops)
     a = v.T @ f
     b = w.T @ f
-    c = w.T @ (np.diag(ops.omega_d)[:, None] * v)
 
     def gap(y):
         y = np.asarray(y, dtype=float)
@@ -137,6 +162,22 @@ def _gap_curve(ops: PredictionOperators, x: np.ndarray):
         return y * (1.0 - y) * quad
 
     return gap
+
+
+def _derivative_form(lam, kap, g, y, left, right):
+    """sum_ij left_i X_ij(y) g_ij right_j for each y of a vector, where
+    fmat(y) = W X(y) V' (module docstring); the three terms of X are each a
+    bilinear form in g, so no n x n matrix is built per point."""
+    y = np.asarray(y, dtype=float)
+    rk = 1.0 / (1.0 + y[:, None] * kap)
+    rl = 1.0 / (1.0 + y[:, None] * lam)
+    lk, rr = left * rk, right * rl
+
+    def form(lhs, rhs):
+        return np.sum((lhs @ g) * rhs, axis=-1)
+
+    return ((1.0 - 2.0 * y) * form(lk, rr)
+            - y * (1.0 - y) * (form(lk * kap * rk, rr) + form(lk, rr * lam * rl)))
 
 
 def _check_scalar_upsilon(u: float) -> float:
@@ -153,10 +194,12 @@ def scalar_cost_gap(ops: PredictionOperators, upsilon: float, x: np.ndarray) -> 
 
 
 def gap_derivative(ops: PredictionOperators, upsilon: float, x: np.ndarray) -> float:
-    """d gap / d upsilon at a shared channel mean: f' fmat(y) f."""
+    """d gap / d upsilon at a shared channel mean: f' fmat(y) f = b' X(y) a
+    with a = V' f and b = W' f (module docstring)."""
     u = _check_scalar_upsilon(upsilon)
     f = ops.omega_gp @ np.asarray(x, dtype=float)
-    return float(f @ derivative_matrix(ops, u) @ f)
+    lam, v, kap, w, c = _spectrum(ops)
+    return float(_derivative_form(lam, kap, c, [u], w.T @ f, v.T @ f)[0])
 
 
 def derivative_matrix(ops: PredictionOperators, upsilon: float) -> np.ndarray:
@@ -187,36 +230,52 @@ def root_lambdas(ops: PredictionOperators) -> np.ndarray:
     return _pencil_lambdas(*_pencil(ops))
 
 
-def _polish_root(u: float, t: np.ndarray, h_diag: np.ndarray) -> float:
+def _polish_roots(us, t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
     """Newton steps on the smallest eigenvalue of the quadratic pencil
     P(u) = u^2 T + 2u H - H; eigensolver error in the generating lambda is
-    amplified for extreme candidates, so roots are refined in place."""
+    amplified for extreme candidates, so roots are refined in place.  Each
+    round runs one stacked ``eigh`` over the candidates still moving; the
+    rest of a step is per candidate (module docstring)."""
+    us = [float(u) for u in us]
+    active = list(range(len(us)))
+    dh = np.diag(2.0 * h_diag)
     for _ in range(8):
-        p = (u * u) * t + np.diag((2.0 * u - 1.0) * h_diag)
+        if not active:
+            break
+        p = np.empty((len(active),) + t.shape)
+        for i, k in enumerate(active):
+            p[i] = (us[k] * us[k]) * t + np.diag((2.0 * us[k] - 1.0) * h_diag)
         vals, vecs = np.linalg.eigh(p)
-        j = int(np.argmin(np.abs(vals)))
-        w = vecs[:, j]
-        slope = float(w @ (2.0 * u * t + np.diag(2.0 * h_diag)) @ w)
-        if slope == 0.0:
-            break
-        step = float(vals[j]) / slope
-        nxt = u - step
-        if not 0.0 < nxt < 1.0:
-            break
-        u = nxt
-        if abs(step) <= 1e-15 * max(u, 1e-6):
-            break
-    return u
+        moving = []
+        for i, k in enumerate(active):
+            u = us[k]
+            j = int(np.argmin(np.abs(vals[i])))
+            w = vecs[i, :, j]
+            slope = float(w @ (2.0 * u * t + dh) @ w)
+            if slope == 0.0:
+                continue
+            step = float(vals[i, j]) / slope
+            nxt = u - step
+            if not 0.0 < nxt < 1.0:
+                continue
+            us[k] = nxt
+            if abs(step) > 1e-15 * max(nxt, 1e-6):
+                moving.append(k)
+        active = moving
+    return np.array(us)
 
 
 def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]:
     """All 2Nm candidate channel means where the derivative matrix is
-    singular; complex and out-of-range values are flagged invalid."""
+    singular; complex and out-of-range values are flagged invalid.  A real
+    candidate in (0, 1) is polished, then tested for annihilation by the
+    trace bound and, where that leaves it open, by its eigenvalues (module
+    docstring)."""
     t, h_diag = _pencil(ops)
     scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
-    out: list[RootCandidate] = []
-    for lam in _pencil_lambdas(t, h_diag):
-        disc = 1.0 + lam
+    raw: list[tuple[complex, bool]] = []
+    for lam_i in _pencil_lambdas(t, h_diag):
+        disc = 1.0 + lam_i
         if disc < 0.0:
             root = complex(0.0, np.sqrt(-disc))
             pair = (1.0 / (1.0 + root), 1.0 / (1.0 - root))
@@ -224,16 +283,28 @@ def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]
             r = np.sqrt(disc)
             pair = (complex(1.0 / (1.0 + r)),
                     complex(np.inf) if r == 1.0 else complex(1.0 / (1.0 - r)))
-        for value in pair:
-            is_real = value.imag == 0.0 and np.isfinite(value.real)
-            eigcond = False
-            if is_real and 0.0 < value.real < 1.0:
-                value = complex(_polish_root(value.real, t, h_diag))
-                eigs = np.linalg.eigvals(derivative_matrix(ops, value.real))
-                eigcond = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
-            out.append(RootCandidate(value=value, real=bool(is_real), eigcond=eigcond,
-                                     valid=bool(is_real and 0.0 <= value.real <= 1.0)))
-    return out
+        raw.extend((value, bool(value.imag == 0.0 and np.isfinite(value.real)))
+                   for value in pair)
+
+    inside = [k for k, (value, is_real) in enumerate(raw)
+              if is_real and 0.0 < value.real < 1.0]
+    values = [value for value, _ in raw]
+    eigcond = [False] * len(raw)
+    rows = max(1, _STACK_BYTES // (8 * t.size))
+    lam, v, kap, w, c = _spectrum(ops)
+    g = c * (w.T @ v)  # g_ij = C_ij (V'W)_ji, so the form with unit vectors is tr fmat
+    for lo in range(0, len(inside), rows):
+        chunk = inside[lo:lo + rows]
+        us = _polish_roots([values[k].real for k in chunk], t, h_diag)
+        trace = _derivative_form(lam, kap, g, us, 1.0, 1.0)
+        for k, u, tr in zip(chunk, us, trace):
+            values[k] = complex(u)
+            if not abs(tr) / len(h_diag) > 2.0 * EIGCOND_RTOL * scale:
+                eigs = np.linalg.eigvals(derivative_matrix(ops, u))
+                eigcond[k] = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
+    return [RootCandidate(value=value, real=is_real, eigcond=flag,
+                          valid=bool(is_real and 0.0 <= value.real <= 1.0))
+            for value, (_, is_real), flag in zip(values, raw, eigcond)]
 
 
 def _grid_maximize(gap) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -299,6 +300,7 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     never from ``threads``.  A replicate's cost depends only on its own
     draws, and aggregation uses exact (fsum) summation, so the result does
     not depend on the thread count or on the order in which chunks finish.
+    At most ``min(threads, chunks, os.cpu_count())`` worker threads run.
 
     The mean estimates the expected realized cost of the protocol's
     open-loop sequence, which is the unacknowledged objective at that
@@ -320,8 +322,9 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
         costs[lo:hi] = _rollout(scn, v, w, sequence=u_star)[2]
 
     starts = range(0, replicates, rows)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads or 1, len(starts), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, starts))
     else:
         for lo in starts:

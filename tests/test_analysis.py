@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,124 @@ def test_multichannel_systems_fall_back_to_grid(pendulum):
     # the best unfiltered determinant root tracks the grid maximizer closely
     assert rep.analytic_best is not None
     assert abs(rep.analytic_best - rep.maximizer) <= 1e-4
+
+
+def _replaced_polish_root(u, t, h_diag):
+    """The per-candidate Newton polish that ``_polish_roots`` batches."""
+    for _ in range(8):
+        p = (u * u) * t + np.diag((2.0 * u - 1.0) * h_diag)
+        vals, vecs = np.linalg.eigh(p)
+        j = int(np.argmin(np.abs(vals)))
+        w = vecs[:, j]
+        slope = float(w @ (2.0 * u * t + np.diag(2.0 * h_diag)) @ w)
+        if slope == 0.0:
+            break
+        step = float(vals[j]) / slope
+        nxt = u - step
+        if not 0.0 < nxt < 1.0:
+            break
+        u = nxt
+        if abs(step) <= 1e-15 * max(u, 1e-6):
+            break
+    return u
+
+
+def _replaced_candidates(ops):
+    """The per-candidate polish and eigenvalue annihilation loop that the
+    batched polish and the trace bound replace."""
+    from nclab.analysis import EIGCOND_RTOL, RootCandidate, _pencil
+    t, h_diag = _pencil(ops)
+    scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
+    out = []
+    for lam in root_lambdas(ops):
+        disc = 1.0 + lam
+        if disc < 0.0:
+            root = complex(0.0, np.sqrt(-disc))
+            pair = (1.0 / (1.0 + root), 1.0 / (1.0 - root))
+        else:
+            r = np.sqrt(disc)
+            pair = (complex(1.0 / (1.0 + r)),
+                    complex(np.inf) if r == 1.0 else complex(1.0 / (1.0 - r)))
+        for value in pair:
+            is_real = value.imag == 0.0 and np.isfinite(value.real)
+            eigcond = False
+            if is_real and 0.0 < value.real < 1.0:
+                value = complex(_replaced_polish_root(value.real, t, h_diag))
+                eigs = np.linalg.eigvals(derivative_matrix(ops, value.real))
+                eigcond = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
+            out.append(RootCandidate(value=value, real=bool(is_real), eigcond=eigcond,
+                                     valid=bool(is_real and 0.0 <= value.real <= 1.0)))
+    return out
+
+
+def _indefinite_operators():
+    """Two stacked inputs with Omega_d + Psi indefinite.  A scenario cannot
+    give complex candidates: T + H = (Omega_g + Psi) Omega_d^-1 (Omega_g + Psi)
+    is positive definite, so every lambda exceeds -1.  Here one lambda lies
+    below -1, and the pencils of ``_spectrum`` hold NaN, so the trace bound
+    decides nothing and the real candidate goes through the eigenvalues."""
+    og = np.array([[-3.0, 1.0], [1.0, 2.0]])
+    od = np.diag(np.diag(og))
+    return dataclasses.replace(
+        ops_of(toy_scenario()), psi=np.eye(2), omega_g=og, omega_d=od,
+        omega_h=og - od, omega_gp=np.ones((2, 1)), upsilon_diag=np.full(2, 0.5), horizon=2)
+
+
+def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
+    # pendulum and mixed as ``maxdiff`` (with --scalar for mixed) builds them,
+    # the N = m = 1 toy whose root passes through the eigenvalue fallback, a
+    # seeded ensemble with out-of-range candidates, and complex candidates
+    toy = ops_of(toy_scenario(mu=0.5, x=1.0))
+    rng = np.random.default_rng(2024)
+    ensemble = [ops_of(random_scenario(rng, n_max=3, m_max=3, n_horizon_max=6))
+                for _ in range(16)]
+    seen = {"complex": 0, "outside": 0, "eigcond": 0}
+    with np.errstate(invalid="ignore"):
+        for ops in [ops_of(pendulum), ops_of(mixed), toy, _indefinite_operators()] + ensemble:
+            got = determinant_root_candidates(ops)
+            assert got == _replaced_candidates(ops)
+            seen["complex"] += sum(not c.real for c in got)
+            seen["outside"] += sum(c.real and not c.valid for c in got)
+            seen["eigcond"] += sum(c.eigcond for c in got)
+    assert min(seen.values()) > 0, seen
+    assert [c.eigcond for c in determinant_root_candidates(toy)].count(True) == 1
+
+
+def _spectral_traces(ops, us):
+    from nclab.analysis import _derivative_form, _spectrum
+    lam, v, kap, w, c = _spectrum(ops)
+    return _derivative_form(lam, kap, c * (w.T @ v), np.asarray(us), 1.0, 1.0)
+
+
+def test_spectral_trace_matches_the_derivative_matrix():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        ops = ops_of(random_scenario(rng, n_max=3, m_max=3, n_horizon_max=6))
+        us = rng.uniform(0.01, 0.99, 5)
+        ref = np.array([np.trace(derivative_matrix(ops, u)) for u in us])
+        np.testing.assert_allclose(_spectral_traces(ops, us), ref, rtol=1e-10, atol=0.0)
+
+
+def test_trace_bound_rejects_only_what_the_eigenvalues_reject(pendulum):
+    # the bound |tr fmat| / Nm > 2 EIGCOND_RTOL scale against the eigenvalue
+    # decision on every polished candidate; the toy's root is left open
+    from nclab.analysis import EIGCOND_RTOL
+    rng = np.random.default_rng(32)
+    cases = [ops_of(random_scenario(rng, n_max=3, m_max=3, n_horizon_max=6))
+             for _ in range(12)]
+    rejected = open_ = 0
+    for ops in cases + [ops_of(toy_scenario(mu=0.5, x=1.0)), ops_of(pendulum)]:
+        scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
+        us = [c.value.real for c in determinant_root_candidates(ops)
+              if c.real and 0.0 < c.value.real < 1.0]
+        for u, tr in zip(us, _spectral_traces(ops, us)):
+            radius = np.max(np.abs(np.linalg.eigvals(derivative_matrix(ops, u))))
+            if abs(tr) / ops.psi.shape[0] > 2.0 * EIGCOND_RTOL * scale:
+                rejected += 1
+                assert radius > EIGCOND_RTOL * scale
+            else:
+                open_ += 1
+    assert rejected > 50 and open_ >= 1
 
 
 def test_monotonic_sweep_decreasing(pendulum, mixed):
