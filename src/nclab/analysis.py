@@ -180,6 +180,12 @@ def _derivative_form(lam, kap, g, y, left, right):
             - y * (1.0 - y) * (form(lk * kap * rk, rr) + form(lk, rr * lam * rl)))
 
 
+def _fmat_traces(spectrum, y) -> np.ndarray:
+    """tr fmat(y) = sum_ij X_ij(y) (V'W)_ji for each y of a vector."""
+    lam, v, kap, w, c = spectrum
+    return _derivative_form(lam, kap, c * (w.T @ v), y, 1.0, 1.0)
+
+
 def _check_scalar_upsilon(u: float) -> float:
     u = float(u)
     if not 0.0 < u < 1.0:
@@ -291,12 +297,11 @@ def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]
     values = [value for value, _ in raw]
     eigcond = [False] * len(raw)
     rows = max(1, _STACK_BYTES // (8 * t.size))
-    lam, v, kap, w, c = _spectrum(ops)
-    g = c * (w.T @ v)  # g_ij = C_ij (V'W)_ji, so the form with unit vectors is tr fmat
+    spectrum = _spectrum(ops)
     for lo in range(0, len(inside), rows):
         chunk = inside[lo:lo + rows]
         us = _polish_roots([values[k].real for k in chunk], t, h_diag)
-        trace = _derivative_form(lam, kap, g, us, 1.0, 1.0)
+        trace = _fmat_traces(spectrum, us)
         for k, u, tr in zip(chunk, us, trace):
             values[k] = complex(u)
             if not abs(tr) / len(h_diag) > 2.0 * EIGCOND_RTOL * scale:

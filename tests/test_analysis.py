@@ -282,9 +282,8 @@ def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
 
 
 def _spectral_traces(ops, us):
-    from nclab.analysis import _derivative_form, _spectrum
-    lam, v, kap, w, c = _spectrum(ops)
-    return _derivative_form(lam, kap, c * (w.T @ v), np.asarray(us), 1.0, 1.0)
+    from nclab.analysis import _fmat_traces, _spectrum
+    return _fmat_traces(_spectrum(ops), us)
 
 
 def test_spectral_trace_matches_the_derivative_matrix():
