@@ -147,11 +147,11 @@ def _spectrum(ops: PredictionOperators):
     return lam, v, kap, w, w.T @ (np.diag(ops.omega_d)[:, None] * v)
 
 
-def _gap_curve(ops: PredictionOperators, x: np.ndarray):
+def _gap_curve(ops: PredictionOperators, x: np.ndarray, spectrum=None):
     """The shared-mean gap as a vectorized function of y in [0, 1] (module
-    docstring)."""
+    docstring), from ``spectrum`` when the caller has it."""
     f = ops.omega_gp @ np.asarray(x, dtype=float)
-    lam, v, kap, w, c = _spectrum(ops)
+    lam, v, kap, w, c = _spectrum(ops) if spectrum is None else spectrum
     a = v.T @ f
     b = w.T @ f
 
@@ -271,12 +271,13 @@ def _polish_roots(us, t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
     return np.array(us)
 
 
-def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]:
+def determinant_root_candidates(ops: PredictionOperators, *,
+                                spectrum=None) -> list[RootCandidate]:
     """All 2Nm candidate channel means where the derivative matrix is
     singular; complex and out-of-range values are flagged invalid.  A real
     candidate in (0, 1) is polished, then tested for annihilation by the
     trace bound and, where that leaves it open, by its eigenvalues (module
-    docstring)."""
+    docstring).  ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
     t, h_diag = _pencil(ops)
     scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
     raw: list[tuple[complex, bool]] = []
@@ -297,7 +298,8 @@ def determinant_root_candidates(ops: PredictionOperators) -> list[RootCandidate]
     values = [value for value, _ in raw]
     eigcond = [False] * len(raw)
     rows = max(1, _STACK_BYTES // (8 * t.size))
-    spectrum = _spectrum(ops)
+    if spectrum is None:
+        spectrum = _spectrum(ops)
     for lo in range(0, len(inside), rows):
         chunk = inside[lo:lo + rows]
         us = _polish_roots([values[k].real for k in chunk], t, h_diag)
@@ -344,8 +346,9 @@ def maximal_gap(ops: PredictionOperators, x: np.ndarray) -> MaxDiffReport:
     from one spectral curve (``_gap_curve``); valid candidates and the grid
     lie in (0, 1], where the curve needs no guard (it is 0 at 1).
     """
-    cands = determinant_root_candidates(ops)
-    gap = _gap_curve(ops, x)
+    spectrum = _spectrum(ops)
+    cands = determinant_root_candidates(ops, spectrum=spectrum)
+    gap = _gap_curve(ops, x, spectrum)
 
     interior = [c.value.real for c in cands if c.valid]
     analytic_best = max(interior, key=gap) if interior else None

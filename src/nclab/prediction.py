@@ -15,17 +15,26 @@ products consumed downstream are
     Omega_gp = Gamma' Omega Phi        Omega_d  = I ∘ Omega_g
     Omega_h  = Omega_g - Omega_d       (I ∘ zeroes off-diagonal entries)
 
-Phi, Gamma and Omega are locals of the build, and Lambda is not built: the
-noise cost tr(Omega_l Sigma_W_stacked), Omega_l = Lambda' Omega Lambda,
-needs only the diagonal blocks L_k of Omega_l, which obey
+Omega = diag(Omega_0, ..., Omega_(N-1)) is never formed.  Block row i of
+Omega Gamma and of Omega Phi, and block column i of Phi' Omega, is Omega_i
+times the matching block of Gamma, Phi or Phi', so each is one batched
+product of the (N, n, n) weight stack.  The outer products Gamma'(Omega
+Gamma), Gamma'(Omega Phi) and (Phi' Omega) Phi stay one dense product
+each, summed in the order a dense Omega gave them: the printed maxdiff
+candidates depend on Omega_g to the last bit.  Psi and the Omega_g split
+are dense (N m)^2 matrices.
 
-    L_(N-1) = Omega_(N-1),    L_k = Omega_k + A' L_(k+1) A,
+Lambda is not built either.  The noise part of block j of the stacked
+state is sum_(l<=j) A^(j-l) w_l, with covariance
 
-so it is stored as the number sum_k tr(L_k Sigma_W).
+    P_j = sum_(l<=j) A^l Sigma_W A'^l,
+
+so the noise cost tr(Lambda' Omega Lambda Sigma_W_stacked) is stored as
+the number sum_j tr(Omega_j P_j): one batched product over the powers of A
+and a cumulative sum.
 
 Powers of A are accumulated incrementally (A^(i+1) = A * A^i) so repeated
-builds are bit-for-bit reproducible.  Everything is dense; desk-scale
-problems (N*n up to a few hundred) do not justify sparse storage.
+builds are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -89,10 +98,10 @@ def build_prediction_operators(
         raise ValueError("channel schedule length ≠ N")
 
     # powers[i] = A^i, built by repeated multiplication
-    powers = [np.eye(n)]
-    for _ in range(N):
-        powers.append(A @ powers[-1])
-    powers = np.array(powers)
+    powers = np.empty((N + 1, n, n))
+    powers[0] = np.eye(n)
+    for i in range(N):
+        np.matmul(A, powers[i], out=powers[i + 1])
 
     phi = powers[1:].reshape(N * n, n)
     # block (i, j) of Gamma is A^(i-j) B for i >= j: gather the N blocks
@@ -101,30 +110,31 @@ def build_prediction_operators(
     lag[lag < 0] = N
     blocks = np.concatenate([powers[:N] @ B, np.zeros((1, n, m))])
     gamma = blocks[lag].transpose(0, 2, 1, 3).reshape(N * n, N * m)
-    omega = _block_diag(weights.omega_steps)
 
-    omega_gamma = omega @ gamma
+    # the products with Omega, one step weight per block (module docstring)
+    omega = weights.omega_steps
+    omega_gamma = np.matmul(omega, gamma.reshape(N, n, N * m)).reshape(N * n, N * m)
+    omega_phi = np.matmul(omega, powers[1:]).reshape(N * n, n)
+    phi_omega = np.matmul(powers[1:].transpose(0, 2, 1), omega)
+    phi_omega = phi_omega.transpose(1, 0, 2).reshape(n, N * n)
     omega_g = gamma.T @ omega_gamma
     omega_g = 0.5 * (omega_g + omega_g.T)  # enforce exact symmetry
     omega_d = np.diag(np.diag(omega_g))
 
-    # the diagonal blocks L_k of Omega_l, from the last step back
-    ell = weights.omega_steps[N - 1]
-    ell_sum = ell
-    for k in range(N - 2, -1, -1):
-        ell = weights.omega_steps[k] + A.T @ ell @ A
-        ell_sum = ell_sum + ell
+    # sum_j tr(Omega_j P_j), with P_j = sum_(l<=j) A^l Sigma_W A'^l the
+    # covariance of the noise part of block j of the stacked state
+    cov = np.cumsum(powers[:N] @ plant.sigma_w @ powers[:N].transpose(0, 2, 1), axis=0)
 
     return PredictionOperators(
         upsilon_diag=channel.step_means(N).reshape(-1),
         psi=_block_diag(weights.psi_steps),
         q=np.array(weights.q, dtype=float),
-        omega_p=phi.T @ omega @ phi,
+        omega_p=phi_omega @ phi,
         omega_g=omega_g,
-        omega_gp=gamma.T @ (omega @ phi),
+        omega_gp=gamma.T @ omega_phi,
         omega_d=omega_d,
         omega_h=omega_g - omega_d,
-        noise_trace=float(np.sum(ell_sum * plant.sigma_w)),
+        noise_trace=float(np.sum(omega * cov.transpose(0, 2, 1))),
         n=n,
         m=m,
         horizon=N,

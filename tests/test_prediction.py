@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from nclab import ChannelModel, build_prediction_operators
 
 from conftest import (make_scenario, noise_trace_oracle, ops_of, random_scenario,
-                      stack_operators_oracle, stacked_weights_oracle)
+                      stack_operators_oracle, stacked_weights_oracle, step_means_oracle)
 
 
 def _oracle_products(scn):
@@ -61,14 +62,66 @@ def test_step_means_examples():
         build_prediction_operators(scn.plant, scn.weights, sched)
 
 
+# n, m, N, spectral radius of A, rank of Sigma_W, scheduled channel
+STRUCTURE_CASES = [
+    (3, 2, 17, 0.9, 3, False),
+    (5, 1, 40, 1.1, 2, True),
+    (8, 3, 40, 1.05, 5, True),
+    (5, 3, 23, 0.7, 0, False),
+    (3, 3, 40, 1.2, 1, True),
+    (8, 3, 31, 0.95, 8, False),
+]
+
+
+def _structured_scenario(rng, n, m, N, rho, rank, scheduled):
+    """A random scenario whose A has spectral radius ``rho`` and whose
+    Sigma_W = F F' has rank ``rank``, with per-step weights and a channel
+    schedule of one row per step when ``scheduled``."""
+    a = rng.normal(size=(n, n))
+    a *= rho / np.max(np.abs(np.linalg.eigvals(a)))
+    f = rng.normal(size=(n, rank))
+    omega_steps = [g @ g.T + np.eye(n) for g in rng.normal(size=(N, n, n))]
+    psi_steps = [np.diag(rng.uniform(0.3, 2.0, m)) for _ in range(N)]
+    mu = rng.uniform(0.05, 0.95, (N, m) if scheduled else m)
+    return make_scenario(a, rng.normal(size=(n, m)), omega_steps, psi_steps, np.eye(n), mu,
+                         sigma_w=f @ f.T)
+
+
 def test_block_structure_matches_independent_construction():
+    # the batched block products against the oracles' dense Omega, Phi and
+    # Gamma: small random shapes, then odd n, n8 m3, scheduled channels,
+    # horizons up to 40, rank-deficient Sigma_W and spectral radius above 1
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        scn = random_scenario(rng, n_max=3, m_max=3, n_horizon_max=5)
+    scenarios = [random_scenario(rng, n_max=3, m_max=3, n_horizon_max=5) for _ in range(5)]
+    scenarios += [_structured_scenario(rng, *case) for case in STRUCTURE_CASES]
+    for scn in scenarios:
         ops = ops_of(scn)
-        for got, ref in zip((ops.omega_g, ops.omega_gp, ops.omega_p), _oracle_products(scn)):
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+        omega_g, omega_gp, omega_p = _oracle_products(scn)
+        omega_d = np.diag(np.diag(omega_g))
+        for got, ref in ((ops.omega_g, omega_g), (ops.omega_gp, omega_gp),
+                         (ops.omega_p, omega_p), (ops.omega_d, omega_d),
+                         (ops.omega_h, omega_g - omega_d)):
+            # entries that cancel are judged against the matrix's largest
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
         assert np.array_equal(ops.psi, stacked_weights_oracle(scn)[1])
+        assert np.array_equal(ops.upsilon_diag, step_means_oracle(scn).reshape(-1))
+        np.testing.assert_allclose(ops.noise_trace, noise_trace_oracle(scn), rtol=1e-13,
+                                   atol=0.0)
+
+
+def test_build_peak_memory_below_one_dense_omega():
+    # at n8 m3 N200 the build's transient memory (its peak less what the
+    # result keeps) stays below one dense (N n)^2 Omega, which it never forms
+    n, m, N = 8, 3, 200
+    scn = _structured_scenario(np.random.default_rng(23), n, m, N, 0.95, n, False)
+    tracemalloc.start()
+    try:
+        ops = ops_of(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    retained = sum(v.nbytes for v in vars(ops).values() if isinstance(v, np.ndarray))
+    assert peak - retained < (N * n) ** 2 * 8
 
 
 def test_noise_trace_matches_oracle():
