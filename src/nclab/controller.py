@@ -209,18 +209,22 @@ class LineResolvents:
     def costs(self, means) -> np.ndarray:
         """(L, k) costs at the moving means ``means`` (k,), each in (0, 1]:
         row l, column j is line l's cost at means[j].  Raises LinAlgError
-        when a point's Gram system is not positive definite.  The terms are
-        positive, so they are summed in index order, one (L, k) pass each."""
+        when a point's Gram system is not positive definite.  The terms
+        h2 / (lam + 1/u) of a chunk of lines (about _CHUNK_BYTES) are formed
+        in one (r, L, k) pass; they are positive, so they are added into the
+        offset in index order, one in-place add per term."""
         t = 1.0 / _check_means(means)
         if self.lam.size and t.size and not np.all(self.lam[:, 0] + t.min() > 0.0):
             raise np.linalg.LinAlgError("singular protocol Gram system: "
                                         "a line point is not positive definite")
         red = np.repeat(self.offset[:, np.newaxis], t.size, axis=1)
-        term = np.empty_like(red)
-        for lam, h2 in zip(self.lam.T[:, :, np.newaxis], self.h2.T[:, :, np.newaxis]):
-            np.add(lam, t, out=term)
-            np.divide(h2, term, out=term)
-            red += term
+        rows = max(1, _CHUNK_BYTES // (8 * max(1, self.lam.shape[1] * t.size)))
+        for lo in range(0, len(red), rows):
+            term = self.lam.T[:, lo:lo + rows, np.newaxis] + t
+            np.divide(self.h2.T[:, lo:lo + rows, np.newaxis], term, out=term)
+            chunk = red[lo:lo + rows]
+            for row in term:
+                chunk += row
         return np.subtract(self.constant, red, out=red)
 
 

@@ -33,8 +33,15 @@ so the noise cost tr(Lambda' Omega Lambda Sigma_W_stacked) is stored as
 the number sum_j tr(Omega_j P_j): one batched product over the powers of A
 and a cumulative sum.
 
-Powers of A are accumulated incrementally (A^(i+1) = A * A^i) so repeated
-builds are bit-for-bit reproducible.
+Gamma is block Toeplitz: block (i, j) depends on i - j alone.  It is read
+as a strided view of the stack of the N blocks A^k B placed behind N-1
+zero blocks, and that view is copied once into C order.  Gamma and
+Omega Gamma are the build's largest transients, and both are released
+before the (N m)^2 arrays of the result are formed.
+
+Powers of A are accumulated incrementally (A^(i+1) = A * A^i, one ``np.dot``
+into a preallocated stack per power) so repeated builds are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -82,6 +89,25 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(N * k, N * k)
 
 
+def _gamma(powers: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gamma (N n, N m) from the powers A^0..A^(N-1) and B, in C order.
+
+    Block (i, j) is padded[N-1+i-j]: A^(i-j) B for i >= j and one of the N-1
+    zero blocks above.  The view steps back one block per block column.  It
+    is copied once, into C order, because a non-contiguous Gamma (the
+    reshape keeps a view for m = 1) takes another BLAS path through
+    Gamma'(Omega Phi) and changes the last bits of Omega_gp.
+    """
+    N, n = powers.shape[:2]
+    m = b.shape[1]
+    padded = np.zeros((2 * N - 1, n, m))
+    np.matmul(powers, b, out=padded[N - 1:])
+    step, row, col = padded.strides
+    toeplitz = np.lib.stride_tricks.as_strided(padded[N - 1:], (N, n, N, m),
+                                               (step, row, -step, col), writeable=False)
+    return np.ascontiguousarray(toeplitz.reshape(N * n, N * m))
+
+
 def build_prediction_operators(
     plant: PlantModel, weights: WeightSpec, channel: ChannelModel
 ) -> PredictionOperators:
@@ -101,24 +127,19 @@ def build_prediction_operators(
     powers = np.empty((N + 1, n, n))
     powers[0] = np.eye(n)
     for i in range(N):
-        np.matmul(A, powers[i], out=powers[i + 1])
+        np.dot(A, powers[i], out=powers[i + 1])
 
     phi = powers[1:].reshape(N * n, n)
-    # block (i, j) of Gamma is A^(i-j) B for i >= j: gather the N blocks
-    # A^k B by lag, with lag N selecting an appended zero block
-    lag = np.subtract.outer(np.arange(N), np.arange(N))
-    lag[lag < 0] = N
-    blocks = np.concatenate([powers[:N] @ B, np.zeros((1, n, m))])
-    gamma = blocks[lag].transpose(0, 2, 1, 3).reshape(N * n, N * m)
+    gamma = _gamma(powers[:N], B)
 
     # the products with Omega, one step weight per block (module docstring)
     omega = weights.omega_steps
-    omega_gamma = np.matmul(omega, gamma.reshape(N, n, N * m)).reshape(N * n, N * m)
-    omega_phi = np.matmul(omega, powers[1:]).reshape(N * n, n)
+    omega_gp = gamma.T @ np.matmul(omega, powers[1:]).reshape(N * n, n)
+    omega_g = gamma.T @ np.matmul(omega, gamma.reshape(N, n, N * m)).reshape(N * n, N * m)
+    del gamma  # released before the result's (N m)^2 arrays are formed
+    omega_g = 0.5 * (omega_g + omega_g.T)  # enforce exact symmetry
     phi_omega = np.matmul(powers[1:].transpose(0, 2, 1), omega)
     phi_omega = phi_omega.transpose(1, 0, 2).reshape(n, N * n)
-    omega_g = gamma.T @ omega_gamma
-    omega_g = 0.5 * (omega_g + omega_g.T)  # enforce exact symmetry
     omega_d = np.diag(np.diag(omega_g))
 
     # sum_j tr(Omega_j P_j), with P_j = sum_(l<=j) A^l Sigma_W A'^l the
@@ -131,7 +152,7 @@ def build_prediction_operators(
         q=np.array(weights.q, dtype=float),
         omega_p=phi_omega @ phi,
         omega_g=omega_g,
-        omega_gp=gamma.T @ omega_phi,
+        omega_gp=omega_gp,
         omega_d=omega_d,
         omega_h=omega_g - omega_d,
         noise_trace=float(np.sum(omega * cov.transpose(0, 2, 1))),

@@ -197,6 +197,15 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return ~(off > SYMMETRY_RTOL * scale)
 
 
+def _per_step(check, stack: np.ndarray) -> np.ndarray:
+    """``check`` of each matrix of a (K, d, d) stack; a stack that repeats
+    one matrix with stride 0 (a weight given once for every step) is
+    checked on that matrix alone."""
+    if stack.strides[0] == 0:
+        return np.broadcast_to(check(stack[:1]), stack.shape[:1])
+    return check(stack)
+
+
 def _stacked_dim_error(N: int, n: int, m: int) -> str | None:
     d = N * max(n, m)
     if d > MAX_STACKED_DIM:
@@ -272,9 +281,11 @@ def validate_scenario(s: Scenario) -> list[str]:
         v.append("q not symmetric positive definite")
     # The optimal-law formulas require the input penalty to commute with the
     # channel-mean diagonal, so per-step psi must itself be diagonal.
-    for msg, ok in (("omega step {} not symmetric positive definite", _spd(w.omega_steps)),
-                    ("psi step {} not symmetric positive definite", _spd(w.psi_steps)),
-                    ("psi step {} must be diagonal", _diagonal(w.psi_steps))):
+    for msg, check, stack in (
+            ("omega step {} not symmetric positive definite", _spd, w.omega_steps),
+            ("psi step {} not symmetric positive definite", _spd, w.psi_steps),
+            ("psi step {} must be diagonal", _diagonal, w.psi_steps)):
+        ok = _per_step(check, stack)
         if not ok.all():
             v.append(msg.format(np.flatnonzero(~ok)[0]))
 
@@ -299,9 +310,7 @@ def _steps_from(block, steps_key: str, single, N: int) -> np.ndarray:
         return arr
     if single in block:
         one = _array(block[single], f"weights.{single}", 2)
-        out = np.repeat(one[np.newaxis, :, :], N, axis=0)
-        out.setflags(write=False)
-        return out
+        return np.broadcast_to(one, (N,) + one.shape)  # read-only, stride 0
     raise ParseError(f"weights is missing {single} (or {steps_key})")
 
 

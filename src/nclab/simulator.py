@@ -236,20 +236,34 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
     costs (steps, R).  Stage k is the cost added by the transition out of
     step k; stage 0 also carries the x_0 term.  Row r depends only on
     replicate r's draws; a stack of one agrees with the same row of a larger
-    stack to rounding, not bit for bit.
+    stack to rounding, not bit for bit.  Open-loop inputs are multiplied by
+    B for all steps before the recursion, which then writes each step in
+    place; every product and sum gives the step-by-step loop's bits.
     """
-    a, b = scn.plant.a, scn.plant.b
+    at, bt = scn.plant.a.T, scn.plant.b.T
     R, steps = v.shape[:2]
     v, w = v.transpose(1, 0, 2), w.transpose(1, 0, 2)
     states = np.empty((steps + 1, R, scn.n))
-    inputs = np.empty((steps, R, scn.m))
-    applied = np.empty((steps, R, scn.m))
     x0 = np.asarray(scn.eval_state, dtype=float)
     states[0] = x0
+    # states[k+1] holds B u_k until A x_k and w_k are added to it: x + y is
+    # y + x bit for bit, so each sum is the step-by-step loop's
+    if gain is None:
+        inputs = np.repeat(sequence[:steps, np.newaxis], R, axis=1)
+        applied = v * inputs
+        np.matmul(applied, bt, out=states[1:])
+    else:
+        inputs, applied = np.empty((2, steps, R, scn.m))
+        neg_kt = -gain.T
+    ax = np.empty((R, scn.n))
     for k in range(steps):
-        inputs[k] = sequence[k] if gain is None else -(states[k] @ gain.T)
-        applied[k] = v[k] * inputs[k]
-        states[k + 1] = states[k] @ a.T + applied[k] @ b.T + w[k]
+        if gain is not None:
+            np.matmul(states[k], neg_kt, out=inputs[k])
+            np.multiply(v[k], inputs[k], out=applied[k])
+            np.matmul(applied[k], bt, out=states[k + 1])
+        x = states[k + 1]
+        x += np.matmul(states[k], at, out=ax)
+        x += w[k]
     om, psi = _stage_weights(scn, steps)
     x = states[1:]
     stages = ((x @ om) * x).sum(axis=2) + ((applied @ psi) * applied).sum(axis=2)

@@ -6,6 +6,7 @@ from nclab import (Protocol, bernoulli_quadratic_expectation,
                    closed_loop_eigenvalues, error_quadratic_expectation,
                    expected_cost, expected_costs, line_resolvents, optimal_sequence,
                    synthesize)
+from nclab.allocation import _grid_values
 
 from conftest import (enumerate_bernoulli_quadratic, lossy_riccati_oracle, make_scenario,
                       minimize_quadratic_oracle, noise_trace_oracle, ops_of,
@@ -387,6 +388,38 @@ def test_batched_costs_do_not_depend_on_the_chunk_size(monkeypatch, mixed):
     for rows in (1, 3, 64, 10_000):
         monkeypatch.setattr(controller, "_CHUNK_BYTES", rows * nm2_bytes)
         assert np.array_equal(line_resolvents(ops, UDP, mixed.eval_state, fixed).costs(vals), ref)
+
+
+def _per_term_costs(lines, means):
+    """Line costs from a loop over the terms, each added to the offset as an
+    (L, k) array in index order."""
+    t = 1.0 / np.asarray(means, dtype=float)
+    red = np.repeat(lines.offset[:, np.newaxis], t.size, axis=1)
+    for lam, h2 in zip(lines.lam.T, lines.h2.T):
+        red += h2[:, np.newaxis] / (lam[:, np.newaxis] + t)
+    return lines.constant - red
+
+
+def test_line_costs_equal_the_per_term_loop_bit_for_bit(monkeypatch, pendulum, mixed):
+    # pendulum's 80-term shared line, mixed's 99-line sweep and 100-line
+    # allocation grid, then chunk boundaries forced through _CHUNK_BYTES
+    from nclab import controller
+    sweep = np.linspace(0.01, 0.99, 99)
+    grid = _grid_values(0.01)
+    ops_p, ops_m = ops_of(pendulum), ops_of(mixed)
+    for p in (TCP, UDP):
+        cases = [(line_resolvents(ops_p, p, pendulum.eval_state), sweep),
+                 (line_resolvents(ops_m, p, mixed.eval_state, sweep[:, np.newaxis]), sweep),
+                 (line_resolvents(ops_m, p, mixed.eval_state, grid[:, np.newaxis]), grid)]
+        assert [c[0].lam.shape for c in cases] == [(1, 80), (99, 10), (100, 10)]
+        for lines, means in cases:
+            assert np.array_equal(lines.costs(means), _per_term_costs(lines, means))
+        lines, means = cases[1]
+        ref = _per_term_costs(lines, means)
+        for rows in (1, 7, 98):  # chunks of 1, of 7 with a remainder of 1, of 98 and 1
+            monkeypatch.setattr(controller, "_CHUNK_BYTES", rows * 8 * 10 * 99)
+            assert np.array_equal(lines.costs(means), ref)
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nclab import ChannelModel, build_prediction_operators
+from nclab.prediction import _gamma
 
 from conftest import (make_scenario, noise_trace_oracle, ops_of, random_scenario,
                       stack_operators_oracle, stacked_weights_oracle, step_means_oracle)
@@ -109,19 +110,75 @@ def test_block_structure_matches_independent_construction():
                                    atol=0.0)
 
 
-def test_build_peak_memory_below_one_dense_omega():
-    # at n8 m3 N200 the build's transient memory (its peak less what the
-    # result keeps) stays below one dense (N n)^2 Omega, which it never forms
-    n, m, N = 8, 3, 200
-    scn = _structured_scenario(np.random.default_rng(23), n, m, N, 0.95, n, False)
+def _gathered_operators(scn):
+    """The weight products with Gamma gathered from its blocks by lag, the
+    powers of A chained by ``np.matmul``, and Omega as a C-ordered stack,
+    each product taken in the order the build takes it."""
+    a, b, N = scn.plant.a, scn.plant.b, scn.horizon
+    n, m = b.shape
+    powers = [np.eye(n)]
+    for _ in range(N):
+        powers.append(np.matmul(a, powers[-1]))
+    powers = np.array(powers)
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    lag[lag < 0] = N
+    blocks = np.concatenate([powers[:N] @ b, np.zeros((1, n, m))])
+    gamma = blocks[lag].transpose(0, 2, 1, 3).reshape(N * n, N * m)
+    omega = np.array(scn.weights.omega_steps)
+    omega_g = gamma.T @ np.matmul(omega, gamma.reshape(N, n, N * m)).reshape(N * n, N * m)
+    omega_g = 0.5 * (omega_g + omega_g.T)
+    phi_omega = np.matmul(powers[1:].transpose(0, 2, 1), omega).transpose(1, 0, 2)
+    cov = np.cumsum(powers[:N] @ scn.plant.sigma_w @ powers[:N].transpose(0, 2, 1), axis=0)
+    omega_d = np.diag(np.diag(omega_g))
+    return {"omega_g": omega_g, "omega_d": omega_d, "omega_h": omega_g - omega_d,
+            "omega_gp": gamma.T @ np.matmul(omega, powers[1:]).reshape(N * n, n),
+            "omega_p": phi_omega.reshape(n, N * n) @ powers[1:].reshape(N * n, n),
+            "noise_trace": float(np.sum(omega * cov.transpose(0, 2, 1)))}
+
+
+def test_operators_equal_a_gathered_gamma_bit_for_bit(pendulum, mixed):
+    # every field, with the strided Toeplitz Gamma, the np.dot power chain
+    # and a weight given once (a stride-0 stack), against a gathered Gamma,
+    # np.matmul powers and a C-ordered stack: m = 1 (pendulum, whose reshape of the strided view
+    # is not contiguous), m = 2 (mixed) and m = 3
+    rng = np.random.default_rng(31)
+    scenarios = [pendulum, mixed, _structured_scenario(rng, 3, 1, 17, 0.9, 3, False)]
+    scenarios += [_structured_scenario(rng, *case) for case in STRUCTURE_CASES[2:4]]
+    assert pendulum.weights.omega_steps.strides[0] == 0
+    assert [scn.m for scn in scenarios] == [1, 2, 1, 3, 3]
+    for scn in scenarios:
+        ops = ops_of(scn)
+        refs = _gathered_operators(scn)
+        refs.update(psi=stacked_weights_oracle(scn)[1], q=scn.weights.q,
+                    upsilon_diag=step_means_oracle(scn).reshape(-1))
+        assert set(refs) | {"n", "m", "horizon"} == set(vars(ops))
+        for name, ref in refs.items():
+            assert np.array_equal(getattr(ops, name), ref), name
+
+
+def _traced_peak(build):
     tracemalloc.start()
     try:
-        ops = ops_of(scn)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_build_transient_memory_below_one_gamma():
+    # at n8 m3 N200 Gamma is built with one Gamma-sized copy, and the
+    # build's transient memory (its peak less what the result keeps) stays
+    # below one Gamma: Gamma and Omega Gamma are released before the
+    # result's (N m)^2 arrays are formed
+    n, m, N = 8, 3, 200
+    scn = _structured_scenario(np.random.default_rng(23), n, m, N, 0.95, n, False)
+    gamma_bytes = (N * n) * (N * m) * 8
+    powers = np.array([np.linalg.matrix_power(scn.plant.a, k) for k in range(N)])
+    _, peak = _traced_peak(lambda: _gamma(powers, scn.plant.b))
+    assert peak < 1.05 * gamma_bytes  # Gamma and the padded blocks (1% of it)
+    ops, peak = _traced_peak(lambda: ops_of(scn))
     retained = sum(v.nbytes for v in vars(ops).values() if isinstance(v, np.ndarray))
-    assert peak - retained < (N * n) ** 2 * 8
+    assert peak - retained < gamma_bytes
 
 
 def test_noise_trace_matches_oracle():

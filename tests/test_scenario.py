@@ -226,6 +226,15 @@ def _corrupt(scn, field, edit, k=None):
     return replace(scn, **{section: replace(owner, **{field: arr})})
 
 
+def _corrupt_once(scn, field, edit):
+    """A copy of ``scn`` whose per-step stack ``field`` repeats one edited
+    matrix with stride 0, as a weight given once for every step loads."""
+    stack = getattr(scn.weights, field)
+    one = stack[0].copy()
+    edit(one)
+    return replace(scn, weights=replace(scn.weights, **{field: np.broadcast_to(one, stack.shape)}))
+
+
 def _asymmetric(a):
     a[0, -1] += 0.5
 
@@ -259,6 +268,7 @@ def _cases(scn):
             continue  # a 1x1 psi is always symmetric and diagonal
         for k in sorted({0, N // 2, N - 1}):
             yield f"{field}[{k}] {edit.__name__}", _corrupt(scn, field, edit, k)
+        yield f"{field} once {edit.__name__}", _corrupt_once(scn, field, edit)
     for field, edit in WHOLE_EDITS:
         yield f"{field} {edit.__name__}", _corrupt(scn, field, edit)
     # several failing steps: each stack reports its first
@@ -274,6 +284,22 @@ def test_batched_checks_match_the_per_matrix_loop(name, request):
         expected = _loop_matrix_checks(bad)
         assert validate_scenario(bad) == expected, label
         assert (expected == []) == ("tolerated" in label), label
+
+
+def test_a_weight_given_once_is_one_read_only_block_checked_once(monkeypatch, mixed):
+    # mixed gives omega and psi once: stride-0 stacks, whose one matrix the
+    # batched checks see alone (q, omega and psi each one matrix)
+    from nclab import scenario
+    for stack in (mixed.weights.omega_steps, mixed.weights.psi_steps):
+        assert stack.shape[0] == mixed.horizon and stack.strides[0] == 0
+        assert not stack.flags.writeable
+    sizes = []
+    for name in ("_spd", "_diagonal"):
+        check = getattr(scenario, name)
+        monkeypatch.setattr(scenario, name,
+                            lambda stack, check=check: sizes.append(len(stack)) or check(stack))
+    assert validate_scenario(mixed) == []
+    assert sizes == [1, 1, 1, 1]
 
 
 def test_operator_size_is_capped_at_load(pendulum):

@@ -10,7 +10,7 @@ from nclab import simulator
 from nclab.simulator import _draws, _replicate_seeds, _rollout, _seed_states, _words
 
 from conftest import (CSV_EDGE_VALUES, draws_oracle, make_scenario,
-                      open_loop_expected_cost_oracle, ops_of, toy_scenario)
+                      open_loop_expected_cost_oracle, ops_of, random_scenario, toy_scenario)
 
 TCP, UDP = Protocol.TCP_LIKE, Protocol.UDP_LIKE
 
@@ -263,6 +263,51 @@ def test_monte_carlo_equals_chunked_oracle_bit_for_bit(pendulum, mixed):
             stderr = math.sqrt(ssq / (replicates - 1)) / math.sqrt(replicates)
             stats = monte_carlo_cost(scn, p, replicates=replicates, base_seed=77)
             assert stats.mean_cost == mean and stats.stderr == stderr
+
+
+def _stepwise_rollout(scn, v, w, sequence=None, gain=None):
+    """``_rollout`` as one step at a time: the input, the applied input and
+    the next state of step k from arrays of step k alone."""
+    a, b = scn.plant.a, scn.plant.b
+    R, steps = v.shape[:2]
+    v, w = v.transpose(1, 0, 2), w.transpose(1, 0, 2)
+    states = np.empty((steps + 1, R, scn.n))
+    inputs = np.empty((steps, R, scn.m))
+    applied = np.empty((steps, R, scn.m))
+    x0 = np.asarray(scn.eval_state, dtype=float)
+    states[0] = x0
+    for k in range(steps):
+        inputs[k] = sequence[k] if gain is None else -(states[k] @ gain.T)
+        applied[k] = v[k] * inputs[k]
+        states[k + 1] = states[k] @ a.T + applied[k] @ b.T + w[k]
+    om, psi = simulator._stage_weights(scn, steps)
+    x = states[1:]
+    stages = ((x @ om) * x).sum(axis=2) + ((applied @ psi) * applied).sum(axis=2)
+    stages[0] += float(x0 @ scn.weights.q @ x0)
+    return states, inputs, np.add.accumulate(stages, axis=0)[-1], stages
+
+
+def test_rollout_equals_the_stepwise_recursion_bit_for_bit(pendulum, mixed):
+    # open loop (inputs multiplied for all steps at once) and state feedback
+    # (-K' taken once, each step written in place), stacks of one and of
+    # many, on both fixtures and a random ensemble; feedback runs past the
+    # horizon as the receding simulation does
+    rng = np.random.default_rng(61)
+    ensemble = [random_scenario(rng, n_max=5, m_max=3, n_horizon_max=12, sigma_scale=0.3)
+                for _ in range(6)]
+    for scn in [pendulum, mixed] + ensemble:
+        for p in (TCP, UDP):
+            law = synthesize(ops_of(scn), p)
+            u_star = optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
+            for seeds in ([3], range(40)):
+                v, w = _draws(scn, scn.horizon, seeds)
+                got = _rollout(scn, v, w, sequence=u_star)
+                ref = _stepwise_rollout(scn, v, w, sequence=u_star)
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+                v, w = _draws(scn, 2 * scn.horizon + 5, seeds)
+                got = _rollout(scn, v, w, gain=law.k_first)
+                ref = _stepwise_rollout(scn, v, w, gain=law.k_first)
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def test_monte_carlo_builds_no_seed_sequence(monkeypatch):
