@@ -17,7 +17,8 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC11).  ``_seed_states``
 runs numpy's SeedSequence hash on uint32 arrays for a whole chunk at once:
 it gives a Monte Carlo chunk's replicate seeds and every seed's Philox key,
 bit for bit as numpy's ``SeedSequence`` does.  One Philox per chunk is then
-re-keyed through its ``state`` for each seed.
+re-keyed through its ``state`` for each seed, from a state dict of plain
+Python ints.
 
 Transmission and noise streams depend only on (seed, step), never on the
 protocol: running both protocols at the same seed yields common random
@@ -26,6 +27,12 @@ numbers, which makes paired cost-gap estimates low-variance.
 Every simulation is one recursion (``_rollout``) over a stack of
 replicates: a single rollout is a stack of one, and Monte Carlo runs one
 stack per chunk.  Only the Philox key and its uniforms are per replicate.
+The draws are written time-major, (steps, R, .), the layout the recursion
+reads step by step, and handed out as (R, steps, .) views.  Each stage
+cost's terms are summed in index order, and each Monte Carlo worker writes
+its chunks into one reused set of buffers.  Every product and sum keeps the
+order of the plain step-by-step loop, so trajectories and costs are its
+bits.
 
 A lost packet applies exactly zero input at that actuator, and the realized
 cost weights each stage's input penalty by the realized transmissions (a
@@ -196,26 +203,71 @@ def _noise_factor(sigma_w: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _draws(scn: Scenario, steps: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+class _Buffers:
+    """Named float64 buffers that the chunks of one Monte Carlo worker reuse.
+
+    ``take(name, *shape)`` returns a C-contiguous array of that shape over
+    the front of buffer ``name``, growing it when it is too small, so a
+    chunk writes into the memory of the one before instead of fresh pages.
+    What it hands out stays valid until the same name is taken again;
+    ``"scratch"`` holds what a function no longer needs when it returns.
+    A single rollout takes from ``_fresh`` instead."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _fresh(name: str, *shape: int) -> np.ndarray:
+    """``_Buffers.take`` without reuse: a new array each time."""
+    return np.empty(shape)
+
+
+def _draws(scn: Scenario, steps: int, seeds, buffers: _Buffers | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Deliveries (R, steps, m) and noise (R, steps, n) for a chunk of R
     seeds.  Seed s keys Philox with ``SeedSequence(s).generate_state(2,
     uint64)``, hashed for the whole chunk at once; one Philox is re-keyed per
     seed and draws the seed's (steps, m) then (steps, n) uniforms as one block.
-    The delivery threshold, the inverse normal CDF and the noise factor then
-    act on the whole chunk."""
+    The state dict it is re-keyed from holds plain ints, which the ``state``
+    setter reads faster than numpy scalars.
+
+    The delivery threshold, the inverse normal CDF and the noise factor act
+    on the whole chunk and write time-major (steps, R, .) arrays, the layout
+    ``_rollout`` reads; the results are their transposed views.  Every array
+    is taken from ``buffers`` (new arrays without them); the noise
+    overwrites the spent uniforms."""
+    take = _fresh if buffers is None else buffers.take
     keys = _seed_states(*_words(seeds), 2)
     R, split = len(keys), steps * scn.m
-    u = np.empty((R, split + steps * scn.n))
+    u = take("draws", R, split + steps * scn.n)
     bits = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty buffer: a fresh stream
-    for i, key in enumerate(keys):
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    for i, key in enumerate(zip(*keys.T.tolist())):
         state["state"]["key"] = key
         bits.state = state
         rng.random(out=u[i])
-    v = (u[:, :split].reshape(R, steps, scn.m) < scn.channel.step_means(steps)).astype(float)
-    w = ndtri(u[:, split:].reshape(R, steps, scn.n)) @ _noise_factor(scn.plant.sigma_w).T
-    return v, w
+    # the ufuncs run over (steps, ., R) views in C order: the replicate axis
+    # is innermost, so the time-major writes come in runs of R, not of m or n
+    v = take("deliveries", steps, R, scn.m)
+    z = take("scratch", steps, R, scn.n)
+    np.less(u[:, :split].reshape(R, steps, scn.m).transpose(1, 2, 0),
+            scn.channel.step_means(steps)[:, :, np.newaxis], out=v.transpose(0, 2, 1), order="C")
+    ndtri(u[:, split:].reshape(R, steps, scn.n).transpose(1, 2, 0), out=z.transpose(0, 2, 1),
+          order="C")
+    # one (steps·R, n) product gives the per-seed products' bits
+    w = take("draws", steps, R, scn.n)
+    np.matmul(z.reshape(-1, scn.n), _noise_factor(scn.plant.sigma_w).T, out=w.reshape(-1, scn.n))
+    return v.transpose(1, 0, 2), w.transpose(1, 0, 2)
 
 
 def _stage_weights(scn: Scenario, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +277,22 @@ def _stage_weights(scn: Scenario, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return scn.weights.omega_steps[i], scn.weights.psi_steps[i]
 
 
+def _row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=-1)`` into ``out``, bit for bit.  numpy adds fewer
+    than 8 terms in index order from +0.0, which column adds do without its
+    reduction machinery; from 8 terms up it adds in pairwise blocks, so
+    ``sum`` stays."""
+    if terms.shape[-1] >= 8:
+        return terms.sum(axis=-1, out=out)
+    np.add(terms[..., 0], 0.0, out=out)
+    for i in range(1, terms.shape[-1]):
+        out += terms[..., i]
+    return out
+
+
 def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray | None = None,
-             gain: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+             gain: np.ndarray | None = None, buffers: _Buffers | None = None
+             ) -> tuple[np.ndarray, ...]:
     """Rollouts of a stack of R replicates from ``eval_state`` with
     deliveries v (R, steps, m) and noise w (R, steps, n).
 
@@ -236,26 +302,35 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
     costs (steps, R).  Stage k is the cost added by the transition out of
     step k; stage 0 also carries the x_0 term.  Row r depends only on
     replicate r's draws; a stack of one agrees with the same row of a larger
-    stack to rounding, not bit for bit.  Open-loop inputs are multiplied by
-    B for all steps before the recursion, which then writes each step in
-    place; every product and sum gives the step-by-step loop's bits.
+    stack to rounding, not bit for bit.
+
+    v and w from ``_draws`` are views of time-major arrays, so each step
+    reads contiguous rows.  Open-loop inputs are a broadcast view of the
+    sequence, multiplied by B for all steps before the recursion, which then
+    writes each step in place.  Each stage cost's terms are summed in index
+    order (``_row_sums``); every product and sum gives the step-by-step
+    loop's bits.  Every array is taken from ``buffers`` (new arrays without
+    them), so the results stay valid until the buffers are taken again.
     """
+    take = _fresh if buffers is None else buffers.take
     at, bt = scn.plant.a.T, scn.plant.b.T
     R, steps = v.shape[:2]
+    n, m = scn.n, scn.m
     v, w = v.transpose(1, 0, 2), w.transpose(1, 0, 2)
-    states = np.empty((steps + 1, R, scn.n))
+    states = take("states", steps + 1, R, n)
     x0 = np.asarray(scn.eval_state, dtype=float)
     states[0] = x0
     # states[k+1] holds B u_k until A x_k and w_k are added to it: x + y is
     # y + x bit for bit, so each sum is the step-by-step loop's
+    applied = take("applied", steps, R, m)
     if gain is None:
-        inputs = np.repeat(sequence[:steps, np.newaxis], R, axis=1)
-        applied = v * inputs
+        inputs = np.broadcast_to(sequence[:steps, np.newaxis], v.shape)
+        np.multiply(v, inputs, out=applied)
         np.matmul(applied, bt, out=states[1:])
     else:
-        inputs, applied = np.empty((2, steps, R, scn.m))
+        inputs = take("inputs", steps, R, m)
         neg_kt = -gain.T
-    ax = np.empty((R, scn.n))
+    ax = np.empty((R, n))
     for k in range(steps):
         if gain is not None:
             np.matmul(states[k], neg_kt, out=inputs[k])
@@ -266,10 +341,17 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
         x += w[k]
     om, psi = _stage_weights(scn, steps)
     x = states[1:]
-    stages = ((x @ om) * x).sum(axis=2) + ((applied @ psi) * applied).sum(axis=2)
+    terms = np.matmul(x, om, out=take("scratch", steps, R, n))
+    terms *= x
+    stages = _row_sums(terms, take("stages", steps, R))
+    terms = np.matmul(applied, psi, out=take("scratch", steps, R, m))
+    terms *= applied
+    sums = take("sums", steps, R)
+    stages += _row_sums(terms, sums)
     stages[0] += float(x0 @ scn.weights.q @ x0)
     # add.accumulate (unlike sum) adds the stages strictly step by step
-    return states, inputs, np.add.accumulate(stages, axis=0)[-1], stages
+    cost = np.add.accumulate(stages, axis=0, out=sums)[-1]
+    return states, inputs, cost, stages
 
 
 def _record(scn: Scenario, seed: int, steps: int, sequence=None, gain=None) -> TrajectoryRecord:
@@ -314,7 +396,9 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     never from ``threads``.  A replicate's cost depends only on its own
     draws, and aggregation uses exact (fsum) summation, so the result does
     not depend on the thread count or on the order in which chunks finish.
-    At most ``min(threads, chunks, os.cpu_count())`` worker threads run.
+    At most ``min(threads, chunks, os.cpu_count())`` workers run; worker j
+    runs chunks j, j + workers, ... and writes each into the buffers of the
+    one before (``_Buffers``), which leaves every value as it was.
 
     The mean estimates the expected realized cost of the protocol's
     open-loop sequence, which is the unacknowledged objective at that
@@ -329,23 +413,24 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     u_star = _open_loop_sequence(scn, protocol)
     rows = max(1, _CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
     costs = np.empty(replicates)
-
-    def run(lo):
-        hi = min(lo + rows, replicates)
-        v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, lo, hi))
-        costs[lo:hi] = _rollout(scn, v, w, sequence=u_star)[2]
-
     starts = range(0, replicates, rows)
     workers = min(threads or 1, len(starts), os.cpu_count() or 1)
+
+    def run(j):
+        buffers = _Buffers()
+        for lo in starts[j::workers]:
+            hi = min(lo + rows, replicates)
+            v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, lo, hi), buffers)
+            costs[lo:hi] = _rollout(scn, v, w, sequence=u_star, buffers=buffers)[2]
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
+            list(pool.map(run, range(workers)))
     else:
-        for lo in starts:
-            run(lo)
+        run(0)
 
     mean = math.fsum(costs) / replicates
-    ssq = math.fsum((c - mean) ** 2 for c in costs)
+    ssq = math.fsum((costs - mean) ** 2)
     stderr = math.sqrt(ssq / (replicates - 1)) / math.sqrt(replicates)
     return MonteCarloStats(mean_cost=mean, stderr=stderr, replicates=replicates)
 

@@ -57,9 +57,10 @@ def toy_scenario(mu=0.5, sigma_w=0.0, x=1.0):
 
 
 def random_scenario(rng, n_max=4, m_max=3, n_horizon_max=10, mu_lo=0.05,
-                    mu_hi=0.95, sigma_scale=0.0):
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
+                    mu_hi=0.95, sigma_scale=0.0, n=None, m=None):
+    """Random sizes up to the maxima, unless n or m is given."""
+    n = int(rng.integers(1, n_max + 1)) if n is None else n
+    m = int(rng.integers(1, m_max + 1)) if m is None else m
     N = int(rng.integers(1, n_horizon_max + 1))
     a = rng.normal(0.0, 0.6, (n, n))
     b = rng.normal(0.0, 1.0, (n, m))

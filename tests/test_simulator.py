@@ -310,6 +310,42 @@ def test_rollout_equals_the_stepwise_recursion_bit_for_bit(pendulum, mixed):
                 assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
+@pytest.mark.parametrize("m", [1, 8])
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_rollout_row_sums_on_both_sides_of_eight_terms_bit_for_bit(n, m):
+    # numpy sums fewer than 8 terms in index order and 8 or more in pairwise
+    # blocks; the stage costs' row sums must give its bits on both sides, for
+    # the state terms (n) and the input terms (m), open loop and feedback
+    scn = random_scenario(np.random.default_rng(100 * n + m), n=n, m=m, n_horizon_max=8,
+                          sigma_scale=0.3)
+    law = synthesize(ops_of(scn), UDP)
+    u_star = optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
+    for seeds in ([3], range(40)):
+        for steps, kwargs in ((scn.horizon, {"sequence": u_star}),
+                              (2 * scn.horizon + 5, {"gain": law.k_first})):
+            v, w = _draws(scn, steps, seeds)
+            got = _rollout(scn, v, w, **kwargs)
+            ref = _stepwise_rollout(scn, v, w, **kwargs)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("fixture, replicates", [("pendulum", 2000), ("mixed", 14000)])
+def test_monte_carlo_chunk_budget_does_not_change_the_result(fixture, replicates, request,
+                                                             monkeypatch):
+    # from many small chunks to two large ones, each reusing the buffers of
+    # the one before; no chunk is a stack of one (see _rollout)
+    scn = request.getfixturevalue(fixture)
+    for p in (TCP, UDP):
+        results = set()
+        for budget in (64 << 10, 1 << 20, 4 << 20):
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", budget)
+            rows = budget // (8 * scn.horizon * (scn.n + scn.m))
+            assert replicates > rows and replicates % rows != 1
+            stats = monte_carlo_cost(scn, p, replicates=replicates, base_seed=19)
+            results.add((stats.mean_cost, stats.stderr))
+        assert len(results) == 1
+
+
 def test_monte_carlo_builds_no_seed_sequence(monkeypatch):
     scn = toy_scenario(mu=0.5, sigma_w=0.2, x=1.0)
     ref = monte_carlo_cost(scn, UDP, replicates=500, base_seed=2**70)
