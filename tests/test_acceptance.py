@@ -42,7 +42,7 @@ from nclab import (ChannelModel, Protocol, Scenario,
                    monotonic_sweep, optimal_sequence, optimize_allocation,
                    scalar_cost_gap, synthesize)
 from nclab.analysis import derivative_matrix, determinant_root_candidates
-from nclab.simulator import _draws, _rollout, replicate_seed
+from nclab.simulator import _draws, _replicate_seeds, _rollout
 
 from conftest import (acknowledged_rollout_oracle, enumerate_bernoulli_quadratic,
                       gap_maximizer_oracle, lossy_riccati_oracle,
@@ -233,7 +233,7 @@ def _paired_mc(scn, replicates, base_seed):
     open-loop sequence (the library's rollout) and the acknowledged
     re-planning policy (``acknowledged_rollout_oracle`` on the same
     replicates' draws), with the open-loop sequences."""
-    seeds = [replicate_seed(base_seed, r) for r in range(replicates)]
+    seeds = _replicate_seeds(base_seed, 0, replicates)
     seqs = {tag: optimal_sequence(synthesize(ops_of(scn), p), scn.eval_state)
             for tag, p in (("tcp", TCP), ("udp", UDP))}
     gains, _ = lossy_riccati_oracle(scn, "ack")

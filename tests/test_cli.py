@@ -1,7 +1,13 @@
+import glob
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from nclab import Protocol, expected_cost, fixture_path, load_scenario
 from nclab.cli import run
@@ -508,3 +514,101 @@ def test_operator_size_cap_is_a_clean_error(tmp_path, capsys, mixed_path):
     err = capsys.readouterr().err
     assert "operator-size cap of 4096" in err
     assert "Traceback" not in err
+
+
+# The OpenBLAS policy is process-wide, so each case runs in a fresh
+# interpreter.  The child finds the two bundled libraries by its own lookup,
+# not by the one in nclab.cli, and reads their thread counts.
+_OPENBLAS = [path for package, pattern in ((np, "numpy.libs/libscipy_openblas64_*.so"),
+                                            (scipy, "scipy.libs/libscipy_openblas-*.so"))
+             for path in glob.glob(os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                                                pattern))]
+_BLAS_PRELUDE = """
+import ctypes, json, sys
+import numpy, scipy.linalg
+libs = [ctypes.CDLL(path) for path in sys.argv[1:3]]
+getters = [libs[0].scipy_openblas_get_num_threads64_, libs[1].scipy_openblas_get_num_threads]
+setters = [libs[0].scipy_openblas_set_num_threads64_, libs[1].scipy_openblas_set_num_threads]
+def counts():
+    return [get() for get in getters]
+"""
+needs_openblas = pytest.mark.skipif(len(_OPENBLAS) != 2,
+                                    reason="needs the OpenBLAS libraries of the numpy and scipy wheels")
+
+
+def _blas_child(body: str, *args: str, **env: str) -> dict:
+    """Run ``body`` after the prelude in a fresh interpreter, with none of
+    OpenBLAS's thread variables set but those in ``env``; returns the JSON
+    document it prints last."""
+    import nclab
+
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(nclab.__file__).resolve().parents[1])
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
+    child_env.update(env)
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PRELUDE + body, *_OPENBLAS, *args],
+                          env=child_env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_RUN_COST_TWICE = """
+import contextlib, io
+from nclab import cli
+before = counts()
+if sys.argv[4] == "no library":
+    cli._OPENBLAS_LIBRARIES = [(p, "absent-*.so", s) for p, _, s in cli._OPENBLAS_LIBRARIES]
+elif sys.argv[4] == "no symbol":
+    cli._OPENBLAS_LIBRARIES = [(p, g, "_absent") for p, g, _ in cli._OPENBLAS_LIBRARIES]
+looked_up = []
+find = cli._openblas_setters
+def counting():
+    looked_up.append(1)
+    return find()
+cli._openblas_setters = counting
+out, rcs = io.StringIO(), []
+with contextlib.redirect_stdout(out):
+    for _ in range(2):
+        rcs.append(cli.run(["cost", "--scenario", sys.argv[3], "--protocol", "udp"]))
+print(json.dumps({"before": before, "counts": counts(), "rcs": rcs,
+                  "lookups": len(looked_up), "stdout": out.getvalue()}))
+"""
+
+
+@needs_openblas
+def test_cli_runs_openblas_on_one_thread_once_per_process(pend_path):
+    doc = _blas_child(_RUN_COST_TWICE, pend_path, "found")
+    assert doc["counts"] == [1, 1]
+    assert doc["rcs"] == [0, 0] and doc["lookups"] == 1
+
+
+@needs_openblas
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_openblas_thread_variables_win_over_the_policy(pend_path, variable):
+    doc = _blas_child(_RUN_COST_TWICE, pend_path, "found", **{variable: "2"})
+    assert doc["counts"] == doc["before"]
+    assert doc["rcs"] == [0, 0] and doc["lookups"] == 0
+
+
+@needs_openblas
+def test_importing_nclab_leaves_the_blas_threads_alone():
+    doc = _blas_child("""
+for set_threads in setters:
+    set_threads(2)
+before = counts()
+import nclab, nclab.cli
+print(json.dumps({"before": before, "counts": counts()}))
+""")
+    assert doc["counts"] == doc["before"]
+
+
+@needs_openblas
+@pytest.mark.parametrize("lookup", ["no library", "no symbol"])
+def test_missing_openblas_changes_no_output(capsys, pend_path, lookup):
+    assert run(["cost", "--scenario", pend_path, "--protocol", "udp"]) == 0
+    expected = capsys.readouterr().out
+    doc = _blas_child(_RUN_COST_TWICE, pend_path, lookup)
+    assert doc["rcs"] == [0, 0] and doc["lookups"] == 1
+    assert doc["stdout"] == 2 * expected
+    assert doc["counts"] == doc["before"]
