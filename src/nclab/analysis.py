@@ -46,15 +46,32 @@ matrix is annihilated there (Rayleigh-quotient condition); on stacked
 multichannel systems that filter typically rejects every candidate and the
 maximizer falls back to a grid + golden-section search.
 
-The candidates are Newton-polished (``_polish_roots``): each round runs one
-stacked ``eigh`` over the candidates still moving, which is the same LAPACK
-call per matrix, and every other step stays per candidate, so the iterates
-are those of a per-candidate loop bit for bit.  The annihilation test asks
-whether the spectral radius of fmat is at most ``EIGCOND_RTOL`` times its
-2-norm at y = 1/2.  The radius is at least |tr fmat| / Nm, so a trace
-above twice that threshold times Nm rejects a candidate without
-eigenvalues; only a candidate the bound leaves open goes through
-``np.linalg.eigvals``.  On ``pendulum`` and ``mixed`` the bound decides
+The candidates are Newton-polished (``_polish_roots``).  Each round is one
+array step over the candidates still moving: one stacked ``eigh`` of their
+pencils, which is the same LAPACK call per matrix, and one stacked product
+for the slopes, which reads each eigenvector with the stride a single
+candidate's product reads it.  So the iterates are those of a per-candidate
+loop bit for bit.  A candidate stops once its Newton step is at most
+1e-12 max(u, 1e-6) (``_POLISH_STOP``), three decades below the 9 digits
+the command line prints.  The earlier stop of 1e-15 was almost never
+reached: once a candidate has converged, the ``eigh`` rounding keeps its
+steps between 1e-15 and 1e-12 relative, so nearly every candidate ran all
+8 rounds.  With the 1e-12 stop every ``maxdiff`` output on both fixtures is
+byte-identical, and the stacked ``eigh`` takes 20 matrices instead of 122
+on ``mixed`` (one round per candidate) and 563 instead of 633 on
+``pendulum``.  On 200 draws of ``random_scenario(default_rng(7), n_max=5,
+m_max=3, n_horizon_max=12)`` from the test suite it took 4,501 matrices
+instead of 10,777.  The maximizer, the gap, the method and every
+annihilation flag stayed the same, and 2 of 2,687 valid candidates, both
+ill-conditioned, moved in their 9th printed digit (at most 2.6e-10
+relative).  A looser stop would move printed digits: at 1e-10, 5
+``pendulum`` candidates print differently.
+
+The annihilation test asks whether the spectral radius of fmat is at most
+``EIGCOND_RTOL`` times its 2-norm at y = 1/2.  The radius is at least
+|tr fmat| / Nm, so a trace above twice that threshold times Nm rejects a
+candidate without eigenvalues; only a candidate the bound leaves open goes
+through ``np.linalg.eigvals``.  On ``pendulum`` and ``mixed`` the bound decides
 every candidate with a margin above 10^5.
 
 The polish and the fallback's ``REFINE_TOL`` bracket are not the best
@@ -62,9 +79,12 @@ available methods: the raw candidates are already roots to working
 precision, and Brent's method on the exact derivative would fix more
 digits.  Both stay because the recorded ``maxdiff`` outputs (9 significant
 digits) pin the values they produce; the candidates are ill-conditioned
-past about 7 digits, so another correct method prints different ones.
+past about 7 digits (Tisseur and Meerbergen, SIAM Review 2001), so another
+correct method prints different ones.  Only work that leaves the printed
+iterates alone, such as the stop above, can be cut without that.
 Removing the polish or switching to Brent's method belongs with a
-benchmark change that re-records the ``maxdiff`` reference entries.
+benchmark change that re-records the ``maxdiff`` reference entries
+(ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -97,8 +117,10 @@ __all__ = [
 EIGCOND_RTOL = 1e-8
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
-# Byte budget of one stack of candidate pencils in the Newton polish.
+# Byte budget of one Newton round's two stacks (pencils and slope matrices).
 _STACK_BYTES = 1 << 20
+# Relative step at which the Newton polish stops a candidate.
+_POLISH_STOP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,13 +171,20 @@ def _spectrum(ops: PredictionOperators):
 
 def _gap_curve(ops: PredictionOperators, x: np.ndarray, spectrum=None):
     """The shared-mean gap as a vectorized function of y in [0, 1] (module
-    docstring), from ``spectrum`` when the caller has it."""
+    docstring), from ``spectrum`` when the caller has it.  A float y (the
+    golden section, the candidate scan) takes a scalar path with the same
+    bits as the array path."""
     f = ops.omega_gp @ np.asarray(x, dtype=float)
     lam, v, kap, w, c = _spectrum(ops) if spectrum is None else spectrum
     a = v.T @ f
     b = w.T @ f
 
     def gap(y):
+        if isinstance(y, float):
+            # one point: the same elementwise operations, (r,) @ (r, r)
+            # product and sum as a row of the array path, without its set-up
+            quad = np.sum(((b / (1.0 + y * kap)) @ c) * (a / (1.0 + y * lam)))
+            return y * (1.0 - y) * quad
         y = np.asarray(y, dtype=float)
         yc = y[..., None]
         quad = np.sum(((b / (1.0 + yc * kap)) @ c) * (a / (1.0 + yc * lam)), axis=-1)
@@ -236,39 +265,47 @@ def root_lambdas(ops: PredictionOperators) -> np.ndarray:
     return _pencil_lambdas(*_pencil(ops))
 
 
+def _newton_round(u: np.ndarray, t: np.ndarray, h_diag: np.ndarray):
+    """For each candidate u: the eigenvalue of least modulus of the pencil
+    P(u) = u^2 T + 2u H - H, from one stacked ``eigh``, and its slope
+    w' P'(u) w in its eigenvector w, from one stacked product."""
+    diag = np.arange(len(h_diag))
+    p = (u * u)[:, None, None] * t
+    p[:, diag, diag] += (2.0 * u - 1.0)[:, None] * h_diag
+    vals, vecs = np.linalg.eigh(p)
+    rows = np.arange(len(u))
+    j = np.argmin(np.abs(vals), axis=1)
+    # each w as a strided column, as w @ P'(u) @ w of one candidate reads
+    # it, so that BLAS takes the same kernels and the slopes the same bits
+    vecs[:, :, 0] = vecs[rows, :, j]
+    w = vecs[:, :, :1]
+    dp = (2.0 * u)[:, None, None] * t
+    dp[:, diag, diag] += 2.0 * h_diag
+    return vals[rows, j], (w.swapaxes(1, 2) @ dp @ w)[:, 0, 0]
+
+
 def _polish_roots(us, t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
     """Newton steps on the smallest eigenvalue of the quadratic pencil
     P(u) = u^2 T + 2u H - H; eigensolver error in the generating lambda is
     amplified for extreme candidates, so roots are refined in place.  Each
-    round runs one stacked ``eigh`` over the candidates still moving; the
-    rest of a step is per candidate (module docstring)."""
-    us = [float(u) for u in us]
-    active = list(range(len(us)))
-    dh = np.diag(2.0 * h_diag)
+    round is one ``_newton_round`` over the candidates still moving.  A
+    candidate stops when its slope is 0, when its next iterate leaves
+    (0, 1), or once its step is at most ``_POLISH_STOP`` max(u, 1e-6)
+    (module docstring)."""
+    us = np.array(us, dtype=float)
+    active = np.arange(len(us))
     for _ in range(8):
-        if not active:
+        if not active.size:
             break
-        p = np.empty((len(active),) + t.shape)
-        for i, k in enumerate(active):
-            p[i] = (us[k] * us[k]) * t + np.diag((2.0 * us[k] - 1.0) * h_diag)
-        vals, vecs = np.linalg.eigh(p)
-        moving = []
-        for i, k in enumerate(active):
-            u = us[k]
-            j = int(np.argmin(np.abs(vals[i])))
-            w = vecs[i, :, j]
-            slope = float(w @ (2.0 * u * t + dh) @ w)
-            if slope == 0.0:
-                continue
-            step = float(vals[i, j]) / slope
-            nxt = u - step
-            if not 0.0 < nxt < 1.0:
-                continue
-            us[k] = nxt
-            if abs(step) > 1e-15 * max(nxt, 1e-6):
-                moving.append(k)
-        active = moving
-    return np.array(us)
+        u = us[active]
+        val, slope = _newton_round(u, t, h_diag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = val / slope
+        nxt = u - step
+        ok = (slope != 0.0) & (0.0 < nxt) & (nxt < 1.0)
+        us[active[ok]] = nxt[ok]
+        active = active[ok & (np.abs(step) > _POLISH_STOP * np.maximum(nxt, 1e-6))]
+    return us
 
 
 def determinant_root_candidates(ops: PredictionOperators, *,
@@ -297,7 +334,7 @@ def determinant_root_candidates(ops: PredictionOperators, *,
               if is_real and 0.0 < value.real < 1.0]
     values = [value for value, _ in raw]
     eigcond = [False] * len(raw)
-    rows = max(1, _STACK_BYTES // (8 * t.size))
+    rows = max(1, _STACK_BYTES // (2 * 8 * t.size))
     if spectrum is None:
         spectrum = _spectrum(ops)
     for lo in range(0, len(inside), rows):

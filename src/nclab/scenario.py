@@ -180,13 +180,16 @@ def _symmetric(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) <= SYMMETRY_RTOL * scale
 
 
-def _spd(stack: np.ndarray) -> np.ndarray:
-    """Per matrix of a (K, d, d) stack: symmetric and positive definite, from
-    one batched ``eigvalsh`` over the symmetric ones."""
+def _smallest_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a (K, d, d) stack: whether it is symmetric
+    (``_symmetric``), and the smallest eigenvalue of its symmetric part
+    where it is (NaN elsewhere), from one batched ``eigvalsh`` over the
+    symmetric ones."""
     ok = _symmetric(stack)
+    low = np.full(len(stack), np.nan)
     sym = stack[ok]
-    ok[ok] = np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(1, 2))).min(axis=1) > 0.0
-    return ok
+    low[ok] = np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(1, 2))).min(axis=1)
+    return ok, low
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
@@ -197,13 +200,11 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return ~(off > SYMMETRY_RTOL * scale)
 
 
-def _per_step(check, stack: np.ndarray) -> np.ndarray:
-    """``check`` of each matrix of a (K, d, d) stack; a stack that repeats
-    one matrix with stride 0 (a weight given once for every step) is
-    checked on that matrix alone."""
-    if stack.strides[0] == 0:
-        return np.broadcast_to(check(stack[:1]), stack.shape[:1])
-    return check(stack)
+def _distinct(stack: np.ndarray) -> np.ndarray:
+    """The matrices of a (K, d, d) stack that need checking: a stack that
+    repeats one matrix with stride 0 (a weight given once for every step)
+    gives that matrix alone."""
+    return stack[:1] if stack.ndim and stack.strides[0] == 0 else stack
 
 
 def _stacked_dim_error(N: int, n: int, m: int) -> str | None:
@@ -230,14 +231,15 @@ def validate_scenario(s: Scenario) -> list[str]:
     if n < 1 or m < 1:
         v.append("n and m must be >= 1")
 
+    omega, psi = _distinct(w.omega_steps), _distinct(w.psi_steps)
     arrays = [("a", p.a), ("b", p.b), ("sigma_w", p.sigma_w), ("x0_mean", p.x0_mean),
-              ("q", w.q), ("omega_steps", w.omega_steps), ("psi_steps", w.psi_steps),
+              ("q", w.q), ("omega_steps", omega), ("psi_steps", psi),
               ("eval_state", s.eval_state), ("channel means", c.means)]
     if c.beta is not None:
         arrays.append(("channel.beta", c.beta))
-    for name, arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            v.append(f"{name} has non-finite entries")
+    if not np.isfinite(np.concatenate([arr for _, arr in arrays], axis=None)).all():
+        v.extend(f"{name} has non-finite entries" for name, arr in arrays
+                 if not np.isfinite(arr).all())
 
     # dimension coherence, naming both fields
     if p.b.shape[0] != n:
@@ -272,20 +274,23 @@ def validate_scenario(s: Scenario) -> list[str]:
     if c.beta is not None and np.any(c.beta < 0.0):
         v.append("beta must be nonnegative")
 
-    if not _symmetric(p.sigma_w[np.newaxis])[0]:
+    # One batched check of every n x n matrix: sigma_w, q, the omega steps
+    # and, when m = n, the psi steps; a weight given once is one matrix.
+    square = [p.sigma_w[np.newaxis], w.q[np.newaxis], omega] + ([psi] if m == n else [])
+    sym, low = _smallest_eigenvalues(np.concatenate(square))
+    psi_low = low[2 + len(omega):] if m == n else _smallest_eigenvalues(psi)[1]
+    if not sym[0]:
         v.append("sigma_w asymmetric")
-    elif (np.linalg.eigvalsh(0.5 * (p.sigma_w + p.sigma_w.T)).min()
-          < -PSD_RTOL * np.abs(p.sigma_w).max()):
+    elif low[0] < -PSD_RTOL * np.abs(p.sigma_w).max():
         v.append("sigma_w not positive semidefinite")
-    if not _spd(w.q[np.newaxis])[0]:
+    if not low[1] > 0.0:
         v.append("q not symmetric positive definite")
     # The optimal-law formulas require the input penalty to commute with the
     # channel-mean diagonal, so per-step psi must itself be diagonal.
-    for msg, check, stack in (
-            ("omega step {} not symmetric positive definite", _spd, w.omega_steps),
-            ("psi step {} not symmetric positive definite", _spd, w.psi_steps),
-            ("psi step {} must be diagonal", _diagonal, w.psi_steps)):
-        ok = _per_step(check, stack)
+    for msg, ok in (("omega step {} not symmetric positive definite",
+                     low[2:2 + len(omega)] > 0.0),
+                    ("psi step {} not symmetric positive definite", psi_low > 0.0),
+                    ("psi step {} must be diagonal", _diagonal(psi))):
         if not ok.all():
             v.append(msg.format(np.flatnonzero(~ok)[0]))
 

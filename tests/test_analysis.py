@@ -200,27 +200,34 @@ def test_multichannel_systems_fall_back_to_grid(pendulum):
     assert abs(rep.analytic_best - rep.maximizer) <= 1e-4
 
 
-def _replaced_polish_root(u, t, h_diag):
-    """The per-candidate Newton polish that ``_polish_roots`` batches."""
+def _replaced_newton_round(u, t, h_diag):
+    """One candidate's pencil eigenvalue of least modulus and its slope, as
+    the per-candidate polish computed them."""
+    p = (u * u) * t + np.diag((2.0 * u - 1.0) * h_diag)
+    vals, vecs = np.linalg.eigh(p)
+    j = int(np.argmin(np.abs(vals)))
+    w = vecs[:, j]
+    return float(vals[j]), float(w @ (2.0 * u * t + np.diag(2.0 * h_diag)) @ w)
+
+
+def _replaced_polish_root(u, t, h_diag, stop=1e-12):
+    """The per-candidate Newton polish that ``_polish_roots`` batches; it
+    stops once a step is at most ``stop`` max(u, 1e-6)."""
     for _ in range(8):
-        p = (u * u) * t + np.diag((2.0 * u - 1.0) * h_diag)
-        vals, vecs = np.linalg.eigh(p)
-        j = int(np.argmin(np.abs(vals)))
-        w = vecs[:, j]
-        slope = float(w @ (2.0 * u * t + np.diag(2.0 * h_diag)) @ w)
+        val, slope = _replaced_newton_round(u, t, h_diag)
         if slope == 0.0:
             break
-        step = float(vals[j]) / slope
+        step = val / slope
         nxt = u - step
         if not 0.0 < nxt < 1.0:
             break
         u = nxt
-        if abs(step) <= 1e-15 * max(u, 1e-6):
+        if abs(step) <= stop * max(u, 1e-6):
             break
     return u
 
 
-def _replaced_candidates(ops):
+def _replaced_candidates(ops, stop=1e-12):
     """The per-candidate polish and eigenvalue annihilation loop that the
     batched polish and the trace bound replace."""
     from nclab.analysis import EIGCOND_RTOL, RootCandidate, _pencil
@@ -240,7 +247,7 @@ def _replaced_candidates(ops):
             is_real = value.imag == 0.0 and np.isfinite(value.real)
             eigcond = False
             if is_real and 0.0 < value.real < 1.0:
-                value = complex(_replaced_polish_root(value.real, t, h_diag))
+                value = complex(_replaced_polish_root(value.real, t, h_diag, stop))
                 eigs = np.linalg.eigvals(derivative_matrix(ops, value.real))
                 eigcond = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
             out.append(RootCandidate(value=value, real=bool(is_real), eigcond=eigcond,
@@ -279,6 +286,58 @@ def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
             seen["eigcond"] += sum(c.eigcond for c in got)
     assert min(seen.values()) > 0, seen
     assert [c.eigcond for c in determinant_root_candidates(toy)].count(True) == 1
+
+
+def test_newton_rounds_equal_the_per_candidate_loop(monkeypatch, pendulum, mixed):
+    # one array round against the per-candidate eigenvalues and slopes, and
+    # the polish at the earlier 1e-15 stop, which runs most candidates
+    # through all 8 rounds, both bit for bit (the 1e-12 polish is covered by
+    # test_candidates_equal_the_replaced_per_candidate_loop)
+    from nclab import analysis
+    monkeypatch.setattr(analysis, "_POLISH_STOP", 1e-15)
+    rng = np.random.default_rng(2025)
+    for ops in [ops_of(pendulum), ops_of(mixed)] + [
+            ops_of(random_scenario(rng, n_max=3, m_max=3, n_horizon_max=6)) for _ in range(8)]:
+        t, h_diag = analysis._pencil(ops)
+        lam = root_lambdas(ops)
+        r = np.sqrt(1.0 + lam[lam >= -1.0])
+        us = np.array([u for u in np.concatenate([1.0 / (1.0 + r), 1.0 / (1.0 - r[r != 1.0])])
+                       if 0.0 < u < 1.0])
+        ref = np.array([_replaced_newton_round(u, t, h_diag) for u in us]).reshape(-1, 2)
+        got = analysis._newton_round(us, t, h_diag)
+        assert np.column_stack(got).tobytes() == ref.tobytes()
+        ref = np.array([_replaced_polish_root(u, t, h_diag, 1e-15) for u in us])
+        assert analysis._polish_roots(us, t, h_diag).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name, matrices", [("pendulum", None), ("mixed", 20)])
+def test_the_polish_stop_keeps_the_printed_digits_and_saves_rounds(name, matrices, request,
+                                                                   monkeypatch):
+    # ``maxdiff`` (with --scalar on mixed) prints every valid candidate at 9
+    # digits; the 1e-12 stop prints those of the 1e-15 per-candidate loop,
+    # and mixed needs one round per candidate instead of up to 8
+    from nclab import analysis
+    from nclab.cli import _fmt
+    ops = ops_of(request.getfixturevalue(name))
+    counted = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 3:  # the polish's stacked rounds
+            counted.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(analysis.np.linalg, "eigh", counting_eigh)
+    got = determinant_root_candidates(ops)
+    monkeypatch.undo()
+    old = _replaced_candidates(ops, stop=1e-15)
+    assert [(c.valid, c.eigcond) for c in got] == [(c.valid, c.eigcond) for c in old]
+    assert ([_fmt(c.value.real) for c in got if c.valid]
+            == [_fmt(c.value.real) for c in old if c.valid])
+    if matrices is None:
+        assert sum(counted) < 633  # 633 at the 1e-15 stop
+    else:
+        assert sum(counted) == matrices
 
 
 def _spectral_traces(ops, us):

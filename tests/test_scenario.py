@@ -287,19 +287,26 @@ def test_batched_checks_match_the_per_matrix_loop(name, request):
 
 
 def test_a_weight_given_once_is_one_read_only_block_checked_once(monkeypatch, mixed):
-    # mixed gives omega and psi once: stride-0 stacks, whose one matrix the
-    # batched checks see alone (q, omega and psi each one matrix)
+    # mixed gives omega and psi once: stride-0 stacks, each of which puts its
+    # one matrix into the batched checks (one finiteness test over every
+    # array, one symmetry and eigenvalue test over sigma_w, q, omega and psi,
+    # one diagonal test over psi)
     from nclab import scenario
     for stack in (mixed.weights.omega_steps, mixed.weights.psi_steps):
         assert stack.shape[0] == mixed.horizon and stack.strides[0] == 0
         assert not stack.flags.writeable
-    sizes = []
-    for name in ("_spd", "_diagonal"):
-        check = getattr(scenario, name)
-        monkeypatch.setattr(scenario, name,
-                            lambda stack, check=check: sizes.append(len(stack)) or check(stack))
+    shapes = {"isfinite": [], "_symmetric": [], "_diagonal": [], "eigvalsh": []}
+    for owner, name in ((np, "isfinite"), (scenario, "_symmetric"),
+                        (scenario, "_diagonal"), (np.linalg, "eigvalsh")):
+        check = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda a, check=check, name=name:
+                            shapes[name].append(np.shape(a)) or check(a))
     assert validate_scenario(mixed) == []
-    assert sizes == [1, 1, 1, 1]
+    p, w, c = mixed.plant, mixed.weights, mixed.channel
+    once = [p.a, p.b, p.sigma_w, p.x0_mean, w.q, w.omega_steps[0], w.psi_steps[0],
+            mixed.eval_state, c.means] + ([] if c.beta is None else [c.beta])
+    assert shapes == {"isfinite": [(sum(a.size for a in once),)], "_symmetric": [(4, 2, 2)],
+                      "_diagonal": [(1, 2, 2)], "eigvalsh": [(4, 2, 2)]}
 
 
 def test_operator_size_is_capped_at_load(pendulum):
