@@ -171,20 +171,13 @@ def _spectrum(ops: PredictionOperators):
 
 def _gap_curve(ops: PredictionOperators, x: np.ndarray, spectrum=None):
     """The shared-mean gap as a vectorized function of y in [0, 1] (module
-    docstring), from ``spectrum`` when the caller has it.  A float y (the
-    golden section, the candidate scan) takes a scalar path with the same
-    bits as the array path."""
+    docstring), from ``spectrum`` when the caller has it."""
     f = ops.omega_gp @ np.asarray(x, dtype=float)
     lam, v, kap, w, c = _spectrum(ops) if spectrum is None else spectrum
     a = v.T @ f
     b = w.T @ f
 
     def gap(y):
-        if isinstance(y, float):
-            # one point: the same elementwise operations, (r,) @ (r, r)
-            # product and sum as a row of the array path, without its set-up
-            quad = np.sum(((b / (1.0 + y * kap)) @ c) * (a / (1.0 + y * lam)))
-            return y * (1.0 - y) * quad
         y = np.asarray(y, dtype=float)
         yc = y[..., None]
         quad = np.sum(((b / (1.0 + yc * kap)) @ c) * (a / (1.0 + yc * lam)), axis=-1)

@@ -310,12 +310,13 @@ def test_newton_rounds_equal_the_per_candidate_loop(monkeypatch, pendulum, mixed
         assert analysis._polish_roots(us, t, h_diag).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("name, matrices", [("pendulum", None), ("mixed", 20)])
+@pytest.mark.parametrize("name, matrices", [("pendulum", 563), ("mixed", 20)])
 def test_the_polish_stop_keeps_the_printed_digits_and_saves_rounds(name, matrices, request,
                                                                    monkeypatch):
     # ``maxdiff`` (with --scalar on mixed) prints every valid candidate at 9
     # digits; the 1e-12 stop prints those of the 1e-15 per-candidate loop,
-    # and mixed needs one round per candidate instead of up to 8
+    # and the stacked eigh takes 563 matrices on pendulum instead of 633 at
+    # the 1e-15 stop, and on mixed one round per candidate instead of 122
     from nclab import analysis
     from nclab.cli import _fmt
     ops = ops_of(request.getfixturevalue(name))
@@ -334,10 +335,7 @@ def test_the_polish_stop_keeps_the_printed_digits_and_saves_rounds(name, matrice
     assert [(c.valid, c.eigcond) for c in got] == [(c.valid, c.eigcond) for c in old]
     assert ([_fmt(c.value.real) for c in got if c.valid]
             == [_fmt(c.value.real) for c in old if c.valid])
-    if matrices is None:
-        assert sum(counted) < 633  # 633 at the 1e-15 stop
-    else:
-        assert sum(counted) == matrices
+    assert sum(counted) == matrices
 
 
 def _spectral_traces(ops, us):
