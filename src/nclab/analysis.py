@@ -11,8 +11,11 @@ gap is
     gap(y) = y (1 - y) * f' GG(y) Omega_d GF(y) f,        f = Omega_gp x,
 
 with the resolvent maps GF(y) = (y Omega_g + Psi)^{-1} and
-GG(y) = (y Omega_h + Omega_d + Psi)^{-1}.  Psi and Omega_d + Psi are
-diagonal and positive, so each resolvent comes from one symmetric-definite
+GG(y) = (y Omega_h + Omega_d + Psi)^{-1}, Omega_h = Omega_g - Omega_d
+(formed where needed by ``_omega_h``).  Psi and Omega_d are held as vectors,
+and a product with one is a broadcast scaling with the dense product's bits
+(M * (1.0 / d) for M Omega_d^{-1}).  Psi and Omega_d + Psi are diagonal and
+positive, so each resolvent comes from one symmetric-definite
 eigendecomposition (Golub and Van Loan, Matrix Computations, sec. 8.7):
 
     Omega_g V = Psi V diag(lam),              V' Psi V = I,
@@ -155,18 +158,25 @@ def cost_gap(ops: PredictionOperators, x: np.ndarray, upsilon=None) -> GapReport
                      gap=tcp.reduction_term - udp.reduction_term)
 
 
+def _omega_h(ops: PredictionOperators) -> np.ndarray:
+    """Omega_h = Omega_g - Omega_d: Omega_g with a zero diagonal."""
+    oh = ops.omega_g.copy()
+    oh.reshape(-1)[::len(oh) + 1] = 0.0
+    return oh
+
+
 def _spectrum(ops: PredictionOperators):
     """The two symmetric-definite pencils of the module docstring, as
     (lam, V, kap, W, C).  Scaling by Psi^(-1/2) and (Omega_d+Psi)^(-1/2)
     makes each pencil one symmetric eigenproblem: V = Psi^(-1/2) Q and
     W = (Omega_d+Psi)^(-1/2) P with Q, P its orthogonal eigenvectors."""
-    s_f = 1.0 / np.sqrt(np.diag(ops.psi))
-    s_g = 1.0 / np.sqrt(np.diag(ops.omega_d) + np.diag(ops.psi))
+    s_f = 1.0 / np.sqrt(ops.psi)
+    s_g = 1.0 / np.sqrt(ops.omega_d + ops.psi)
     lam, q = np.linalg.eigh(s_f[:, None] * ops.omega_g * s_f)
-    kap, p = np.linalg.eigh(s_g[:, None] * ops.omega_h * s_g)
+    kap, p = np.linalg.eigh(s_g[:, None] * _omega_h(ops) * s_g)
     v = s_f[:, None] * q
     w = s_g[:, None] * p
-    return lam, v, kap, w, w.T @ (np.diag(ops.omega_d)[:, None] * v)
+    return lam, v, kap, w, w.T @ (ops.omega_d[:, None] * v)
 
 
 def _gap_curve(ops: PredictionOperators, x: np.ndarray, spectrum=None):
@@ -233,20 +243,22 @@ def gap_derivative(ops: PredictionOperators, upsilon: float, x: np.ndarray) -> f
 def derivative_matrix(ops: PredictionOperators, upsilon: float) -> np.ndarray:
     """fmat(y): the gap derivative equals f' fmat(y) f with f = Omega_gp x."""
     u = float(upsilon)
-    og, od, oh, psi = ops.omega_g, ops.omega_d, ops.omega_h, ops.psi
-    gf = np.linalg.inv(u * og + psi)
-    gg = np.linalg.inv(u * oh + od + psi)
-    inner = (1.0 - 2.0 * u) * od - u * (1.0 - u) * (oh @ gg @ od + od @ gf @ og)
+    og, od, oh, psi = ops.omega_g, ops.omega_d, _omega_h(ops), ops.psi
+    gf, gg, diag = u * og, u * oh, slice(None, None, len(og) + 1)  # flat diagonal
+    gf.reshape(-1)[diag] += psi
+    gg.reshape(-1)[diag] = od + psi
+    gf, gg = np.linalg.inv(gf), np.linalg.inv(gg)
+    inner = -(u * (1.0 - u)) * (oh @ gg * od + od[:, None] * gf @ og)
+    inner.reshape(-1)[diag] += (1.0 - 2.0 * u) * od
     return gg @ inner @ gf
 
 
 def _pencil(ops: PredictionOperators) -> tuple[np.ndarray, np.ndarray]:
-    d = np.diag(ops.omega_d)
-    od_inv = np.diag(1.0 / d)
-    t = ops.omega_g @ od_inv @ (ops.omega_g + ops.psi) + ops.psi @ od_inv @ ops.omega_h
-    t = 0.5 * (t + t.T)
-    h_diag = np.diag(ops.psi) * (d + np.diag(ops.psi)) / d
-    return t, h_diag
+    d, psi = ops.omega_d, ops.psi
+    og_psi = ops.omega_g.copy()
+    og_psi.reshape(-1)[::len(psi) + 1] += psi
+    t = (ops.omega_g * (1.0 / d)) @ og_psi + (psi * (1.0 / d))[:, None] * _omega_h(ops)
+    return 0.5 * (t + t.T), psi * (d + psi) / d
 
 
 def _pencil_lambdas(t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ def _fmt(x) -> object:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(_fmt(doc), indent=2)
+    text = json.dumps(_fmt(doc), indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
         rec = simulator.receding_horizon_sim(scn, _protocol(args), steps, seed)
     simulator.write_trajectory_csv(args.out, rec)
     print(json.dumps(_fmt({"realized_cost": rec.realized_cost, "seed": rec.seed,
-                           "steps": int(rec.inputs.shape[0]), "out": args.out})))
+                           "steps": int(rec.inputs.shape[0]), "out": args.out}), allow_nan=False))
     return 0
 
 

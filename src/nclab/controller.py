@@ -106,10 +106,11 @@ class CostReport:
 def _cholesky(ops: PredictionOperators, protocol: Protocol, u: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of S = Y G, symmetric positive definite, for a
     (B, N*m) stack of channel-mean diagonals."""
-    s = (u[:, :, np.newaxis] * ops.omega_g) * u[:, np.newaxis, :] + u[:, :, np.newaxis] * ops.psi
+    s = (u[:, :, np.newaxis] * ops.omega_g) * u[:, np.newaxis, :]
+    i = np.arange(u.shape[1])
+    s[:, i, i] += u * ops.psi
     if protocol is Protocol.UDP_LIKE:
-        i = np.arange(u.shape[1])
-        s[:, i, i] += u * np.diag(ops.omega_d) * (1.0 - u)
+        s[:, i, i] += u * ops.omega_d * (1.0 - u)
     s = 0.5 * (s + s.transpose(0, 2, 1))
     try:
         return np.linalg.cholesky(s)
@@ -140,11 +141,9 @@ def _constant_term(ops: PredictionOperators, x: np.ndarray) -> float:
 
 def _diagonal_split(ops: PredictionOperators, protocol: Protocol) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (D0, E) with D(u) = D0 + E/u, so that Y G = Y (Omega_g + D) Y."""
-    psi = ops.psi.diagonal()
     if protocol is Protocol.TCP_LIKE:
-        return np.zeros(psi.size), psi
-    od = ops.omega_d.diagonal()
-    return -od, psi + od
+        return np.zeros(ops.psi.size), ops.psi
+    return -ops.omega_d, ops.psi + ops.omega_d
 
 
 def _fixed_solve(block: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -384,8 +383,7 @@ def error_quadratic_expectation(ops: PredictionOperators, protocol: Protocol,
         return base
     u = _resolve_upsilon(ops, upsilon)
     u_seq = np.asarray(u_seq, dtype=float)
-    d = np.diag(ops.omega_d)
-    return base + float(np.sum(u * d * (1.0 - u) * u_seq * u_seq))
+    return base + float(np.sum(u * ops.omega_d * (1.0 - u) * u_seq * u_seq))
 
 
 def bernoulli_quadratic_expectation(omega_g: np.ndarray, upsilon_diag: np.ndarray,

@@ -12,8 +12,7 @@ the block-diagonal stack of the per-step state penalties, the weight
 products consumed downstream are
 
     Omega_p  = Phi' Omega Phi          Omega_g  = Gamma' Omega Gamma
-    Omega_gp = Gamma' Omega Phi        Omega_d  = I ∘ Omega_g
-    Omega_h  = Omega_g - Omega_d       (I ∘ zeroes off-diagonal entries)
+    Omega_gp = Gamma' Omega Phi        Omega_d  = I ∘ Omega_g, its diagonal
 
 Omega = diag(Omega_0, ..., Omega_(N-1)) is never formed.  Block row i of
 Omega Gamma and of Omega Phi, and block column i of Phi' Omega, is Omega_i
@@ -21,8 +20,10 @@ times the matching block of Gamma, Phi or Phi', so each is one batched
 product of the (N, n, n) weight stack.  The outer products Gamma'(Omega
 Gamma), Gamma'(Omega Phi) and (Phi' Omega) Phi stay one dense product
 each, summed in the order a dense Omega gave them: the printed maxdiff
-candidates depend on Omega_g to the last bit.  Psi and the Omega_g split
-are dense (N m)^2 matrices.
+candidates depend on Omega_g to the last bit.  Omega_g is the only
+(N m)^2 array of the result: Psi (whose steps are diagonal) and Omega_d
+are kept as their (N m,) diagonals, and the analysis forms Omega_g with a
+zero diagonal, Omega_h = Omega_g - Omega_d, where it needs it.
 
 Lambda is not built either.  The noise part of block j of the stacked
 state is sum_(l<=j) A^(j-l) w_l, with covariance
@@ -37,7 +38,7 @@ Gamma is block Toeplitz: block (i, j) depends on i - j alone.  It is read
 as a strided view of the stack of the N blocks A^k B placed behind N-1
 zero blocks, and that view is copied once into C order.  Gamma and
 Omega Gamma are the build's largest transients, and both are released
-before the (N m)^2 arrays of the result are formed.
+before Omega_g is symmetrized.
 
 Powers of A are accumulated incrementally (A^(i+1) = A * A^i, one ``np.dot``
 into a preallocated stack per power) so repeated builds are bit-for-bit
@@ -67,26 +68,16 @@ class PredictionOperators:
     """
 
     upsilon_diag: np.ndarray   # (N m,)
-    psi: np.ndarray            # (N m, N m), block diagonal
+    psi: np.ndarray            # (N m,), the diagonal of Psi
     q: np.ndarray              # (n, n)
     omega_p: np.ndarray        # (n, n)
     omega_g: np.ndarray        # (N m, N m)
     omega_gp: np.ndarray       # (N m, n)
-    omega_d: np.ndarray        # (N m, N m), diagonal
-    omega_h: np.ndarray        # (N m, N m), zero diagonal
+    omega_d: np.ndarray        # (N m,), the diagonal of Omega_g
     noise_trace: float
     n: int
     m: int
     horizon: int
-
-
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal matrix of a (N, k, k) stack of blocks."""
-    N, k = blocks.shape[:2]
-    out = np.zeros((N, k, N, k))
-    i = np.arange(N)
-    out[i, :, i, :] = blocks
-    return out.reshape(N * k, N * k)
 
 
 def _gamma(powers: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,11 +127,10 @@ def build_prediction_operators(
     omega = weights.omega_steps
     omega_gp = gamma.T @ np.matmul(omega, powers[1:]).reshape(N * n, n)
     omega_g = gamma.T @ np.matmul(omega, gamma.reshape(N, n, N * m)).reshape(N * n, N * m)
-    del gamma  # released before the result's (N m)^2 arrays are formed
+    del gamma  # released before Omega_g is symmetrized
     omega_g = 0.5 * (omega_g + omega_g.T)  # enforce exact symmetry
     phi_omega = np.matmul(powers[1:].transpose(0, 2, 1), omega)
     phi_omega = phi_omega.transpose(1, 0, 2).reshape(n, N * n)
-    omega_d = np.diag(np.diag(omega_g))
 
     # sum_j tr(Omega_j P_j), with P_j = sum_(l<=j) A^l Sigma_W A'^l the
     # covariance of the noise part of block j of the stacked state
@@ -148,13 +138,12 @@ def build_prediction_operators(
 
     return PredictionOperators(
         upsilon_diag=channel.step_means(N).reshape(-1),
-        psi=_block_diag(weights.psi_steps),
+        psi=np.diagonal(weights.psi_steps, axis1=1, axis2=2).flatten(),
         q=np.array(weights.q, dtype=float),
         omega_p=phi_omega @ phi,
         omega_g=omega_g,
         omega_gp=omega_gp,
-        omega_d=omega_d,
-        omega_h=omega_g - omega_d,
+        omega_d=omega_g.diagonal().copy(),
         noise_trace=float(np.sum(omega * cov.transpose(0, 2, 1))),
         n=n,
         m=m,

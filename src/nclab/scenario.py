@@ -183,12 +183,12 @@ def _symmetric(stack: np.ndarray) -> np.ndarray:
 def _smallest_eigenvalues(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix of a (K, d, d) stack: whether it is symmetric
     (``_symmetric``), and the smallest eigenvalue of its symmetric part
-    where it is (NaN elsewhere), from one batched ``eigvalsh`` over the
-    symmetric ones."""
+    (halved before the sum, which would overflow near 1e308) where it is
+    (NaN elsewhere), from one batched ``eigvalsh`` over the symmetric ones."""
     ok = _symmetric(stack)
     low = np.full(len(stack), np.nan)
     sym = stack[ok]
-    low[ok] = np.linalg.eigvalsh(0.5 * (sym + sym.swapaxes(1, 2))).min(axis=1)
+    low[ok] = np.linalg.eigvalsh(0.5 * sym + 0.5 * sym.swapaxes(1, 2)).min(axis=1)
     return ok, low
 
 

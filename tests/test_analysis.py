@@ -61,8 +61,9 @@ def test_scalar_gap_toy_value_and_limits():
 def _two_solve_gap(ops, u, x):
     """gap(u) = u(1-u) f' GG(u) Omega_d GF(u) f by two dense solves."""
     f = ops.omega_gp @ x
-    gf_f = np.linalg.solve(u * ops.omega_g + ops.psi, f)
-    gg_df = np.linalg.solve(u * ops.omega_h + ops.omega_d + ops.psi, ops.omega_d @ gf_f)
+    psi, od = np.diag(ops.psi), np.diag(ops.omega_d)
+    gf_f = np.linalg.solve(u * ops.omega_g + psi, f)
+    gg_df = np.linalg.solve(u * (ops.omega_g - od) + od + psi, od @ gf_f)
     return u * (1.0 - u) * float(f @ gg_df)
 
 
@@ -262,10 +263,9 @@ def _indefinite_operators():
     below -1, and the pencils of ``_spectrum`` hold NaN, so the trace bound
     decides nothing and the real candidate goes through the eigenvalues."""
     og = np.array([[-3.0, 1.0], [1.0, 2.0]])
-    od = np.diag(np.diag(og))
     return dataclasses.replace(
-        ops_of(toy_scenario()), psi=np.eye(2), omega_g=og, omega_d=od,
-        omega_h=og - od, omega_gp=np.ones((2, 1)), upsilon_diag=np.full(2, 0.5), horizon=2)
+        ops_of(toy_scenario()), psi=np.ones(2), omega_g=og, omega_d=np.diag(og).copy(),
+        omega_gp=np.ones((2, 1)), upsilon_diag=np.full(2, 0.5), horizon=2)
 
 
 def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
@@ -286,6 +286,71 @@ def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
             seen["eigcond"] += sum(c.eigcond for c in got)
     assert min(seen.values()) > 0, seen
     assert [c.eigcond for c in determinant_root_candidates(toy)].count(True) == 1
+
+
+def _dense_diagonals(ops):
+    """Psi, Omega_d and Omega_h = Omega_g - Omega_d as the dense (N m)^2
+    matrices the operators held before Psi and Omega_d became vectors."""
+    psi, od = np.diag(ops.psi), np.diag(ops.omega_d)
+    return psi, od, ops.omega_g - od
+
+
+def _replaced_pencil(ops):
+    psi, od, oh = _dense_diagonals(ops)
+    d = np.diag(od)
+    od_inv = np.diag(1.0 / d)
+    t = ops.omega_g @ od_inv @ (ops.omega_g + psi) + psi @ od_inv @ oh
+    return 0.5 * (t + t.T), np.diag(psi) * (d + np.diag(psi)) / d
+
+
+def _replaced_spectrum(ops):
+    psi, od, oh = _dense_diagonals(ops)
+    s_f = 1.0 / np.sqrt(np.diag(psi))
+    s_g = 1.0 / np.sqrt(np.diag(od) + np.diag(psi))
+    lam, q = np.linalg.eigh(s_f[:, None] * ops.omega_g * s_f)
+    kap, p = np.linalg.eigh(s_g[:, None] * oh * s_g)
+    v, w = s_f[:, None] * q, s_g[:, None] * p
+    return lam, v, kap, w, w.T @ (np.diag(od)[:, None] * v)
+
+
+def _replaced_derivative_matrix(ops, u):
+    psi, od, oh = _dense_diagonals(ops)
+    og = ops.omega_g
+    gf = np.linalg.inv(u * og + psi)
+    gg = np.linalg.inv(u * oh + od + psi)
+    inner = (1.0 - 2.0 * u) * od - u * (1.0 - u) * (oh @ gg @ od + od @ gf @ og)
+    return gg @ inner @ gf
+
+
+def _replaced_cholesky(ops, protocol, u):
+    psi, od, _ = _dense_diagonals(ops)
+    s = (u[:, :, None] * ops.omega_g) * u[:, None, :] + u[:, :, None] * psi
+    if protocol is UDP:
+        i = np.arange(u.shape[1])
+        s[:, i, i] += u * np.diag(od) * (1.0 - u)
+    return np.linalg.cholesky(0.5 * (s + s.transpose(0, 2, 1)))
+
+
+def test_vector_diagonals_equal_the_replaced_dense_forms(pendulum, mixed):
+    # Psi and Omega_d held as (N m,) vectors, with Omega_h formed on demand,
+    # against the dense forms they replace: products with a diagonal matrix
+    # are broadcast scalings, which give the GEMM's bits because its other
+    # terms are exact zeros
+    from nclab.analysis import _pencil, _spectrum
+    from nclab.controller import _cholesky
+    rng = np.random.default_rng(7)
+    scenarios = [pendulum, mixed] + [random_scenario(rng, n_max=5, m_max=3, n_horizon_max=12)
+                                     for _ in range(40)]
+    for scn in scenarios:
+        ops = ops_of(scn)
+        pairs = list(zip(_pencil(ops), _replaced_pencil(ops)))
+        pairs += zip(_spectrum(ops), _replaced_spectrum(ops))
+        pairs += [(derivative_matrix(ops, u), _replaced_derivative_matrix(ops, u))
+                  for u in (0.5, 0.3)]
+        u = np.vstack([ops.upsilon_diag, rng.uniform(0.05, 1.0, (2, ops.upsilon_diag.size))])
+        pairs += [(_cholesky(ops, p, u), _replaced_cholesky(ops, p, u)) for p in (TCP, UDP)]
+        for got, ref in pairs:
+            assert np.array_equal(got, ref)
 
 
 def test_newton_rounds_equal_the_per_candidate_loop(monkeypatch, pendulum, mixed):

@@ -516,6 +516,26 @@ def test_operator_size_cap_is_a_clean_error(tmp_path, capsys, mixed_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("protocol", ["tcp", "udp"])
+@pytest.mark.parametrize("name, weight, i", [("pendulum", "omega", 1), ("mixed", "q", 0)])
+def test_weight_near_the_float_limit_is_a_clean_error(tmp_path, capsys, name, weight, i,
+                                                      protocol):
+    # a finite entry of 1e308 passes validation: the symmetric part is halved
+    # before the sum, which would overflow.  The cost is then not finite, and
+    # cost and simulate exit 1 with an error instead of printing NaN or Infinity
+    def edit(weights):
+        weights[weight][i][i] = 1e308
+
+    path = _scenario_file(tmp_path, str(fixture_path(name)), edit)
+    load_scenario(path)
+    for argv in (["cost"], ["simulate", "--seed", "1", "--out", str(tmp_path / "sim.csv")]):
+        with np.errstate(all="ignore"):
+            assert run(argv + ["--scenario", path, "--protocol", protocol]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 # The OpenBLAS policy is process-wide, so each case runs in a fresh
 # interpreter.  The child finds the two bundled libraries by its own lookup,
 # not by the one in nclab.cli, and reads their thread counts.

@@ -170,8 +170,8 @@ def test_gram_difference_identity():
     kt = synthesize(ops, TCP).k
     ku = synthesize(ops, UDP).k
     y = ops.upsilon_diag
-    gt = ops.omega_g * y[np.newaxis, :] + ops.psi
-    diff = np.diag(ops.omega_d) * (1.0 - y)
+    gt = ops.omega_g * y[np.newaxis, :] + np.diag(ops.psi)
+    diff = ops.omega_d * (1.0 - y)
     assert np.allclose(gt @ (kt - ku), diff[:, np.newaxis] * ku, rtol=1e-9, atol=1e-12)
     assert np.all(diff > 0)  # all means < 1 here
 
@@ -184,8 +184,9 @@ def test_reduction_quadratic_form_is_transpose_stable():
         ops = ops_of(scn)
         y = np.diag(ops.upsilon_diag)
         f = ops.omega_gp @ scn.eval_state
-        left = float(f @ np.linalg.solve(ops.omega_g @ y + ops.psi, y @ f))
-        right = float(f @ (y @ np.linalg.solve(y @ ops.omega_g + ops.psi, f)))
+        psi = np.diag(ops.psi)
+        left = float(f @ np.linalg.solve(ops.omega_g @ y + psi, y @ f))
+        right = float(f @ (y @ np.linalg.solve(y @ ops.omega_g + psi, f)))
         assert left == pytest.approx(right, rel=1e-12)
 
 
@@ -197,8 +198,9 @@ def test_matrix_commutation_on_shared_channel():
     u = 0.37
     k = ops.horizon * ops.m
     y = u * np.eye(k)
-    a = np.linalg.solve(ops.omega_g @ y + ops.psi, y)
-    b = y @ np.linalg.inv(y @ ops.omega_g + ops.psi)
+    psi = np.diag(ops.psi)
+    a = np.linalg.solve(ops.omega_g @ y + psi, y)
+    b = y @ np.linalg.inv(y @ ops.omega_g + psi)
     assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
@@ -208,8 +210,8 @@ def test_convexity_certificate():
         scn = random_scenario(rng)
         ops = ops_of(scn)
         u = ops.upsilon_diag
-        hess_tcp = 2.0 * ((u[:, None] * ops.omega_g) * u[None, :] + u[:, None] * ops.psi)
-        hess_udp = hess_tcp + 2.0 * np.diag(u * np.diag(ops.omega_d) * (1 - u))
+        hess_tcp = 2.0 * ((u[:, None] * ops.omega_g) * u[None, :] + np.diag(u * ops.psi))
+        hess_udp = hess_tcp + 2.0 * np.diag(u * ops.omega_d * (1 - u))
         assert np.min(np.linalg.eigvalsh(0.5 * (hess_tcp + hess_tcp.T))) > 0
         assert np.min(np.linalg.eigvalsh(0.5 * (hess_udp + hess_udp.T))) > 0
 
@@ -301,7 +303,7 @@ def _lu_cost(ops, protocol, x, diag, noise):
     """Per-point reference through an LU solve of the asymmetric Gram
     matrix G, using none of the Cholesky path; ``noise`` is the oracle's
     noise trace."""
-    g = ops.omega_g * diag[np.newaxis, :] + ops.psi
+    g = ops.omega_g * diag[np.newaxis, :] + np.diag(ops.psi)
     if protocol is UDP:
         g = g + np.diag(np.diag(ops.omega_g) * (1.0 - diag))
     f = ops.omega_gp @ x
@@ -429,7 +431,7 @@ def test_line_costs_equal_the_per_term_loop_bit_for_bit(monkeypatch, pendulum, m
 def _gram_cost(ops, protocol, x, diag):
     """Per-point reference with the arithmetic of the S = Y G path: a
     Cholesky factor L of the symmetrised S and the reduction |L^-1 Y f|^2."""
-    s = diag[:, np.newaxis] * ops.omega_g * diag + diag[:, np.newaxis] * ops.psi
+    s = diag[:, np.newaxis] * ops.omega_g * diag + np.diag(diag * ops.psi)
     if protocol is UDP:
         s = s + np.diag(diag * np.diag(ops.omega_g) * (1.0 - diag))
     factor = np.linalg.cholesky(0.5 * (s + s.T))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nclab import ChannelModel, build_prediction_operators
+from nclab.analysis import _omega_h
 from nclab.prediction import _gamma
 
 from conftest import (make_scenario, noise_trace_oracle, ops_of, random_scenario,
@@ -26,7 +27,7 @@ def test_scalar_unit_plant_blocks():
     assert np.array_equal(ops.omega_g, [[2.0, 1.0], [1.0, 1.0]])
     assert np.array_equal(ops.omega_gp, [[2.0], [1.0]])
     assert np.array_equal(ops.omega_p, [[2.0]])
-    assert np.array_equal(ops.psi, np.eye(2))
+    assert np.array_equal(ops.psi, [1.0, 1.0])
     assert ops.noise_trace == 3.0  # tr(Lambda' Lambda)
 
 
@@ -45,7 +46,8 @@ def test_single_step_collapse():
 
 def test_pendulum_dimensions(pendulum):
     ops = ops_of(pendulum)
-    assert ops.omega_g.shape == ops.psi.shape == (80, 80)
+    assert ops.omega_g.shape == (80, 80)
+    assert ops.psi.shape == ops.omega_d.shape == (80,)
     assert ops.omega_gp.shape == (80, 4)
     assert ops.omega_p.shape == (4, 4)
     assert ops.upsilon_diag.shape == (80,)
@@ -98,13 +100,11 @@ def test_block_structure_matches_independent_construction():
     for scn in scenarios:
         ops = ops_of(scn)
         omega_g, omega_gp, omega_p = _oracle_products(scn)
-        omega_d = np.diag(np.diag(omega_g))
         for got, ref in ((ops.omega_g, omega_g), (ops.omega_gp, omega_gp),
-                         (ops.omega_p, omega_p), (ops.omega_d, omega_d),
-                         (ops.omega_h, omega_g - omega_d)):
+                         (ops.omega_p, omega_p), (ops.omega_d, np.diag(omega_g))):
             # entries that cancel are judged against the matrix's largest
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
-        assert np.array_equal(ops.psi, stacked_weights_oracle(scn)[1])
+        assert np.array_equal(np.diag(ops.psi), stacked_weights_oracle(scn)[1])
         assert np.array_equal(ops.upsilon_diag, step_means_oracle(scn).reshape(-1))
         np.testing.assert_allclose(ops.noise_trace, noise_trace_oracle(scn), rtol=1e-13,
                                    atol=0.0)
@@ -129,8 +129,7 @@ def _gathered_operators(scn):
     omega_g = 0.5 * (omega_g + omega_g.T)
     phi_omega = np.matmul(powers[1:].transpose(0, 2, 1), omega).transpose(1, 0, 2)
     cov = np.cumsum(powers[:N] @ scn.plant.sigma_w @ powers[:N].transpose(0, 2, 1), axis=0)
-    omega_d = np.diag(np.diag(omega_g))
-    return {"omega_g": omega_g, "omega_d": omega_d, "omega_h": omega_g - omega_d,
+    return {"omega_g": omega_g, "omega_d": np.diag(omega_g),
             "omega_gp": gamma.T @ np.matmul(omega, powers[1:]).reshape(N * n, n),
             "omega_p": phi_omega.reshape(n, N * n) @ powers[1:].reshape(N * n, n),
             "noise_trace": float(np.sum(omega * cov.transpose(0, 2, 1)))}
@@ -149,7 +148,7 @@ def test_operators_equal_a_gathered_gamma_bit_for_bit(pendulum, mixed):
     for scn in scenarios:
         ops = ops_of(scn)
         refs = _gathered_operators(scn)
-        refs.update(psi=stacked_weights_oracle(scn)[1], q=scn.weights.q,
+        refs.update(psi=np.diag(stacked_weights_oracle(scn)[1]), q=scn.weights.q,
                     upsilon_diag=step_means_oracle(scn).reshape(-1))
         assert set(refs) | {"n", "m", "horizon"} == set(vars(ops))
         for name, ref in refs.items():
@@ -165,20 +164,36 @@ def _traced_peak(build):
         tracemalloc.stop()
 
 
+def _owners(arrays):
+    """The arrays that own the memory of ``arrays``: a view keeps its base alive."""
+    roots = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a
+    return list(roots.values())
+
+
 def test_build_transient_memory_below_one_gamma():
-    # at n8 m3 N200 Gamma is built with one Gamma-sized copy, and the
-    # build's transient memory (its peak less what the result keeps) stays
-    # below one Gamma: Gamma and Omega Gamma are released before the
-    # result's (N m)^2 arrays are formed
+    # at n8 m3 N200 Gamma is built with one Gamma-sized copy.  The build
+    # peaks in the one product Gamma'(Omega Gamma), with Gamma, Omega Gamma
+    # and Omega_g alive (18.4 MB), and little more: Gamma and Omega Gamma are
+    # released before Omega_g is symmetrized.  The result keeps Omega_g as
+    # its only (N m)^2 array, and O(N m n) bytes besides: Omega_gp and the
+    # (N m,) diagonals
     n, m, N = 8, 3, 200
+    nm = N * m
     scn = _structured_scenario(np.random.default_rng(23), n, m, N, 0.95, n, False)
-    gamma_bytes = (N * n) * (N * m) * 8
+    gamma_bytes = (N * n) * nm * 8
     powers = np.array([np.linalg.matrix_power(scn.plant.a, k) for k in range(N)])
     _, peak = _traced_peak(lambda: _gamma(powers, scn.plant.b))
     assert peak < 1.05 * gamma_bytes  # Gamma and the padded blocks (1% of it)
     ops, peak = _traced_peak(lambda: ops_of(scn))
-    retained = sum(v.nbytes for v in vars(ops).values() if isinstance(v, np.ndarray))
-    assert peak - retained < gamma_bytes
+    owners = _owners(v for v in vars(ops).values() if isinstance(v, np.ndarray))
+    retained = sum(v.nbytes for v in owners)
+    assert peak < 2.05 * gamma_bytes + nm * nm * 8
+    assert [v.size >= nm * nm for v in owners].count(True) == 1
+    assert retained <= nm * nm * 8 + 4 * nm * n * 8
 
 
 def test_noise_trace_matches_oracle():
@@ -216,11 +231,12 @@ def test_weight_products_and_hadamard_split():
     rng = np.random.default_rng(5)
     scn = random_scenario(rng, n_max=3, m_max=2, n_horizon_max=4)
     ops = ops_of(scn)
-    assert np.count_nonzero(ops.omega_d - np.diag(np.diag(ops.omega_d))) == 0
-    assert np.all(np.diag(ops.omega_d) > 0)
-    assert np.allclose(np.diag(ops.omega_h), 0.0)
-    assert np.allclose(ops.omega_h, ops.omega_h.T)
-    assert np.allclose(ops.omega_d + ops.omega_h, ops.omega_g)
+    assert np.array_equal(ops.omega_d, np.diag(ops.omega_g))
+    assert np.all(ops.omega_d > 0)
+    omega_h = _omega_h(ops)
+    assert np.count_nonzero(np.diag(omega_h)) == 0
+    assert np.array_equal(omega_h, omega_h.T)
+    assert np.array_equal(np.diag(ops.omega_d) + omega_h, ops.omega_g)
 
 
 def test_omega_g_and_omega_l_positive_definite():
@@ -241,8 +257,7 @@ def test_omega_g_and_omega_l_positive_definite():
 def test_builds_are_bit_reproducible(pendulum):
     a = ops_of(pendulum)
     b = ops_of(pendulum)
-    for name in ("upsilon_diag", "psi", "omega_p", "omega_g", "omega_gp", "omega_d",
-                 "omega_h"):
+    for name in ("upsilon_diag", "psi", "omega_p", "omega_g", "omega_gp", "omega_d"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.noise_trace == b.noise_trace
 
