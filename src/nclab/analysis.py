@@ -70,6 +70,21 @@ ill-conditioned, moved in their 9th printed digit (at most 2.6e-10
 relative).  A looser stop would move printed digits: at 1e-10, 5
 ``pendulum`` candidates print differently.
 
+The chunks of candidates do not depend on each other, so the polish may
+run on more than one thread: as many as the CPUs per thread of numpy's
+OpenBLAS (``_spare_cpus``), at most one per chunk, and one where the
+OpenBLAS thread count is unknown.  The calling thread takes one share of
+the chunks and pool threads take the others; a round is one LAPACK stack
+that runs without the GIL.  Each thread's chunks get ``_STACK_BYTES``
+divided by the thread count, so the stacks in flight stay within the one
+budget.  The results are stored by chunk, and each matrix goes through the
+same LAPACK call as in a serial loop, so the candidates are the same bits
+on any number of threads.  Under the command line's one-thread OpenBLAS on
+2 CPUs, ``pendulum`` polishes 16 chunks of 5 candidates on two threads.
+With OpenBLAS on as many threads as CPUs (the library default) the polish
+stays on the calling thread: two polish threads beside two OpenBLAS threads
+made ``maximal_gap`` on ``pendulum`` slower, not faster.
+
 The annihilation test asks whether the spectral radius of fmat is at most
 ``EIGCOND_RTOL`` times its 2-norm at y = 1/2.  The radius is at least
 |tr fmat| / Nm, so a trace above twice that threshold times Nm rejects a
@@ -92,11 +107,15 @@ benchmark change that re-records the ``maxdiff`` reference entries
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from . import _openblas
 from ._csv import write_csv
 from .controller import Protocol, expected_cost, expected_costs, line_resolvents
 from .prediction import PredictionOperators
@@ -120,7 +139,8 @@ __all__ = [
 EIGCOND_RTOL = 1e-8
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
-# Byte budget of one Newton round's two stacks (pencils and slope matrices).
+# Byte budget of the Newton rounds' two stacks (pencils and slope matrices)
+# in flight, shared by the polish threads.
 _STACK_BYTES = 1 << 20
 # Relative step at which the Newton polish stops a candidate.
 _POLISH_STOP = 1e-12
@@ -313,13 +333,43 @@ def _polish_roots(us, t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
     return us
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _spare_cpus() -> int:
+    """Threads the polish may run at once: the CPUs per thread of numpy's
+    OpenBLAS, and 1 where that library's thread count is unknown."""
+    blas = _openblas.numpy_threads()
+    return max(1, _cpus() // blas) if blas else 1
+
+
+def _decide_chunk(ops, spectrum, scale, t, h_diag, us):
+    """Polish one chunk of candidates and test each for annihilation: by
+    the trace bound, and where that leaves it open by its eigenvalues."""
+    us = _polish_roots(us, t, h_diag)
+    flags = [False] * len(us)
+    for i, (u, tr) in enumerate(zip(us, _fmat_traces(spectrum, us))):
+        if not abs(tr) / len(h_diag) > 2.0 * EIGCOND_RTOL * scale:
+            eigs = np.linalg.eigvals(derivative_matrix(ops, u))
+            flags[i] = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
+    return us, flags
+
+
 def determinant_root_candidates(ops: PredictionOperators, *,
                                 spectrum=None) -> list[RootCandidate]:
     """All 2Nm candidate channel means where the derivative matrix is
     singular; complex and out-of-range values are flagged invalid.  A real
     candidate in (0, 1) is polished, then tested for annihilation by the
     trace bound and, where that leaves it open, by its eigenvalues (module
-    docstring).  ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
+    docstring).  The candidates go in chunks, polished on as many threads
+    as ``_spare_cpus`` allows and at most one per chunk; each thread's
+    chunks share the stack budget.  ``spectrum`` is ``_spectrum(ops)``,
+    when the caller has it."""
     t, h_diag = _pencil(ops)
     scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
     raw: list[tuple[complex, bool]] = []
@@ -339,18 +389,34 @@ def determinant_root_candidates(ops: PredictionOperators, *,
               if is_real and 0.0 < value.real < 1.0]
     values = [value for value, _ in raw]
     eigcond = [False] * len(raw)
-    rows = max(1, _STACK_BYTES // (2 * 8 * t.size))
+    matrix_bytes = 2 * 8 * t.size  # one candidate's pencil and slope matrix
+    serial_chunks = -(-len(inside) // max(1, _STACK_BYTES // matrix_bytes))
+    workers = max(1, min(serial_chunks, _spare_cpus()))
+    rows = max(1, _STACK_BYTES // workers // matrix_bytes)
+    chunks = [inside[lo:lo + rows] for lo in range(0, len(inside), rows)]
     if spectrum is None:
         spectrum = _spectrum(ops)
-    for lo in range(0, len(inside), rows):
-        chunk = inside[lo:lo + rows]
-        us = _polish_roots([values[k].real for k in chunk], t, h_diag)
-        trace = _fmat_traces(spectrum, us)
-        for k, u, tr in zip(chunk, us, trace):
-            values[k] = complex(u)
-            if not abs(tr) / len(h_diag) > 2.0 * EIGCOND_RTOL * scale:
-                eigs = np.linalg.eigvals(derivative_matrix(ops, u))
-                eigcond[k] = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
+    results = [None] * len(chunks)
+
+    def share(first: int) -> None:
+        for j in range(first, len(chunks), workers):
+            results[j] = _decide_chunk(ops, spectrum, scale, t, h_diag,
+                                       [values[k].real for k in chunks[j]])
+
+    if workers == 1:
+        share(0)
+    else:
+        # each pool thread runs in a copy of the caller's context, so it
+        # keeps the caller's numpy error state
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, share, first)
+                       for first in range(1, workers)]
+            share(0)
+            for future in futures:
+                future.result()
+    for chunk, (us, flags) in zip(chunks, results):
+        for k, u, flag in zip(chunk, us, flags):
+            values[k], eigcond[k] = complex(u), flag
     return [RootCandidate(value=value, real=is_real, eigcond=flag,
                           valid=bool(is_real and 0.0 <= value.real <= 1.0))
             for value, (_, is_real), flag in zip(values, raw, eigcond)]
@@ -459,4 +525,6 @@ def write_sweep_csv(path, mus, j_tcp, j_udp) -> None:
     mus = np.asarray(mus, dtype=float).reshape(len(mus), -1)
     j_tcp, j_udp = np.asarray(j_tcp, dtype=float), np.asarray(j_udp, dtype=float)
     header = [f"mu_{i+1}" for i in range(mus.shape[1])] + ["j_tcp", "j_udp", "gap"]
-    write_csv(path, header, np.column_stack([mus, j_tcp, j_udp, j_udp - j_tcp]))
+    with np.errstate(invalid="ignore"):  # write_csv refuses a gap that is not finite
+        gap = j_udp - j_tcp
+    write_csv(path, header, np.column_stack([mus, j_tcp, j_udp, gap]))

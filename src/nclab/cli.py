@@ -11,25 +11,26 @@ prints the costs ``allocate`` found without evaluating any; a sweep needs at
 least two points per channel, and neither grid may exceed MAX_SWEEP_POINTS
 grid points in all.  Every CSV cell is printed as ``%.9g``.
 ``--upsilon`` is offered only by the commands whose output it changes,
-``--threads`` only by ``montecarlo``.  ``run`` puts the OpenBLAS libraries
-bundled with numpy and scipy on one thread, once per process, unless
-OpenBLAS's own OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is
-set; importing nclab leaves the thread count alone.
+``--threads`` only by ``montecarlo``; ``maxdiff`` polishes its candidates
+on the CPUs that OpenBLAS leaves idle, with no option.  ``run`` puts the
+OpenBLAS libraries bundled with numpy and scipy on one thread, once per
+process, unless OpenBLAS's own OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set; importing nclab leaves the thread count alone.
+A CSV cell or JSON result that is not finite is an error (exit 1), and no
+file is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import glob
 import json
 import os
 import sys
 
 import numpy as np
-import scipy
 
-from . import allocation, analysis, simulator
+from . import _openblas, allocation, analysis, simulator
 from .controller import (Protocol, closed_loop_eigenvalues, expected_cost,
                          line_resolvents, synthesize)
 from .prediction import build_prediction_operators
@@ -45,10 +46,6 @@ __all__ = ["main", "run"]
 MAX_SWEEP_POINTS = 10 ** 6
 
 
-# The OpenBLAS builds bundled in the numpy and scipy wheels: the package, the
-# library's file pattern beside the package, and its exported symbols' suffix.
-_OPENBLAS_LIBRARIES = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-                       (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
 # Set by the user, any of these decides OpenBLAS's thread count instead.
 _OPENBLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -214,6 +211,8 @@ def cmd_simulate(args) -> int:
     else:
         steps = args.steps if args.steps is not None else (scn.sim.steps or scn.horizon)
         rec = simulator.receding_horizon_sim(scn, _protocol(args), steps, seed)
+    if not np.isfinite(rec.realized_cost):
+        raise ValueError("the realized cost is not finite; no CSV was written")
     simulator.write_trajectory_csv(args.out, rec)
     print(json.dumps(_fmt({"realized_cost": rec.realized_cost, "seed": rec.seed,
                            "steps": int(rec.inputs.shape[0]), "out": args.out}), allow_nan=False))
@@ -326,24 +325,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _openblas_setters() -> list:
-    """``scipy_openblas_set_num_threads`` of each bundled OpenBLAS library
-    that is present; a library that numpy or scipy has loaded is the same
-    handle.  A missing library or symbol is skipped silently."""
-    import ctypes
-    setters = []
-    for package, pattern, suffix in _OPENBLAS_LIBRARIES:
-        site = os.path.dirname(os.path.dirname(package.__file__))
-        for path in glob.glob(os.path.join(site, pattern)):
-            try:
-                setter = getattr(ctypes.CDLL(path), f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setters.append(setter)
-    return setters
-
-
 @functools.cache
 def _one_blas_thread() -> None:
     """Put the bundled OpenBLAS libraries on one thread, once per process,
@@ -352,7 +333,7 @@ def _one_blas_thread() -> None:
     ``maxdiff`` on pendulum took 0.55 s with two threads and 0.44 s with
     one, printing the same bytes."""
     if not any(os.environ.get(name) for name in _OPENBLAS_THREAD_VARIABLES):
-        for setter in _openblas_setters():
+        for setter in _openblas.setters():
             setter(1)
 
 

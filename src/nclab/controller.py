@@ -135,8 +135,11 @@ def _trsolve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np
 
 
 def _constant_term(ops: PredictionOperators, x: np.ndarray) -> float:
-    """x'(Q + Omega_p)x + tr(Sigma_W Omega_l), the cost with no input."""
-    return float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace
+    """x'(Q + Omega_p)x + tr(Sigma_W Omega_l), the cost with no input.  An
+    overflow is not reported here: the command line refuses the cost that
+    is not finite where it would print it."""
+    with np.errstate(over="ignore"):
+        return float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace
 
 
 def _diagonal_split(ops: PredictionOperators, protocol: Protocol) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelModel, PlantModel, WeightSpec
+from .scenario import ChannelModel, PlantModel, ScenarioError, WeightSpec
 
 __all__ = ["PredictionOperators", "build_prediction_operators"]
 
@@ -114,37 +114,48 @@ def build_prediction_operators(
     if channel.is_scheduled and channel.means.shape[0] != N:
         raise ValueError("channel schedule length ≠ N")
 
-    # powers[i] = A^i, built by repeated multiplication
-    powers = np.empty((N + 1, n, n))
-    powers[0] = np.eye(n)
-    for i in range(N):
-        np.dot(A, powers[i], out=powers[i + 1])
+    # the arithmetic runs with overflow unreported: an operator that is not
+    # finite is refused below by name, with every bit of the others kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        # powers[i] = A^i, built by repeated multiplication
+        powers = np.empty((N + 1, n, n))
+        powers[0] = np.eye(n)
+        for i in range(N):
+            np.dot(A, powers[i], out=powers[i + 1])
 
-    phi = powers[1:].reshape(N * n, n)
-    gamma = _gamma(powers[:N], B)
+        phi = powers[1:].reshape(N * n, n)
+        gamma = _gamma(powers[:N], B)
 
-    # the products with Omega, one step weight per block (module docstring)
-    omega = weights.omega_steps
-    omega_gp = gamma.T @ np.matmul(omega, powers[1:]).reshape(N * n, n)
-    omega_g = gamma.T @ np.matmul(omega, gamma.reshape(N, n, N * m)).reshape(N * n, N * m)
-    del gamma  # released before Omega_g is symmetrized
-    omega_g = 0.5 * (omega_g + omega_g.T)  # enforce exact symmetry
-    phi_omega = np.matmul(powers[1:].transpose(0, 2, 1), omega)
-    phi_omega = phi_omega.transpose(1, 0, 2).reshape(n, N * n)
+        # the products with Omega, one step weight per block (module docstring)
+        omega = weights.omega_steps
+        omega_gp = gamma.T @ np.matmul(omega, powers[1:]).reshape(N * n, n)
+        omega_g = gamma.T @ np.matmul(omega, gamma.reshape(N, n, N * m)).reshape(N * n, N * m)
+        del gamma  # released before Omega_g is symmetrized
+        omega_g = 0.5 * (omega_g + omega_g.T)  # enforce exact symmetry
+        phi_omega = np.matmul(powers[1:].transpose(0, 2, 1), omega)
+        phi_omega = phi_omega.transpose(1, 0, 2).reshape(n, N * n)
+        omega_p = phi_omega @ phi
 
-    # sum_j tr(Omega_j P_j), with P_j = sum_(l<=j) A^l Sigma_W A'^l the
-    # covariance of the noise part of block j of the stacked state
-    cov = np.cumsum(powers[:N] @ plant.sigma_w @ powers[:N].transpose(0, 2, 1), axis=0)
+        # sum_j tr(Omega_j P_j), with P_j = sum_(l<=j) A^l Sigma_W A'^l the
+        # covariance of the noise part of block j of the stacked state
+        cov = np.cumsum(powers[:N] @ plant.sigma_w @ powers[:N].transpose(0, 2, 1), axis=0)
+        noise_trace = float(np.sum(omega * cov.transpose(0, 2, 1)))
+    for name, value in (("Omega_g", omega_g), ("Omega_gp", omega_gp), ("Omega_p", omega_p),
+                        ("the noise trace", noise_trace)):
+        if not np.all(np.isfinite(value)):
+            raise ScenarioError(f"prediction operators: {name} is not finite; the weights, "
+                                f"the plant or the noise are too large for floating point "
+                                f"over a horizon of {N}")
 
     return PredictionOperators(
         upsilon_diag=channel.step_means(N).reshape(-1),
         psi=np.diagonal(weights.psi_steps, axis1=1, axis2=2).flatten(),
         q=np.array(weights.q, dtype=float),
-        omega_p=phi_omega @ phi,
+        omega_p=omega_p,
         omega_g=omega_g,
         omega_gp=omega_gp,
         omega_d=omega_g.diagonal().copy(),
-        noise_trace=float(np.sum(omega * cov.transpose(0, 2, 1))),
+        noise_trace=noise_trace,
         n=n,
         m=m,
         horizon=N,

@@ -348,7 +348,8 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
     terms *= applied
     sums = take("sums", steps, R)
     stages += _row_sums(terms, sums)
-    stages[0] += float(x0 @ scn.weights.q @ x0)
+    with np.errstate(over="ignore"):  # a stage cost that is not finite is refused on output
+        stages[0] += float(x0 @ scn.weights.q @ x0)
     # add.accumulate (unlike sum) adds the stages strictly step by step
     cost = np.add.accumulate(stages, axis=0, out=sums)[-1]
     return states, inputs, cost, stages

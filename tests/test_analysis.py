@@ -288,6 +288,103 @@ def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
     assert [c.eigcond for c in determinant_root_candidates(toy)].count(True) == 1
 
 
+def _chunk_threads(monkeypatch, analysis):
+    """Record the thread that decides each chunk of candidates."""
+    import threading
+    seen = []
+    decide = analysis._decide_chunk
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        return decide(*args)
+
+    monkeypatch.setattr(analysis, "_decide_chunk", recording)
+    return seen
+
+
+def test_parallel_polish_equals_the_serial_loop(monkeypatch, pendulum):
+    # one OpenBLAS thread on two CPUs polishes on two threads, each chunk
+    # with half the stack budget; one CPU keeps the serial chunks.  Pendulum
+    # runs 8 chunks serially; each random draw gets a budget of two
+    # candidates per serial chunk
+    from nclab import analysis
+    seen = _chunk_threads(monkeypatch, analysis)
+    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: 1)
+    rng = np.random.default_rng(7)
+    draws = [ops_of(random_scenario(rng, n_max=5, m_max=3, n_horizon_max=12))
+             for _ in range(12)]
+    chunked = 0
+    for ops, budget in [(ops_of(pendulum), analysis._STACK_BYTES)] + [
+            (ops, 2 * 2 * 8 * analysis._pencil(ops)[0].size) for ops in draws]:
+        monkeypatch.setattr(analysis, "_STACK_BYTES", budget)
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(analysis, "_cpus", lambda cpus=cpus: cpus)
+            seen.clear()
+            runs[cpus] = determinant_root_candidates(ops)
+            runs[cpus, "threads"] = len(set(seen))
+            runs[cpus, "chunks"] = len(seen)
+        assert runs[1] == runs[2]
+        assert runs[1, "threads"] == 1
+        if runs[1, "chunks"] >= 2:
+            chunked += 1
+            assert runs[2, "threads"] == 2
+    assert chunked >= 6
+    monkeypatch.setattr(analysis, "_STACK_BYTES", 1 << 20)
+    seen.clear()
+    determinant_root_candidates(ops_of(pendulum))
+    assert len(seen) == 16  # 80 candidates, 5 per chunk on two threads
+
+
+def test_many_polish_threads_with_fast_switching_equal_the_serial_loop(monkeypatch, mixed):
+    # eight threads on at most a few cores, one candidate per chunk (a
+    # budget of two per serial chunk) and a switch interval of 1 us: a lost
+    # or misplaced chunk result changes the list
+    import sys
+    from nclab import analysis
+    ops = ops_of(mixed)
+    monkeypatch.setattr(analysis, "_STACK_BYTES", 2 * 2 * 8 * analysis._pencil(ops)[0].size)
+    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: 1)
+    monkeypatch.setattr(analysis, "_cpus", lambda: 1)
+    serial = determinant_root_candidates(ops)
+    monkeypatch.setattr(analysis, "_cpus", lambda: 8)
+    seen = _chunk_threads(monkeypatch, analysis)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = determinant_root_candidates(ops)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 20 and len(set(seen)) >= 2
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("blas, cpus, workers", [(None, 2, 1), (2, 2, 1), (2, 4, 2),
+                                                 (1, 2, 2), (1, 1, 1)])
+def test_polish_threads_follow_the_cpus_openblas_leaves_idle(monkeypatch, pendulum,
+                                                             blas, cpus, workers):
+    # CPUs // OpenBLAS threads, and one thread where numpy's OpenBLAS is
+    # not found; pendulum's 8 serial chunks bound nothing here
+    from nclab import analysis
+    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: blas)
+    monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
+    assert analysis._spare_cpus() == workers
+    seen = _chunk_threads(monkeypatch, analysis)
+    determinant_root_candidates(ops_of(pendulum))
+    assert len(set(seen)) == workers
+
+
+def test_mixed_scalar_candidates_stay_on_the_calling_thread(monkeypatch, mixed):
+    # mixed's 20 candidates in range fit one chunk, so no pool is started
+    import threading
+    from nclab import analysis
+    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: 1)
+    monkeypatch.setattr(analysis, "_cpus", lambda: 2)
+    seen = _chunk_threads(monkeypatch, analysis)
+    determinant_root_candidates(ops_of(mixed))
+    assert seen == [threading.get_ident()]
+
+
 def _dense_diagonals(ops):
     """Psi, Omega_d and Omega_h = Omega_g - Omega_d as the dense (N m)^2
     matrices the operators held before Psi and Omega_d became vectors."""

@@ -536,6 +536,58 @@ def test_weight_near_the_float_limit_is_a_clean_error(tmp_path, capsys, name, we
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _refuses_cleanly(capsys, argv) -> str:
+    """Run ``argv``: exit 1 with an error line, empty stdout, and neither a
+    traceback nor a RuntimeWarning on the way.  Returns stderr."""
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return err
+
+
+def test_csv_commands_refuse_a_cell_that_is_not_finite(tmp_path, capsys, mixed_path):
+    # with q[0][0] = 1e308 every cost of mixed is infinite; sweep wrote
+    # rows such as 0.01,0.01,inf,inf,nan and exited 0, and simulate wrote
+    # its trajectory before refusing the summary line.  No file is written
+    def edit(weights):
+        weights["q"][0][0] = 1e308
+
+    path = _scenario_file(tmp_path, mixed_path, edit)
+    out = tmp_path / "out.csv"
+    for argv, named in ((["sweep", "--points", "3"], "column j_tcp"),
+                        (["sweep", "--points", "3", "--scalar"], "column j_tcp"),
+                        (["simulate", "--protocol", "tcp", "--seed", "1"], "realized cost"),
+                        (["simulate", "--protocol", "udp", "--mode", "receding", "--steps", "3"],
+                         "realized cost")):
+        err = _refuses_cleanly(capsys, argv + ["--scenario", path, "--out", str(out)])
+        assert named in err and not out.exists()
+
+
+def test_csv_writer_names_the_first_column_that_is_not_finite(tmp_path):
+    from nclab._csv import write_csv
+    path = tmp_path / "t.csv"
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="column b holds"):
+            write_csv(path, ["a", "b", "c"], [[1.0, 2.0, 3.0], [1.0, bad, bad]])
+        assert not path.exists()
+
+
+def test_operators_that_are_not_finite_are_named(tmp_path, capsys, pend_path):
+    # with omega[1][1] = 1e308 the pendulum build overflows; cost printed a
+    # dozen RuntimeWarnings and then the JSON encoder's complaint
+    def edit(weights):
+        weights["omega"][1][1] = 1e308
+
+    path = _scenario_file(tmp_path, pend_path, edit)
+    for argv in (["cost", "--protocol", "tcp"], ["maxdiff"]):
+        err = _refuses_cleanly(capsys, argv + ["--scenario", path])
+        assert "prediction operators: Omega_g is not finite" in err
+
+
 # The OpenBLAS policy is process-wide, so each case runs in a fresh
 # interpreter.  The child finds the two bundled libraries by its own lookup,
 # not by the one in nclab.cli, and reads their thread counts.
@@ -575,18 +627,18 @@ def _blas_child(body: str, *args: str, **env: str) -> dict:
 
 _RUN_COST_TWICE = """
 import contextlib, io
-from nclab import cli
+from nclab import _openblas, cli
 before = counts()
 if sys.argv[4] == "no library":
-    cli._OPENBLAS_LIBRARIES = [(p, "absent-*.so", s) for p, _, s in cli._OPENBLAS_LIBRARIES]
+    _openblas._OPENBLAS_LIBRARIES = [(p, "absent-*.so", s) for p, _, s in _openblas._OPENBLAS_LIBRARIES]
 elif sys.argv[4] == "no symbol":
-    cli._OPENBLAS_LIBRARIES = [(p, g, "_absent") for p, g, _ in cli._OPENBLAS_LIBRARIES]
+    _openblas._OPENBLAS_LIBRARIES = [(p, g, "_absent") for p, g, _ in _openblas._OPENBLAS_LIBRARIES]
 looked_up = []
-find = cli._openblas_setters
+find = _openblas.setters
 def counting():
     looked_up.append(1)
     return find()
-cli._openblas_setters = counting
+_openblas.setters = counting
 out, rcs = io.StringIO(), []
 with contextlib.redirect_stdout(out):
     for _ in range(2):
@@ -632,3 +684,34 @@ def test_missing_openblas_changes_no_output(capsys, pend_path, lookup):
     assert doc["rcs"] == [0, 0] and doc["lookups"] == 1
     assert doc["stdout"] == 2 * expected
     assert doc["counts"] == doc["before"]
+
+
+_MAXDIFF_THREADS = """
+import contextlib, io, threading
+from nclab import analysis, cli
+analysis._cpus = lambda: 2
+seen = []
+decide = analysis._decide_chunk
+def recording(*args):
+    seen.append(threading.get_ident())
+    return decide(*args)
+analysis._decide_chunk = recording
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = cli.run(["maxdiff", "--scenario", sys.argv[3]])
+print(json.dumps({"rc": rc, "counts": counts(), "threads": len(set(seen)),
+                  "stdout": out.getvalue()}))
+"""
+
+
+@needs_openblas
+def test_maxdiff_polishes_on_one_thread_while_openblas_runs_two(pend_path):
+    # the command line leaves OpenBLAS on one thread, so two CPUs polish on
+    # two threads; with OPENBLAS_NUM_THREADS=2 the polish stays serial.
+    # Same bytes either way
+    parallel = _blas_child(_MAXDIFF_THREADS, pend_path)
+    serial = _blas_child(_MAXDIFF_THREADS, pend_path, OPENBLAS_NUM_THREADS="2")
+    assert parallel["rc"] == serial["rc"] == 0
+    assert parallel["counts"][0] == 1 and parallel["threads"] == 2
+    assert serial["counts"][0] == 2 and serial["threads"] == 1
+    assert parallel["stdout"] == serial["stdout"]
