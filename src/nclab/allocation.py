@@ -102,8 +102,8 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     points the communication-cost minimizer is returned
     (ties broken by lexicographically smallest means), then bisects each
     priced coordinate down onto the budget boundary to within 1e-6.
-    Raises when alpha or beta is not finite and when even perfect channels
-    exceed the budget.
+    Raises when alpha, beta or the cost at perfect channels is not finite,
+    and when even perfect channels exceed the budget.
     """
     grid_size(resolution)  # rejects a resolution outside (0, 0.5]
     if not np.isfinite(alpha):
@@ -119,6 +119,8 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     x = np.asarray(x, dtype=float)
 
     if not is_feasible(ops, np.ones(m), protocol, alpha, x):
+        if not np.isfinite(expected_cost(ops, protocol, x, upsilon=np.ones(m)).total):
+            raise ValueError("the cost at all-ones channel means is not finite")
         raise ValueError("budget infeasible: cost at all-ones channel means exceeds alpha")
 
     vals = _grid_values(resolution)

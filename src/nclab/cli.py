@@ -10,14 +10,15 @@ line with one ``line_resolvents`` call per protocol, and ``--frontier-out``
 prints the costs ``allocate`` found without evaluating any; a sweep needs at
 least two points per channel, and neither grid may exceed MAX_SWEEP_POINTS
 grid points in all.  Every CSV cell is printed as ``%.9g``.
-``--upsilon`` is offered only by the commands whose output it changes,
-``--threads`` only by ``montecarlo``; ``maxdiff`` polishes its candidates
-on the CPUs that OpenBLAS leaves idle, with no option.  ``run`` puts the
-OpenBLAS libraries bundled with numpy and scipy on one thread, once per
-process, unless OpenBLAS's own OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set; importing nclab leaves the thread count alone.
-A CSV cell or JSON result that is not finite is an error (exit 1), and no
-file is written.
+``--upsilon`` is offered only by the commands whose output it changes;
+``montecarlo`` accepts ``--threads`` (at least 1), which has no effect.
+``maxdiff`` polishes its candidates on the CPUs that OpenBLAS leaves idle,
+with no option.  ``run`` puts the OpenBLAS libraries bundled with numpy
+and scipy on one thread, once per process, unless OpenBLAS's own
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set;
+importing nclab leaves the thread count alone.
+A CSV column or JSON field that is not finite is named in an error (exit 1),
+and nothing is printed or written.
 """
 
 from __future__ import annotations
@@ -69,8 +70,21 @@ def _fmt(x) -> object:
     return x
 
 
+def _finite(x) -> bool:
+    """True iff no float in ``_fmt``'s output ``x`` is inf or NaN."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return all(map(_finite, x))
+    return not isinstance(x, float) or bool(np.isfinite(x))
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(_fmt(doc), indent=2, allow_nan=False)
+    doc = _fmt(doc)
+    for name, value in doc.items():
+        if not _finite(value):
+            raise ValueError(f"the result {name} is not finite; nothing was printed")
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -228,8 +242,7 @@ def cmd_montecarlo(args) -> int:
     scn = _load(args)
     seed = scn.sim.seed if args.seed is None else args.seed
     replicates = scn.sim.replicates if args.replicates is None else args.replicates
-    stats = simulator.monte_carlo_cost(scn, _protocol(args), replicates, seed,
-                                       threads=args.threads)
+    stats = simulator.monte_carlo_cost(scn, _protocol(args), replicates, seed)
     _emit({"protocol": args.protocol, "mean_cost": stats.mean_cost,
            "stderr": stats.stderr, "replicates": stats.replicates,
            "per_replicate_seeds": stats.per_replicate_seeds}, args.out)
@@ -315,7 +328,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = add("montecarlo", cmd_montecarlo)
     sp.add_argument("--replicates", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None, help="cap on worker threads")
+    sp.add_argument("--threads", type=int, default=None, help="has no effect")
 
     sp = add("allocate", cmd_allocate, upsilon=False)
     sp.add_argument("--alpha", type=float, required=True, help="control-cost budget")

@@ -8,7 +8,7 @@ the transmissions and one of shape (steps, n) for the noise; Gaussians are
 produced deterministically from the uniforms by the inverse normal CDF.
 Replicate ``r`` of a Monte Carlo run with base seed ``b`` uses
 ``replicate_seed(b, r)``, so replicates are reproducible individually and
-independent of execution order or thread count.  Seeds are nonnegative
+independent of the order in which chunks run.  Seeds are nonnegative
 integers of any size.
 
 The rule is stated seed by seed, but no per-seed ``SeedSequence`` is built.
@@ -29,10 +29,10 @@ replicates: a single rollout is a stack of one, and Monte Carlo runs one
 stack per chunk.  Only the Philox key and its uniforms are per replicate.
 The draws are written time-major, (steps, R, .), the layout the recursion
 reads step by step, and handed out as (R, steps, .) views.  Each stage
-cost's terms are summed in index order, and each Monte Carlo worker writes
-its chunks into one reused set of buffers.  Every product and sum keeps the
-order of the plain step-by-step loop, so trajectories and costs are its
-bits.
+cost's terms are summed in index order.  A single rollout takes one set of
+buffers, and Monte Carlo runs its chunks in one loop that writes each chunk
+into the buffers of the one before.  Every product and sum keeps the order
+of the plain step-by-step loop, so trajectories and costs are its bits.
 
 A lost packet applies exactly zero input at that actuator, and the realized
 cost weights each stage's input penalty by the realized transmissions (a
@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,14 +202,13 @@ def _noise_factor(sigma_w: np.ndarray) -> np.ndarray:
 
 
 class _Buffers:
-    """Named float64 buffers that the chunks of one Monte Carlo worker reuse.
+    """Named float64 buffers that the chunks of one Monte Carlo run reuse.
 
     ``take(name, *shape)`` returns a C-contiguous array of that shape over
     the front of buffer ``name``, growing it when it is too small, so a
     chunk writes into the memory of the one before instead of fresh pages.
     What it hands out stays valid until the same name is taken again;
-    ``"scratch"`` holds what a function no longer needs when it returns.
-    A single rollout takes from ``_fresh`` instead."""
+    ``"scratch"`` holds what a function no longer needs when it returns."""
 
     def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
@@ -222,11 +219,6 @@ class _Buffers:
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
-
-
-def _fresh(name: str, *shape: int) -> np.ndarray:
-    """``_Buffers.take`` without reuse: a new array each time."""
-    return np.empty(shape)
 
 
 def _draws(scn: Scenario, steps: int, seeds, buffers: _Buffers | None = None
@@ -241,9 +233,9 @@ def _draws(scn: Scenario, steps: int, seeds, buffers: _Buffers | None = None
     The delivery threshold, the inverse normal CDF and the noise factor act
     on the whole chunk and write time-major (steps, R, .) arrays, the layout
     ``_rollout`` reads; the results are their transposed views.  Every array
-    is taken from ``buffers`` (new arrays without them); the noise
+    is taken from ``buffers`` (a new set without them); the noise
     overwrites the spent uniforms."""
-    take = _fresh if buffers is None else buffers.take
+    take = (buffers or _Buffers()).take
     keys = _seed_states(*_words(seeds), 2)
     R, split = len(keys), steps * scn.m
     u = take("draws", R, split + steps * scn.n)
@@ -309,10 +301,10 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
     sequence, multiplied by B for all steps before the recursion, which then
     writes each step in place.  Each stage cost's terms are summed in index
     order (``_row_sums``); every product and sum gives the step-by-step
-    loop's bits.  Every array is taken from ``buffers`` (new arrays without
+    loop's bits.  Every array is taken from ``buffers`` (a new set without
     them), so the results stay valid until the buffers are taken again.
     """
-    take = _fresh if buffers is None else buffers.take
+    take = (buffers or _Buffers()).take
     at, bt = scn.plant.a.T, scn.plant.b.T
     R, steps = v.shape[:2]
     n, m = scn.n, scn.m
@@ -357,8 +349,9 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
 
 def _record(scn: Scenario, seed: int, steps: int, sequence=None, gain=None) -> TrajectoryRecord:
     """One rollout: the stack of one replicate with seed ``seed``."""
-    v, w = _draws(scn, steps, [seed])
-    states, inputs, cost, stages = _rollout(scn, v, w, sequence=sequence, gain=gain)
+    buffers = _Buffers()
+    v, w = _draws(scn, steps, [seed], buffers)
+    states, inputs, cost, stages = _rollout(scn, v, w, sequence, gain, buffers)
     return TrajectoryRecord(states=states[:, 0], inputs=inputs[:, 0], transmissions=v[0],
                             stage_costs=stages[:, 0], realized_cost=float(cost[0]),
                             seed=int(seed))
@@ -387,19 +380,18 @@ def receding_horizon_sim(scn: Scenario, protocol: Protocol, steps: int, seed: in
 
 
 def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
-                     base_seed: int, threads: int | None = None) -> MonteCarloStats:
+                     base_seed: int) -> MonteCarloStats:
     """Mean and standard error of the open-loop realized cost.
 
     Replicate ``r`` reproduces ``open_loop_rollout`` at seed
     ``replicate_seed(base_seed, r)`` to rounding (see ``_rollout``).
     Replicates run in chunks of about ``_CHUNK_BYTES`` of stored states and
-    inputs, so the chunk size follows from the horizon and the dimensions,
-    never from ``threads``.  A replicate's cost depends only on its own
-    draws, and aggregation uses exact (fsum) summation, so the result does
-    not depend on the thread count or on the order in which chunks finish.
-    At most ``min(threads, chunks, os.cpu_count())`` workers run; worker j
-    runs chunks j, j + workers, ... and writes each into the buffers of the
-    one before (``_Buffers``), which leaves every value as it was.
+    inputs (the size follows from the horizon and the dimensions), in one
+    loop that writes each chunk into the buffers of the one before.  A
+    replicate's cost depends only on its own draws, and aggregation uses
+    exact (fsum) summation, so the result does not depend on the order in
+    which chunks run.  A cost that is not finite gives a mean that is not
+    finite, without a warning.
 
     The mean estimates the expected realized cost of the protocol's
     open-loop sequence, which is the unacknowledged objective at that
@@ -414,24 +406,15 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     u_star = _open_loop_sequence(scn, protocol)
     rows = max(1, _CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
     costs = np.empty(replicates)
-    starts = range(0, replicates, rows)
-    workers = min(threads or 1, len(starts), os.cpu_count() or 1)
-
-    def run(j):
-        buffers = _Buffers()
-        for lo in starts[j::workers]:
-            hi = min(lo + rows, replicates)
-            v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, lo, hi), buffers)
-            costs[lo:hi] = _rollout(scn, v, w, sequence=u_star, buffers=buffers)[2]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(workers)))
-    else:
-        run(0)
+    buffers = _Buffers()
+    for lo in range(0, replicates, rows):
+        hi = min(lo + rows, replicates)
+        v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, lo, hi), buffers)
+        costs[lo:hi] = _rollout(scn, v, w, sequence=u_star, buffers=buffers)[2]
 
     mean = math.fsum(costs) / replicates
-    ssq = math.fsum((costs - mean) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf when the mean is inf
+        ssq = math.fsum((costs - mean) ** 2)
     stderr = math.sqrt(ssq / (replicates - 1)) / math.sqrt(replicates)
     return MonteCarloStats(mean_cost=mean, stderr=stderr, replicates=replicates)
 

@@ -133,6 +133,19 @@ def test_montecarlo_command(capsys, mixed_path):
     assert doc["stderr"] > 0
 
 
+@pytest.mark.parametrize("fixture", ["pendulum", "mixed"])
+@pytest.mark.parametrize("protocol", ["tcp", "udp"])
+def test_montecarlo_threads_flag_changes_no_byte(capsys, fixture, protocol):
+    # --threads is still accepted and does nothing; 4000 replicates span
+    # more than one chunk on both fixtures
+    argv = ["montecarlo", "--scenario", str(fixture_path(fixture)), "--protocol", protocol,
+            "--replicates", "4000", "--seed", "9"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run(argv + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_nclab_seed_env_override(capsys, monkeypatch, mixed_path):
     monkeypatch.setenv("NCLAB_SEED", "777")
     rc = run(["simulate", "--scenario", mixed_path, "--protocol", "tcp",
@@ -565,6 +578,34 @@ def test_csv_commands_refuse_a_cell_that_is_not_finite(tmp_path, capsys, mixed_p
                          "realized cost")):
         err = _refuses_cleanly(capsys, argv + ["--scenario", path, "--out", str(out)])
         assert named in err and not out.exists()
+
+
+def test_json_commands_name_the_result_that_is_not_finite(tmp_path, capsys, mixed_path):
+    # with q[0][0] = 1e308 the operators are finite but every cost of mixed
+    # is infinite; cost, gap and montecarlo printed the JSON encoder's
+    # complaint, and montecarlo a RuntimeWarning before it
+    def edit(weights):
+        weights["q"][0][0] = 1e308
+
+    path = _scenario_file(tmp_path, mixed_path, edit)
+    for argv, named in ((["cost", "--protocol", "tcp"], "total"),
+                        (["cost", "--protocol", "udp"], "total"),
+                        (["gap"], "j_tcp"),
+                        (["montecarlo", "--protocol", "tcp", "--replicates", "50"], "mean_cost"),
+                        (["montecarlo", "--protocol", "udp", "--replicates", "50"], "mean_cost")):
+        err = _refuses_cleanly(capsys, argv + ["--scenario", path])
+        assert f"the result {named} is not finite" in err and "JSON compliant" not in err
+
+
+def test_allocate_names_a_cost_that_is_not_finite(tmp_path, capsys, mixed_path):
+    # an infinite cost at perfect channels was blamed on the budget
+    def edit(weights):
+        weights["q"][0][0] = 1e308
+
+    path = _scenario_file(tmp_path, mixed_path, edit)
+    err = _refuses_cleanly(capsys, ["allocate", "--scenario", path, "--protocol", "udp",
+                                    "--alpha", "1e300", "--beta", "0.05,1"])
+    assert "cost at all-ones channel means is not finite" in err and "budget" not in err
 
 
 def test_csv_writer_names_the_first_column_that_is_not_finite(tmp_path):
