@@ -8,24 +8,23 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 
-import numpy as np
-import scipy
-
 # The package, the library's file pattern beside the package, and its
-# exported symbols' suffix; numpy's library comes first.
-_OPENBLAS_LIBRARIES = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-                       (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+# exported symbols' suffix; numpy's library comes first.  The packages are
+# found, not imported, so a library can be set up before scipy loads it.
+_OPENBLAS_LIBRARIES = (("numpy", "numpy.libs/libscipy_openblas64_*.so", "64_"),
+                       ("scipy", "scipy.libs/libscipy_openblas-*.so", ""))
 
 
 def _entry_points(name: str) -> list[list]:
     """``scipy_openblas_<name>`` of each bundled library that is present,
     one list per entry of ``_OPENBLAS_LIBRARIES``; a library that numpy or
-    scipy has loaded is the same handle."""
+    scipy has loaded, or loads later, is the same handle."""
     found = []
     for package, pattern, suffix in _OPENBLAS_LIBRARIES:
-        site = os.path.dirname(os.path.dirname(package.__file__))
+        site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
         functions = []
         for path in glob.glob(os.path.join(site, pattern)):
             try:

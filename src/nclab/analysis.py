@@ -113,7 +113,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _openblas
 from ._csv import write_csv
@@ -282,7 +281,9 @@ def _pencil(ops: PredictionOperators) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pencil_lambdas(t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
-    return np.sort(scipy.linalg.eigh(t, np.diag(h_diag), eigvals_only=True))
+    from scipy.linalg import eigh
+
+    return np.sort(eigh(t, np.diag(h_diag), eigvals_only=True))
 
 
 def root_lambdas(ops: PredictionOperators) -> np.ndarray:

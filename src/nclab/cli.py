@@ -16,7 +16,10 @@ grid points in all.  Every CSV cell is printed as ``%.9g``.
 with no option.  ``run`` puts the OpenBLAS libraries bundled with numpy
 and scipy on one thread, once per process, unless OpenBLAS's own
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set;
-importing nclab leaves the thread count alone.
+importing nclab leaves the thread count alone.  Importing this module
+loads no scipy module: each scipy submodule loads inside the first call
+that needs it, after ``run`` has set the thread count of scipy's library,
+and the count holds.
 A CSV column or JSON field that is not finite is named in an error (exit 1),
 and nothing is printed or written.
 """

@@ -46,9 +46,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
-from scipy.linalg.blas import dtrsm as _dtrsm
 
 from .prediction import PredictionOperators
 from .scenario import PlantModel
@@ -128,9 +125,11 @@ def _trsolve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np
     2-vCPU Xeon, mixed's 99 fixed 10x10 blocks with 11 right-hand sides
     took 0.3-0.55 ms against 2.0-3.1 ms, with the same bits.
     """
+    from scipy.linalg.blas import dtrsm
+
     out = np.empty(rhs.shape)
     for b in range(factor.shape[0]):
-        out[b] = _dtrsm(1.0, factor[b].T, rhs[b], lower=0, trans_a=0 if transpose else 1)
+        out[b] = dtrsm(1.0, factor[b].T, rhs[b], lower=0, trans_a=0 if transpose else 1)
     return out
 
 
@@ -170,8 +169,10 @@ def _tridiagonal_spectrum(mat: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, n
     0.94 ms at 80 rows, and pendulum's ``line_resolvents`` took 1.15
     against 1.25 ms (medians of 400 interleaved calls), printing the same
     sweep."""
+    from scipy.linalg import eigh_tridiagonal, lapack
+
     c, d, e, tau, info = lapack.dsytrd(mat, lower=1)
-    lam, w = scipy.linalg.eigh_tridiagonal(d, e)
+    lam, w = eigh_tridiagonal(d, e)
     qv = v.copy()
     qv[1:] = lapack.dormqr("L", "T", c[1:, :-1], tau, v[1:, np.newaxis], v.size)[0][:, 0]
     return lam, w.T @ qv

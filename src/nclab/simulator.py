@@ -46,7 +46,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._csv import write_csv
 from .controller import Protocol, optimal_sequence, synthesize
@@ -235,6 +234,8 @@ def _draws(scn: Scenario, steps: int, seeds, buffers: _Buffers | None = None
     ``_rollout`` reads; the results are their transposed views.  Every array
     is taken from ``buffers`` (a new set without them); the noise
     overwrites the spent uniforms."""
+    from scipy.special import ndtri
+
     take = (buffers or _Buffers()).take
     keys = _seed_states(*_words(seeds), 2)
     R, split = len(keys), steps * scn.m
@@ -379,6 +380,20 @@ def receding_horizon_sim(scn: Scenario, protocol: Protocol, steps: int, seed: in
     return _record(scn, seed, steps, gain=kf)
 
 
+def _fsum_over(values: np.ndarray, divisor: int) -> float:
+    """``math.fsum(values) / divisor``.  Where the sum is beyond the float
+    range (fsum raises OverflowError), the values are summed scaled by a
+    power of two above their count, which cannot overflow, and the quotient
+    is scaled back.  Scaling by a power of two is exact short of subnormal
+    values, so the two roundings are those of an unbounded exponent range;
+    a quotient beyond the float range is inf."""
+    try:
+        return math.fsum(values) / divisor
+    except OverflowError:
+        scale = 2.0 ** values.size.bit_length()
+        return math.fsum(values / scale) / divisor * scale
+
+
 def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
                      base_seed: int) -> MonteCarloStats:
     """Mean and standard error of the open-loop realized cost.
@@ -390,8 +405,9 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     loop that writes each chunk into the buffers of the one before.  A
     replicate's cost depends only on its own draws, and aggregation uses
     exact (fsum) summation, so the result does not depend on the order in
-    which chunks run.  A cost that is not finite gives a mean that is not
-    finite, without a warning.
+    which chunks run; costs whose sum is beyond the float range still give
+    their mean.  A cost that is not finite gives a mean that is not finite,
+    without a warning.
 
     The mean estimates the expected realized cost of the protocol's
     open-loop sequence, which is the unacknowledged objective at that
@@ -412,10 +428,10 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
         v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, lo, hi), buffers)
         costs[lo:hi] = _rollout(scn, v, w, sequence=u_star, buffers=buffers)[2]
 
-    mean = math.fsum(costs) / replicates
+    mean = _fsum_over(costs, replicates)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf when the mean is inf
-        ssq = math.fsum((costs - mean) ** 2)
-    stderr = math.sqrt(ssq / (replicates - 1)) / math.sqrt(replicates)
+        variance = _fsum_over((costs - mean) ** 2, replicates - 1)
+    stderr = math.sqrt(variance) / math.sqrt(replicates)
     return MonteCarloStats(mean_cost=mean, stderr=stderr, replicates=replicates)
 
 

@@ -597,6 +597,28 @@ def test_json_commands_name_the_result_that_is_not_finite(tmp_path, capsys, mixe
         assert f"the result {named} is not finite" in err and "JSON compliant" not in err
 
 
+def test_montecarlo_averages_costs_that_sum_past_the_float_range(tmp_path, capsys, mixed_path):
+    # with q[0][0] = 1e306 every replicate cost of mixed is 1.6e307, and fifty
+    # of them sum past the float range: math.fsum raised OverflowError and
+    # montecarlo ended in a traceback.  The mean is still 1.6e307
+    import warnings
+
+    def edit(weights):
+        weights["q"][0][0] = 1e306
+
+    path = _scenario_file(tmp_path, mixed_path, edit)
+    for protocol in ("tcp", "udp"):
+        docs = []
+        for replicates in ("5", "50"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["montecarlo", "--protocol", protocol, "--replicates", replicates,
+                            "--scenario", path]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["mean_cost"] == docs[1]["mean_cost"] == 1.6e307
+        assert docs[0]["stderr"] == docs[1]["stderr"] == 0.0
+
+
 def test_allocate_names_a_cost_that_is_not_finite(tmp_path, capsys, mixed_path):
     # an infinite cost at perfect channels was blamed on the budget
     def edit(weights):
@@ -636,23 +658,25 @@ _OPENBLAS = [path for package, pattern in ((np, "numpy.libs/libscipy_openblas64_
                                             (scipy, "scipy.libs/libscipy_openblas-*.so"))
              for path in glob.glob(os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
                                                 pattern))]
-_BLAS_PRELUDE = """
-import ctypes, json, sys
-import numpy, scipy.linalg
+_BLAS_COUNTS = """
 libs = [ctypes.CDLL(path) for path in sys.argv[1:3]]
 getters = [libs[0].scipy_openblas_get_num_threads64_, libs[1].scipy_openblas_get_num_threads]
 setters = [libs[0].scipy_openblas_set_num_threads64_, libs[1].scipy_openblas_set_num_threads]
 def counts():
     return [get() for get in getters]
 """
+_BLAS_PRELUDE = """
+import ctypes, json, sys
+import numpy, scipy.linalg
+""" + _BLAS_COUNTS
 needs_openblas = pytest.mark.skipif(len(_OPENBLAS) != 2,
                                     reason="needs the OpenBLAS libraries of the numpy and scipy wheels")
 
 
-def _blas_child(body: str, *args: str, **env: str) -> dict:
-    """Run ``body`` after the prelude in a fresh interpreter, with none of
-    OpenBLAS's thread variables set but those in ``env``; returns the JSON
-    document it prints last."""
+def _child(code: str, *args: str, cwd=None, **env: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports nclab from this
+    checkout, with none of OpenBLAS's thread variables set but those in
+    ``env``; returns the JSON document it prints last."""
     import nclab
 
     child_env = {k: v for k, v in os.environ.items()
@@ -660,10 +684,16 @@ def _blas_child(body: str, *args: str, **env: str) -> dict:
     src = str(Path(nclab.__file__).resolve().parents[1])
     child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
     child_env.update(env)
-    proc = subprocess.run([sys.executable, "-c", _BLAS_PRELUDE + body, *_OPENBLAS, *args],
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
                           env=child_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _blas_child(body: str, *args: str, **env: str) -> dict:
+    """``_child`` of ``body`` after the prelude, which has scipy load its
+    OpenBLAS before anything else runs."""
+    return _child(_BLAS_PRELUDE + body, *_OPENBLAS, *args, **env)
 
 
 _RUN_COST_TWICE = """
@@ -714,6 +744,90 @@ import nclab, nclab.cli
 print(json.dumps({"before": before, "counts": counts()}))
 """)
     assert doc["counts"] == doc["before"]
+
+
+@needs_openblas
+def test_one_thread_policy_holds_for_openblas_that_scipy_loads_later(pend_path):
+    # the policy sets scipy's library up through ctypes before scipy.linalg
+    # is imported; scipy then maps no second copy, so the count set then is
+    # the one scipy's BLAS calls run with
+    doc = _child("""
+import contextlib, ctypes, io, json, os, sys
+from nclab import cli
+before = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.run(["cost", "--scenario", sys.argv[3], "--protocol", "udp"])
+""" + _BLAS_COUNTS + """
+with open("/proc/self/maps") as maps:
+    scipy_library = os.path.realpath(sys.argv[2])
+    copies = sum(" r-xp " in line and line.rstrip().endswith(scipy_library) for line in maps)
+print(json.dumps({"before": before, "after": "scipy.linalg" in sys.modules, "rc": rc,
+                  "copies": copies, "counts": counts()}))
+""", *_OPENBLAS, pend_path)
+    assert doc == {"before": False, "after": True, "rc": 0, "copies": 1, "counts": [1, 1]}
+
+
+def test_importing_nclab_loads_no_scipy(tmp_path, mixed_path):
+    # nor does --help, a usage error or a refusal before any computation
+    capped = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=5000))
+    doc = _child("""
+import contextlib, io, json, sys
+import nclab, nclab.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+for name in ("pendulum", "mixed"):
+    nclab.load_scenario(nclab.fixture_path(name))
+imported = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rcs = [nclab.cli.run(["--help"]),
+           nclab.cli.run(["sweep", "--scenario", sys.argv[1], "--points", "1", "--out", "x.csv"]),
+           nclab.cli.run(["cost", "--scenario", sys.argv[2], "--protocol", "tcp"])]
+print(json.dumps({"imported": imported, "rcs": rcs, "refused": scipy_modules()}))
+""", mixed_path, capped, cwd=tmp_path)
+    assert doc == {"imported": [], "rcs": [0, 2, 1], "refused": []}
+
+
+_FIRST_RUN = """
+import contextlib, io, json, sys
+from nclab import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = cli.run(sys.argv[1:])
+print(json.dumps({"rc": rc, "stdout": out.getvalue(),
+                  "special": "scipy.special" in sys.modules}))
+"""
+_COMMANDS = {
+    "synthesize": ["--protocol", "udp"],
+    "cost": ["--protocol", "tcp"],
+    "gap": [],
+    "eigs": ["--protocol", "tcp"],
+    "sweep": ["--points", "3", "--out", "sweep.csv"],
+    "maxdiff": ["--scalar"],
+    "simulate": ["--protocol", "udp", "--seed", "3", "--out", "trajectory.csv"],
+    "montecarlo": ["--protocol", "udp", "--replicates", "20"],
+    "allocate": ["--protocol", "udp", *ALLOCATE, "--frontier-out", "frontier.csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_runs_as_the_first_thing_a_process_does(tmp_path, monkeypatch, capsys,
+                                                             mixed_path, command):
+    # scipy's submodules load inside the functions that call them, which
+    # this test session has loaded long before; a fresh process is the
+    # command line's case.  Only the simulator loads scipy.special
+    argv = [command, "--scenario", mixed_path, *_COMMANDS[command]]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    assert run(argv) == 0
+    doc = _child(_FIRST_RUN, *argv, cwd=fresh)
+    assert doc == {"rc": 0, "stdout": capsys.readouterr().out,
+                   "special": command in ("simulate", "montecarlo")}
+    files = sorted(p.name for p in here.iterdir())
+    assert files == sorted(p.name for p in fresh.iterdir())
+    for name in files:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
 @needs_openblas

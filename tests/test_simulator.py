@@ -1,5 +1,6 @@
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,3 +410,23 @@ def test_receding_past_the_horizon_holds_the_schedules_last_row():
     rec = receding_horizon_sim(scn, UDP, steps=12, seed=9)
     assert np.array_equal(rec.transmissions[:3], np.zeros((3, 2)))
     assert np.array_equal(rec.transmissions[3:], np.ones((9, 2)))
+
+
+def _rounded(x: Fraction) -> Fraction:
+    """x rounded to a double's 53 bits with no limit on the exponent."""
+    shift = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
+    return Fraction(float(x / shift)) * shift
+
+
+@pytest.mark.parametrize("count", [2, 3, 50, 1000])
+def test_mean_of_costs_summing_past_the_float_range_keeps_its_roundings(count):
+    # fsum's sum, then the division, each rounded once: beyond the float
+    # range the scaled sum gives the bits an unbounded exponent would
+    values = np.random.default_rng(count).uniform(0.5, 1.0, count) * 1.7e308
+    exact = sum(map(Fraction, values.tolist()))
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    for divisor in (count, count - 1):
+        expected = float(_rounded(_rounded(exact) / divisor)) if exact / divisor < 2**1024 else math.inf
+        assert simulator._fsum_over(values, divisor) == expected
+    assert simulator._fsum_over(values[:10] * 1e-300, 7) == math.fsum(values[:10] * 1e-300) / 7
