@@ -8,13 +8,17 @@ up-set.  The grid stage evaluates every point of the k^m grid over (0, 1]^m
 along its k^(m-1) lines (the points that share their first m-1 means) with
 one ``line_resolvents`` call, which costs O(N) per point once each line is
 diagonalized.  Points whose cost lies within TIE_RTOL of the budget, and
-the frontier points, take the single-point cost (``expected_costs``), so
-that feasibility is decided as ``is_feasible`` decides it.  The stage takes
-the cheapest feasible point and the minimal feasible points (the frontier)
-from the feasibility mask, and then bisects each priced coordinate onto the
-active constraint with single-point cost calls.  The report keeps the cost
-of every grid point, which the full-grid CSV (``write_frontier_csv``)
-prints without evaluating anything.
+the frontier points, take the single-point cost, so that feasibility is
+decided as ``is_feasible`` decides it.  The stage takes the cheapest
+feasible point and the minimal feasible points (the frontier) from the
+feasibility mask, and then bisects each priced coordinate onto the active
+constraint.  Every single-point cost of an allocation (the all-ones check,
+those points and each bisection trial) runs on one cost setup of the
+operators, protocol and state, which holds the constant term, f and the
+diagonal split, so a trial costs one Cholesky factor and one triangular
+solve and has the bits of ``expected_cost``.  The report keeps the cost of
+every grid point, which the full-grid CSV (``write_frontier_csv``) prints
+without evaluating anything.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv
-from .controller import Protocol, expected_cost, expected_costs, line_resolvents
+from .controller import Protocol, _point_costs, expected_cost, line_resolvents
 from .prediction import PredictionOperators
 
 __all__ = [
@@ -116,10 +120,11 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
         raise ValueError("beta must be finite")
     if np.any(beta < 0.0):
         raise ValueError("beta must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    point = _point_costs(ops, protocol, x)
 
-    if not is_feasible(ops, np.ones(m), protocol, alpha, x):
-        if not np.isfinite(expected_cost(ops, protocol, x, upsilon=np.ones(m)).total):
+    perfect = point.totals(np.ones((1, m)))[0]
+    if not perfect <= alpha:
+        if not np.isfinite(perfect):
             raise ValueError("the cost at all-ones channel means is not finite")
         raise ValueError("budget infeasible: cost at all-ones channel means exceeds alpha")
 
@@ -130,7 +135,7 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     costs = lines.costs(vals).ravel()
     near = np.flatnonzero(np.abs(costs - alpha) <= TIE_RTOL * lines.constant)
     if near.size:
-        costs[near] = expected_costs(ops, protocol, x, points[near])
+        costs[near] = point.totals(points[near])
     ok = costs <= alpha
     feasible = np.flatnonzero(ok)
 
@@ -148,7 +153,7 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
         np.moveaxis(below, i, 0)[0] = False  # the lowest grid value has no lower neighbour
         minimal &= ~below
     edge = np.flatnonzero(minimal)
-    costs[edge] = expected_costs(ops, protocol, x, points[edge])
+    costs[edge] = point.totals(points[edge])
     frontier = [(tuple(points[j]), float(costs[j])) for j in edge]
 
     mu_grid = points[best].astype(float)
@@ -164,7 +169,7 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
             if mid <= 0.0:
                 break
             trial[i] = mid
-            if is_feasible(ops, trial, protocol, alpha, x):
+            if point.totals(trial[np.newaxis])[0] <= alpha:
                 hi = mid
             else:
                 lo = mid

@@ -25,7 +25,10 @@ with f = Omega_gp x.  Costs are evaluated in that form, one way for a single
 point and for a grid:
 
 * a point factors Omega_g + D by Cholesky; ``expected_cost`` is a batch of
-  one of ``expected_costs``;
+  one of ``expected_costs``, and both evaluate their points on a setup
+  (``_point_costs``) that holds what the points of one state share, the
+  constant term, f and (D0, E) below, which a caller with many points
+  builds once;
 * on a line of points along which only one channel's mean u moves (or one
   mean shared by every channel), D = D0 + E/u with E diagonal and supported
   on the moving indices.  ``line_resolvents`` eliminates the fixed indices
@@ -178,23 +181,48 @@ def _tridiagonal_spectrum(mat: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, n
     return lam, w.T @ qv
 
 
-def _reductions(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-    """Reduction terms f'(Omega_g + D)^{-1} f = |L^-1 f|^2, f = Omega_gp x,
-    for a validated stack from ``_resolve_stack``: each row is a line with
-    every index fixed.  Rows are expanded to stacked diagonals and factored
-    in chunks of about _CHUNK_BYTES of Gram matrices, so that memory stays
-    flat in the number of rows."""
-    nm = ops.horizon * ops.m
-    f = (ops.omega_gp @ x)[:, np.newaxis]
+@dataclass(frozen=True)
+class _PointCosts:
+    """Planning costs at one (operators, protocol, state), point by point.
+
+    Built once by ``_point_costs``, it holds what every channel-mean point
+    shares: the constant term, f = Omega_gp x and the split D(u) = D0 + E/u.
+    ``expected_cost``, ``expected_costs`` and the allocation's refinement
+    evaluate their points through it, so every point cost takes one
+    arithmetic path.
+    """
+
+    omega_g: np.ndarray
+    constant: float      # x'(Q+Omega_p)x + tr(Sigma_W Omega_l)
+    f: np.ndarray        # (N m, 1) right-hand side Omega_gp x
+    d0: np.ndarray       # (N m,) D0 of D(u) = D0 + E/u
+    e: np.ndarray        # (N m,) E
+
+    def reductions(self, u: np.ndarray) -> np.ndarray:
+        """Reduction terms f'(Omega_g + D)^{-1} f = |L^-1 f|^2 for a
+        validated stack from ``_resolve_stack``: each row is a line with
+        every index fixed.  Rows are expanded to stacked diagonals and
+        factored in chunks of about _CHUNK_BYTES of Gram matrices, so that
+        memory stays flat in the number of rows."""
+        nm = self.f.shape[0]
+        rows = max(1, _CHUNK_BYTES // (8 * nm * nm))
+        out = np.empty(u.shape[0])
+        for lo in range(0, u.shape[0], rows):
+            chunk = np.tile(u[lo:lo + rows], (1, nm // u.shape[1]))
+            w = _fixed_solve(self.omega_g, self.d0 + self.e / chunk, self.f)
+            out[lo:lo + rows] = np.einsum("bij,bij->b", w, w)
+        return out
+
+    def totals(self, u: np.ndarray) -> np.ndarray:
+        """Planning costs of the rows of a validated stack (see ``reductions``)."""
+        return self.constant - self.reductions(u)
+
+
+def _point_costs(ops: PredictionOperators, protocol: Protocol, x) -> _PointCosts:
+    x = np.asarray(x, dtype=float)
     d0, e = _diagonal_split(ops, protocol)
-    rows = max(1, _CHUNK_BYTES // (8 * nm * nm))
-    out = np.empty(u.shape[0])
-    for lo in range(0, u.shape[0], rows):
-        chunk = np.tile(u[lo:lo + rows], (1, nm // u.shape[1]))
-        w = _fixed_solve(ops.omega_g, d0 + e / chunk, f)
-        out[lo:lo + rows] = np.einsum("bij,bij->b", w, w)
-    return out
+    return _PointCosts(omega_g=ops.omega_g, constant=_constant_term(ops, x),
+                       f=(ops.omega_gp @ x)[:, np.newaxis], d0=d0, e=e)
 
 
 @dataclass(frozen=True)
@@ -353,10 +381,9 @@ def expected_cost(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
     and no such policy attains it while a delivered input is random.
     """
     u = _resolve_upsilon(ops, upsilon)
-    x = np.asarray(x, dtype=float)
-    constant = _constant_term(ops, x)
-    reduction = float(_reductions(ops, protocol, x, u[np.newaxis])[0])
-    return CostReport(total=constant - reduction, constant_term=constant,
+    point = _point_costs(ops, protocol, x)
+    reduction = float(point.reductions(u[np.newaxis])[0])
+    return CostReport(total=point.constant - reduction, constant_term=point.constant,
                       reduction_term=reduction)
 
 
@@ -369,8 +396,7 @@ def expected_costs(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
     ``expected_cost(ops, protocol, x, upsilon[b]).total``.
     """
     u = _resolve_stack(ops, upsilon)
-    x = np.asarray(x, dtype=float)
-    return _constant_term(ops, x) - _reductions(ops, protocol, x, u)
+    return _point_costs(ops, protocol, x).totals(u)
 
 
 def error_quadratic_expectation(ops: PredictionOperators, protocol: Protocol,

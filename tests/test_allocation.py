@@ -232,3 +232,52 @@ def test_batched_grid_stage_matches_per_point_loop(tmp_path, mixed):
             rows = path.read_text().strip().split("\n")[1:]
             assert [r.endswith(",1") for r in rows] == flags
             assert [r.split(",")[ops.m] for r in rows] == [f"{v:.9g}" for v in totals]
+
+
+def _is_feasible_bisection(ops, protocol, alpha, beta, x, m_grid):
+    """Reference refinement: each priced coordinate, dearest first, bisected
+    onto the budget with single-point ``is_feasible`` calls."""
+    mu_star = m_grid.copy()
+    for i in sorted(range(ops.m), key=lambda i: (-beta[i], i)):
+        if beta[i] == 0.0:
+            continue
+        lo, hi = 0.0, mu_star[i]
+        trial = mu_star.copy()
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if mid <= 0.0:
+                break
+            trial[i] = mid
+            if is_feasible(ops, trial, protocol, alpha, x):
+                hi = mid
+            else:
+                lo = mid
+        mu_star[i] = hi
+    return mu_star
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("resolution", [0.05, 0.1])
+def test_prepared_refinement_equals_the_is_feasible_bisection(m, resolution):
+    # the all-ones check, the tie band, the frontier and every bisection
+    # trial run on one cost setup; the report keeps the bits of per-point
+    # is_feasible and expected_costs calls, with unpriced channels among
+    # the prices
+    rng = np.random.default_rng(40 + 10 * m + int(100 * resolution))
+    for case in range(4):
+        scn = random_scenario(rng, m=m, n_horizon_max=6)
+        ops = ops_of(scn)
+        x = scn.eval_state
+        beta = rng.uniform(0.0, 2.0, m)
+        unpriced = case % (m + 1)  # one channel, or none when unpriced == m
+        beta[unpriced:unpriced + 1] = 0.0
+        for p in (TCP, UDP):
+            alpha = expected_cost(ops, p, x, upsilon=rng.uniform(0.4, 0.95, m)).total
+            assert is_feasible(ops, np.ones(m), p, alpha, x)
+            rep = optimize_allocation(ops, p, alpha, beta, x, resolution=resolution)
+            m_star = _is_feasible_bisection(ops, p, alpha, beta, x, rep.m_grid)
+            assert rep.m_star.tobytes() == m_star.tobytes()
+            assert rep.comm_cost == communication_cost(m_star, beta)
+            edge = np.array([mu for mu, _ in rep.frontier])
+            assert [c for _, c in rep.frontier] == expected_costs(ops, p, x, edge).tolist()
+            assert is_feasible(ops, rep.m_grid, p, alpha, x)

@@ -193,7 +193,7 @@ def test_frontier_out_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, mix
         return counted(ops, protocol, x, fixed)
 
     monkeypatch.setattr(allocation, "line_resolvents", guarded(counting))
-    for name in ("expected_cost", "expected_costs"):
+    for name in ("expected_cost", "_point_costs"):
         monkeypatch.setattr(allocation, name, guarded(getattr(allocation, name)))
     write = allocation.write_frontier_csv
 
@@ -628,6 +628,64 @@ def test_allocate_names_a_cost_that_is_not_finite(tmp_path, capsys, mixed_path):
     err = _refuses_cleanly(capsys, ["allocate", "--scenario", path, "--protocol", "udp",
                                     "--alpha", "1e300", "--beta", "0.05,1"])
     assert "cost at all-ones channel means is not finite" in err and "budget" not in err
+
+
+# Every command on mixed with q[0][0] = 1e308 (finite operators, infinite
+# costs), with the quantity a refusal must name.  The CI packaging step runs
+# the same table through the installed console script.
+_NEAR_THE_FLOAT_LIMIT = [
+    pytest.param(["synthesize", "--protocol", "tcp"], "the result k", id="synthesize"),
+    pytest.param(["eigs", "--protocol", "udp"], "the result eigenvalues", id="eigs"),
+    pytest.param(["maxdiff", "--scalar"],
+                 "the result (maximizer|gap_at_max|analytic_best|valid_candidates)",
+                 id="maxdiff-scalar"),
+    pytest.param(["sweep", "--points", "3", "--out"], "column (j_tcp|j_udp|gap)", id="sweep"),
+    pytest.param(["sweep", "--points", "3", "--scalar", "--out"], "column (j_tcp|j_udp|gap)",
+                 id="sweep-scalar"),
+    pytest.param(["simulate", "--protocol", "udp", "--seed", "1", "--out"], "the realized cost",
+                 id="simulate-open"),
+    pytest.param(["simulate", "--protocol", "tcp", "--mode", "receding", "--steps", "3", "--out"],
+                 "the realized cost", id="simulate-receding"),
+    pytest.param(["cost", "--protocol", "tcp"], "the result (total|constant_term|reduction_term)",
+                 id="cost"),
+    pytest.param(["gap"], "the result (j_tcp|j_udp|gap)", id="gap"),
+    pytest.param(["montecarlo", "--protocol", "udp", "--replicates", "50"],
+                 "the result (mean_cost|stderr)", id="montecarlo"),
+    pytest.param(["allocate", "--protocol", "udp", "--alpha", "1e300"],
+                 "the cost at all-ones channel means|the result (m_star|m_grid|comm_cost)",
+                 id="allocate"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _NEAR_THE_FLOAT_LIMIT)
+def test_every_command_ends_in_a_finite_answer_or_a_named_error(tmp_path, capsys, mixed_path,
+                                                                argv, named):
+    # with warnings as errors, a run exits 0 with finite output, or exits 1
+    # with one error line that names the quantity, nothing on stdout and no
+    # CSV written
+    import re
+    import warnings
+
+    def edit(weights):
+        weights["q"][0][0] = 1e308
+
+    path = _scenario_file(tmp_path, mixed_path, edit)
+    out = tmp_path / "out.csv"
+    argv = argv + [str(out)] if argv[-1] == "--out" else argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(argv + ["--scenario", path])
+    stdout, err = capsys.readouterr()
+    if rc == 0:
+        assert err == ""
+        if stdout:
+            json.loads(stdout, parse_constant=lambda c: pytest.fail(f"{c} printed"))
+        if out.exists():
+            cells = [c for row in out.read_text().splitlines()[1:] for c in row.split(",")]
+            assert all(np.isfinite(float(c)) for c in cells)
+    else:
+        assert rc == 1 and stdout == "" and not out.exists()
+        assert err.count("\n") == 1 and re.match(f"error: ({named}) .*not finite", err), err
 
 
 def test_csv_writer_names_the_first_column_that_is_not_finite(tmp_path):

@@ -332,6 +332,32 @@ def test_batched_costs_match_per_point_costs_on_random_ensemble():
                 np.testing.assert_allclose(got, lu, rtol=1e-12, atol=0.0)
 
 
+def test_prepared_point_costs_equal_expected_cost_bit_for_bit():
+    # one _point_costs per (operators, protocol, state), evaluated row by row
+    # as the allocation's refinement does and as one stack, gives the bits
+    # of a fresh expected_cost at every point: stationary (m) and full
+    # stacked (N*m) means, on scenarios with per-step weights and, every
+    # third one, a scheduled channel
+    from nclab.controller import _point_costs
+    rng = np.random.default_rng(93)
+    for trial in range(12):
+        scn = random_scenario(rng, sigma_scale=0.2 * (trial % 2))
+        if trial % 3 == 0:
+            scn = _with_means(scn, rng.uniform(0.1, 0.9, (scn.horizon, scn.m)))
+        ops = ops_of(scn)
+        x = scn.eval_state
+        for width in (scn.m, scn.horizon * scn.m):
+            stack = rng.uniform(0.02, 1.0, (9, width))
+            stack[0] = 1.0
+            for p in (TCP, UDP):
+                point = _point_costs(ops, p, x)
+                ref = [expected_cost(ops, p, x, upsilon=u).total for u in stack]
+                rows = [point.totals(u[np.newaxis])[0] for u in stack]
+                assert rows == ref
+                assert point.totals(stack).tolist() == ref
+                assert point.constant == expected_cost(ops, p, x, upsilon=stack[1]).constant_term
+
+
 def test_batched_costs_match_enumeration_oracle():
     rng = np.random.default_rng(91)
     trials = 0
