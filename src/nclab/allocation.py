@@ -4,21 +4,21 @@ Feasible channel means are those whose expected optimal control cost stays
 at or below a budget alpha; the communication cost of a configuration is
 the price-weighted sum of its delivery probabilities.  Because the control
 cost is strictly decreasing in every channel mean, the feasible set is an
-up-set.  The grid stage evaluates every point of the k^m grid over (0, 1]^m
-along its k^(m-1) lines (the points that share their first m-1 means) with
-one ``line_resolvents`` call, which costs O(N) per point once each line is
-diagonalized.  Points whose cost lies within TIE_RTOL of the budget, and
-the frontier points, take the single-point cost, so that feasibility is
-decided as ``is_feasible`` decides it.  The stage takes the cheapest
-feasible point and the minimal feasible points (the frontier) from the
-feasibility mask, and then bisects each priced coordinate onto the active
-constraint.  Every single-point cost of an allocation (the all-ones check,
-those points and each bisection trial) runs on one cost setup of the
+up-set.  Every cost of an allocation runs on one cost setup of the
 operators, protocol and state, which holds the constant term, f and the
-diagonal split, so a trial costs one Cholesky factor and one triangular
-solve and has the bits of ``expected_cost``.  The report keeps the cost of
-every grid point, which the full-grid CSV (``write_frontier_csv``) prints
-without evaluating anything.
+diagonal split.  The grid stage evaluates every point of the k^m grid over
+(0, 1]^m along its k^(m-1) lines (the points that share their first m-1
+means), resolved as ``line_resolvents`` resolves them, which costs O(N)
+per point once each line is diagonalized.  Points whose cost lies within
+TIE_RTOL of the budget, and the frontier points, take the single-point
+cost, so that feasibility is decided as ``is_feasible`` decides it.  The
+stage takes the cheapest feasible point and the minimal feasible points
+(the frontier) from the feasibility mask, and then bisects each priced
+coordinate onto the active constraint.  A single-point cost (the all-ones
+check, those points and each bisection trial) is one Cholesky factor and
+one triangular solve and has the bits of ``expected_cost``.  The report
+keeps the cost of every grid point, which the full-grid CSV
+(``write_frontier_csv``) prints without evaluating anything.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv
-from .controller import Protocol, _point_costs, expected_cost, line_resolvents
+from .controller import Protocol, _line_resolvents, _point_costs, expected_cost
 from .prediction import PredictionOperators
 
 __all__ = [
@@ -98,6 +98,10 @@ def grid_points(values, m: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, m)
 
 
+# One error state for every cost of an allocation, as for expected_cost: a
+# cost that is not finite is refused by name, at perfect channels here and
+# in the report on output.
+@np.errstate(over="ignore", invalid="ignore")
 def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: float,
                         beta, x, resolution: float = 0.01) -> AllocationReport:
     """Cheapest channel configuration meeting the cost budget.
@@ -131,7 +135,7 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     vals = _grid_values(resolution)
     k = len(vals)
     points = grid_points(vals, m)
-    lines = line_resolvents(ops, protocol, x, grid_points(vals, m - 1) if m > 1 else None)
+    lines = _line_resolvents(ops, point, grid_points(vals, m - 1) if m > 1 else None)
     costs = lines.costs(vals).ravel()
     near = np.flatnonzero(np.abs(costs - alpha) <= TIE_RTOL * lines.constant)
     if near.size:

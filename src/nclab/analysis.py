@@ -457,21 +457,21 @@ def maximal_gap(ops: PredictionOperators, x: np.ndarray) -> MaxDiffReport:
     """
     spectrum = _spectrum(ops)
     cands = determinant_root_candidates(ops, spectrum=spectrum)
-    gap = _gap_curve(ops, x, spectrum)
-
     interior = [c.value.real for c in cands if c.valid]
-    analytic_best = max(interior, key=gap) if interior else None
-
     passing = [c.value.real for c in cands if c.valid and c.eigcond]
-    if passing:
-        best = max(passing, key=gap)
-        method = "analytic_roots"
-    else:
-        best = _grid_maximize(gap)
-        method = "grid_fallback"
-    return MaxDiffReport(candidates=cands, maximizer=float(best),
-                         gap_at_max=float(gap(best)), method=method,
-                         analytic_best=analytic_best)
+    # the command line refuses a gap that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _gap_curve(ops, x, spectrum)
+        analytic_best = max(interior, key=gap) if interior else None
+        if passing:
+            best = max(passing, key=gap)
+            method = "analytic_roots"
+        else:
+            best = _grid_maximize(gap)
+            method = "grid_fallback"
+        gap_at_max = float(gap(best))
+    return MaxDiffReport(candidates=cands, maximizer=float(best), gap_at_max=gap_at_max,
+                         method=method, analytic_best=analytic_best)
 
 
 def monotonic_sweep(ops: PredictionOperators, grid, protocol: Protocol,

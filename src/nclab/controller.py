@@ -21,14 +21,18 @@ the diagonal
     D = (Psi + Omega_d) / u - Omega_d   (unacknowledged),
 
 u the stacked channel means, and the reduction term is f'(Omega_g + D)^{-1} f
-with f = Omega_gp x.  Costs are evaluated in that form, one way for a single
-point and for a grid:
+with f = Omega_gp x.  The two protocols differ only in the split
+D = D0 + E/u (``_diagonal_split``).  One routine (``_factor``) adds a
+diagonal to a stack of matrices and factors it by Cholesky, reading only the
+lower triangle (LAPACK potrf), so nothing is symmetrized: ``synthesize``
+factors Y G, whose diagonal term Y D Y is u (E + u D0), and the costs factor
+Omega_g + D.  Costs are evaluated in that form, one way for a single point
+and for a grid, on a setup (``_point_costs``) that holds what the points of
+one state share, the constant term, f and (D0, E), which a caller with many
+points builds once:
 
-* a point factors Omega_g + D by Cholesky; ``expected_cost`` is a batch of
-  one of ``expected_costs``, and both evaluate their points on a setup
-  (``_point_costs``) that holds what the points of one state share, the
-  constant term, f and (D0, E) below, which a caller with many points
-  builds once;
+* a point factors Omega_g + D; ``expected_cost`` is a batch of one of
+  ``expected_costs``;
 * on a line of points along which only one channel's mean u moves (or one
   mean shared by every channel), D = D0 + E/u with E diagonal and supported
   on the moving indices.  ``line_resolvents`` eliminates the fixed indices
@@ -103,19 +107,26 @@ class CostReport:
     reduction_term: float  # x'Omega_gp' Y G^{-1} Omega_gp x, >= 0
 
 
-def _cholesky(ops: PredictionOperators, protocol: Protocol, u: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of S = Y G, symmetric positive definite, for a
-    (B, N*m) stack of channel-mean diagonals."""
-    s = (u[:, :, np.newaxis] * ops.omega_g) * u[:, np.newaxis, :]
-    i = np.arange(u.shape[1])
-    s[:, i, i] += u * ops.psi
-    if protocol is Protocol.UDP_LIKE:
-        s[:, i, i] += u * ops.omega_d * (1.0 - u)
-    s = 0.5 * (s + s.transpose(0, 2, 1))
+def _factor(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a + diag(d) for a (B, n, n) stack ``a`` and
+    (B, n) diagonals ``d``, which are added to a's diagonals in place through
+    the strided view.  numpy's Cholesky (LAPACK potrf) reads only the lower
+    triangle, so ``a`` need not be symmetric above it.  A member that is not
+    positive definite is refused as a singular protocol Gram system."""
+    a.reshape(a.shape[0], -1)[:, ::a.shape[1] + 1] += d
     try:
-        return np.linalg.cholesky(s)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular protocol Gram system: {exc}") from exc
+
+
+def _cholesky(ops: PredictionOperators, protocol: Protocol, u: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of S = Y G = Y (Omega_g + D) Y, symmetric
+    positive definite, for a (B, N*m) stack of channel-mean diagonals: the
+    diagonal of Y D Y is u (E + u D0) (``_diagonal_split``)."""
+    d0, e = _diagonal_split(ops, protocol)
+    s = (u[:, :, np.newaxis] * ops.omega_g) * u[:, np.newaxis, :]
+    return _factor(s, u * (e + u * d0))
 
 
 def _trsolve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -136,14 +147,6 @@ def _trsolve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np
     return out
 
 
-def _constant_term(ops: PredictionOperators, x: np.ndarray) -> float:
-    """x'(Q + Omega_p)x + tr(Sigma_W Omega_l), the cost with no input.  An
-    overflow is not reported here: the command line refuses the cost that
-    is not finite where it would print it."""
-    with np.errstate(over="ignore"):
-        return float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace
-
-
 def _diagonal_split(ops: PredictionOperators, protocol: Protocol) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (D0, E) with D(u) = D0 + E/u, so that Y G = Y (Omega_g + D) Y."""
     if protocol is Protocol.TCP_LIKE:
@@ -154,12 +157,7 @@ def _diagonal_split(ops: PredictionOperators, protocol: Protocol) -> tuple[np.nd
 def _fixed_solve(block: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """L^-1 rhs for each row of ``d``, where L L' = block + diag(d) is the
     Cholesky factor of the Omega_g + D block of the fixed stacked indices."""
-    a = np.repeat(block[np.newaxis], d.shape[0], axis=0)
-    a.reshape(d.shape[0], -1)[:, ::block.shape[0] + 1] += d
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"singular protocol Gram system: {exc}") from exc
+    factor = _factor(np.repeat(block[np.newaxis], d.shape[0], axis=0), d)
     return _trsolve(factor, np.repeat(rhs[np.newaxis], d.shape[0], axis=0))
 
 
@@ -187,9 +185,9 @@ class _PointCosts:
 
     Built once by ``_point_costs``, it holds what every channel-mean point
     shares: the constant term, f = Omega_gp x and the split D(u) = D0 + E/u.
-    ``expected_cost``, ``expected_costs`` and the allocation's refinement
-    evaluate their points through it, so every point cost takes one
-    arithmetic path.
+    ``expected_cost``, ``expected_costs`` and the allocation's single-point
+    costs evaluate their points through it, so every point cost takes one
+    arithmetic path, and ``line_resolvents`` reads its lines' shares from it.
     """
 
     omega_g: np.ndarray
@@ -219,9 +217,12 @@ class _PointCosts:
 
 
 def _point_costs(ops: PredictionOperators, protocol: Protocol, x) -> _PointCosts:
+    """The setup of one (operators, protocol, state).  Its callers ignore
+    overflow and invalid values (see ``expected_cost``)."""
     x = np.asarray(x, dtype=float)
     d0, e = _diagonal_split(ops, protocol)
-    return _PointCosts(omega_g=ops.omega_g, constant=_constant_term(ops, x),
+    constant = float(x @ (ops.q + ops.omega_p) @ x) + ops.noise_trace
+    return _PointCosts(omega_g=ops.omega_g, constant=constant,
                        f=(ops.omega_gp @ x)[:, np.newaxis], d0=d0, e=e)
 
 
@@ -239,6 +240,7 @@ class LineResolvents:
     lam: np.ndarray       # (L, r) eigenvalues of the scaled Schur complement
     h2: np.ndarray        # (L, r) squared weights of f on its eigenvectors
 
+    @np.errstate(over="ignore", invalid="ignore")  # refused where a cost is printed
     def costs(self, means) -> np.ndarray:
         """(L, k) costs at the moving means ``means`` (k,), each in (0, 1]:
         row l, column j is line l's cost at means[j].  Raises LinAlgError
@@ -285,10 +287,15 @@ def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
     scaled by E^(-1/2), is diagonalized with one batched ``eigh``, or line
     by line through its tridiagonal form from _TRIDIAGONAL_ROWS rows on.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # as for expected_cost
+        point = _point_costs(ops, protocol, x)
+    return _line_resolvents(ops, point, fixed)
+
+
+def _line_resolvents(ops: PredictionOperators, point: _PointCosts, fixed=None) -> LineResolvents:
+    """``line_resolvents`` on the setup ``point`` of its protocol and state."""
     nm, m = ops.horizon * ops.m, ops.m
-    x = np.asarray(x, dtype=float)
-    f = ops.omega_gp @ x
-    d0, e = _diagonal_split(ops, protocol)
+    f, d0, e = point.f[:, 0], point.d0, point.e
     if fixed is None:
         fixed_means, moving = np.ones((1, 0)), np.arange(nm)
     else:
@@ -316,7 +323,8 @@ def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
         g = np.broadcast_to(f[moving], (hi - lo, moving.size))
         offset[lo:hi] = 0.0
         if rest.size:
-            d = d0[rest] + e[rest] / fixed_means[lo:hi][:, rest % m]
+            with np.errstate(over="ignore"):  # an infinite penalty factors as a zero input
+                d = d0[rest] + e[rest] / fixed_means[lo:hi][:, rest % m]
             z = _fixed_solve(block, d, rhs)
             z, w = z[:, :, :-1], z[:, :, -1]
             offset[lo:hi] = np.einsum("bi,bi->b", w, w)
@@ -324,12 +332,13 @@ def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
         mat, v = scale[:, np.newaxis] * schur * scale, g * scale
         if moving.size < _TRIDIAGONAL_ROWS:
             lam[lo:hi], q = np.linalg.eigh(mat)
-            h2[lo:hi] = np.einsum("bij,bi->bj", q, v) ** 2
+            h2[lo:hi] = np.einsum("bij,bi->bj", q, v)
         else:
             for b in range(lo, hi):
-                lam[b], h = _tridiagonal_spectrum(mat[b - lo], v[b - lo])
-                h2[b] = h ** 2
-    return LineResolvents(constant=_constant_term(ops, x), offset=offset, lam=lam, h2=h2)
+                lam[b], h2[b] = _tridiagonal_spectrum(mat[b - lo], v[b - lo])
+        with np.errstate(over="ignore"):  # the command line refuses a cost that is not finite
+            np.square(h2[lo:hi], out=h2[lo:hi])
+    return LineResolvents(constant=point.constant, offset=offset, lam=lam, h2=h2)
 
 
 def _resolve_stack(ops: PredictionOperators, upsilon) -> np.ndarray:
@@ -368,6 +377,10 @@ def synthesize(ops: PredictionOperators, protocol: Protocol, upsilon=None) -> Co
     return ControlLaw(protocol=protocol, k=k, k_first=k[: ops.m, :])
 
 
+# A cost that is not finite (the constant term, f or the reduction past the
+# float range) is refused where it is printed, and a penalty E/u past the
+# float range factors as a zero input.
+@np.errstate(over="ignore", invalid="ignore")
 def expected_cost(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
                   upsilon=None) -> CostReport:
     """Optimal value of the protocol's planning objective at measured
@@ -387,6 +400,7 @@ def expected_cost(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
                       reduction_term=reduction)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for expected_cost
 def expected_costs(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
                    upsilon) -> np.ndarray:
     """Optimal planning costs (see ``expected_cost``) at measured state x

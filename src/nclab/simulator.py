@@ -283,6 +283,8 @@ def _row_sums(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# a state or stage cost that is not finite is refused on output
+@np.errstate(over="ignore", invalid="ignore")
 def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray | None = None,
              gain: np.ndarray | None = None, buffers: _Buffers | None = None
              ) -> tuple[np.ndarray, ...]:
@@ -341,8 +343,7 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
     terms *= applied
     sums = take("sums", steps, R)
     stages += _row_sums(terms, sums)
-    with np.errstate(over="ignore"):  # a stage cost that is not finite is refused on output
-        stages[0] += float(x0 @ scn.weights.q @ x0)
+    stages[0] += float(x0 @ scn.weights.q @ x0)
     # add.accumulate (unlike sum) adds the stages strictly step by step
     cost = np.add.accumulate(stages, axis=0, out=sums)[-1]
     return states, inputs, cost, stages
@@ -361,7 +362,8 @@ def _record(scn: Scenario, seed: int, steps: int, sequence=None, gain=None) -> T
 def _open_loop_sequence(scn: Scenario, protocol: Protocol) -> np.ndarray:
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     law = synthesize(ops, protocol)
-    return optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused with the realized cost
+        return optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
 
 
 def open_loop_rollout(scn: Scenario, protocol: Protocol, seed: int) -> TrajectoryRecord:

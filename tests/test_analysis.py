@@ -420,12 +420,13 @@ def _replaced_derivative_matrix(ops, u):
 
 
 def _replaced_cholesky(ops, protocol, u):
+    # S = Y (Omega_g + D0 + E/Y) Y with the dense split D0 = -Omega_d and
+    # E = Psi + Omega_d for UDP, D0 = 0 and E = Psi for TCP; Cholesky reads
+    # the lower triangle only
     psi, od, _ = _dense_diagonals(ops)
-    s = (u[:, :, None] * ops.omega_g) * u[:, None, :] + u[:, :, None] * psi
-    if protocol is UDP:
-        i = np.arange(u.shape[1])
-        s[:, i, i] += u * np.diag(od) * (1.0 - u)
-    return np.linalg.cholesky(0.5 * (s + s.transpose(0, 2, 1)))
+    d0, e = (-od, psi + od) if protocol is UDP else (np.zeros_like(psi), psi)
+    s = (u[:, :, None] * ops.omega_g) * u[:, None, :] + u[:, :, None] * (e + u[:, :, None] * d0)
+    return np.linalg.cholesky(s)
 
 
 def test_vector_diagonals_equal_the_replaced_dense_forms(pendulum, mixed):
