@@ -1,7 +1,23 @@
-"""The OpenBLAS builds bundled in the numpy and scipy wheels, reached by
-``ctypes``: each library's thread-count setter, and the thread count of
-numpy's, which runs the analysis's stacked eigensolves.  A missing library
-or entry point is skipped silently; numpy's count is then unknown."""
+"""Thread counts: the OpenBLAS builds bundled in the numpy and scipy wheels,
+reached by ``ctypes``, and the threads of ``maxdiff``'s polish.
+
+``one_thread`` puts both libraries on one thread, once per process, unless
+OpenBLAS's own OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is
+set; the command line calls it before any command runs, and importing nclab
+leaves the counts alone.  On two cores OpenBLAS's threads slowed down the
+small eigensolves of the analysis: ``maxdiff`` on pendulum took 0.55 s with
+two threads and 0.44 s with one, printing the same bytes.
+
+``spare_cpus`` is how many threads the polish of ``maxdiff`` may run: the
+CPUs this process may run on divided by the threads of numpy's OpenBLAS,
+which runs the stacked eigensolves, and 1 where that count is unknown.
+Under the one-thread policy on 2 CPUs the polish runs on two threads; with
+OpenBLAS on as many threads as CPUs (the library default) it stays on the
+calling thread, because two polish threads beside two OpenBLAS threads made
+``maxdiff`` on pendulum slower, not faster.
+
+A missing library or entry point is skipped silently: nothing is set, and
+numpy's count is unknown."""
 
 from __future__ import annotations
 
@@ -16,6 +32,8 @@ import os
 # found, not imported, so a library can be set up before scipy loads it.
 _OPENBLAS_LIBRARIES = (("numpy", "numpy.libs/libscipy_openblas64_*.so", "64_"),
                        ("scipy", "scipy.libs/libscipy_openblas-*.so", ""))
+# Set by the user, any of these decides OpenBLAS's thread count instead.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _entry_points(name: str) -> list[list]:
@@ -44,6 +62,15 @@ def setters() -> list:
 
 
 @functools.cache
+def one_thread() -> None:
+    """Put the bundled libraries on one thread, once per process, unless
+    one of ``_THREAD_VARIABLES`` is set (module docstring)."""
+    if not any(os.environ.get(name) for name in _THREAD_VARIABLES):
+        for setter in setters():
+            setter(1)
+
+
+@functools.cache
 def _numpy_getter():
     getters = _entry_points("get_num_threads")[0]
     if not getters:
@@ -52,9 +79,18 @@ def _numpy_getter():
     return getters[0]
 
 
-def numpy_threads() -> int | None:
-    """The thread count numpy's bundled OpenBLAS runs with now, or None
-    where that library or its getter is not found.  The lookup is made once
-    per process; the count is read on every call."""
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def spare_cpus() -> int:
+    """Threads the polish may run at once (module docstring).  The lookup
+    of numpy's library is made once per process; its thread count is read
+    on every call."""
     getter = _numpy_getter()
-    return None if getter is None else int(getter())
+    blas = None if getter is None else int(getter())
+    return max(1, _cpus() // blas) if blas else 1

@@ -56,34 +56,19 @@ for the slopes, which reads each eigenvector with the stride a single
 candidate's product reads it.  So the iterates are those of a per-candidate
 loop bit for bit.  A candidate stops once its Newton step is at most
 1e-12 max(u, 1e-6) (``_POLISH_STOP``), three decades below the 9 digits
-the command line prints.  The earlier stop of 1e-15 was almost never
-reached: once a candidate has converged, the ``eigh`` rounding keeps its
-steps between 1e-15 and 1e-12 relative, so nearly every candidate ran all
-8 rounds.  With the 1e-12 stop every ``maxdiff`` output on both fixtures is
-byte-identical, and the stacked ``eigh`` takes 20 matrices instead of 122
-on ``mixed`` (one round per candidate) and 563 instead of 633 on
-``pendulum``.  On 200 draws of ``random_scenario(default_rng(7), n_max=5,
-m_max=3, n_horizon_max=12)`` from the test suite it took 4,501 matrices
-instead of 10,777.  The maximizer, the gap, the method and every
-annihilation flag stayed the same, and 2 of 2,687 valid candidates, both
-ill-conditioned, moved in their 9th printed digit (at most 2.6e-10
-relative).  A looser stop would move printed digits: at 1e-10, 5
-``pendulum`` candidates print differently.
+the command line prints: once a candidate has converged, the ``eigh``
+rounding keeps its steps between 1e-15 and 1e-12 relative, so a tighter
+stop runs every round without changing a printed digit, and a looser one
+moves printed digits (at 1e-10, 5 ``pendulum`` candidates print
+differently).
 
-The chunks of candidates do not depend on each other, so the polish may
-run on more than one thread: as many as the CPUs per thread of numpy's
-OpenBLAS (``_spare_cpus``), at most one per chunk, and one where the
-OpenBLAS thread count is unknown.  The calling thread takes one share of
-the chunks and pool threads take the others; a round is one LAPACK stack
-that runs without the GIL.  Each thread's chunks get ``_STACK_BYTES``
-divided by the thread count, so the stacks in flight stay within the one
-budget.  The results are stored by chunk, and each matrix goes through the
-same LAPACK call as in a serial loop, so the candidates are the same bits
-on any number of threads.  Under the command line's one-thread OpenBLAS on
-2 CPUs, ``pendulum`` polishes 16 chunks of 5 candidates on two threads.
-With OpenBLAS on as many threads as CPUs (the library default) the polish
-stays on the calling thread: two polish threads beside two OpenBLAS threads
-made ``maximal_gap`` on ``pendulum`` slower, not faster.
+The chunks of candidates do not depend on each other, so they are
+polished on ``_openblas.spare_cpus()`` threads, at most one per chunk
+(``_openblas`` gives the rule).  Each chunk holds as many candidates as
+fit ``_STACK_BYTES`` of pencils and slope matrices, and at least one.  The
+results are stored by chunk, and each matrix goes through the same LAPACK
+call as in a serial loop, so the candidates are the same bits on any
+number of threads.
 
 The annihilation test asks whether the spectral radius of fmat is at most
 ``EIGCOND_RTOL`` times its 2-norm at y = 1/2.  The radius is at least
@@ -98,17 +83,14 @@ precision, and Brent's method on the exact derivative would fix more
 digits.  Both stay because the recorded ``maxdiff`` outputs (9 significant
 digits) pin the values they produce; the candidates are ill-conditioned
 past about 7 digits (Tisseur and Meerbergen, SIAM Review 2001), so another
-correct method prints different ones.  Only work that leaves the printed
-iterates alone, such as the stop above, can be cut without that.
-Removing the polish or switching to Brent's method belongs with a
-benchmark change that re-records the ``maxdiff`` reference entries
-(ROADMAP item 2).
+correct method prints different ones.  Removing the polish or switching
+to Brent's method belongs with a benchmark change that re-records the
+``maxdiff`` reference entries (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
 import contextvars
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -138,8 +120,8 @@ __all__ = [
 EIGCOND_RTOL = 1e-8
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
-# Byte budget of the Newton rounds' two stacks (pencils and slope matrices)
-# in flight, shared by the polish threads.
+# Byte budget of one chunk's two stacks in the Newton rounds (pencils and
+# slope matrices).
 _STACK_BYTES = 1 << 20
 # Relative step at which the Newton polish stops a candidate.
 _POLISH_STOP = 1e-12
@@ -273,11 +255,23 @@ def derivative_matrix(ops: PredictionOperators, upsilon: float) -> np.ndarray:
 
 
 def _pencil(ops: PredictionOperators) -> tuple[np.ndarray, np.ndarray]:
+    """T and the diagonal of H.  Refused where an Omega_d entry is 0, as
+    when it underflows, and where 2 (max|T| + max|H|) is not finite: that
+    bounds every entry of P(u) = u^2 T + (2u - 1) H and P'(u) = 2u T + 2H
+    on (0, 1)."""
     d, psi = ops.omega_d, ops.psi
-    og_psi = ops.omega_g.copy()
-    og_psi.reshape(-1)[::len(psi) + 1] += psi
-    t = (ops.omega_g * (1.0 / d)) @ og_psi + (psi * (1.0 / d))[:, None] * _omega_h(ops)
-    return 0.5 * (t + t.T), psi * (d + psi) / d
+    if not np.all(d != 0.0):
+        raise ValueError("root pencil: an entry of Omega_d is 0")
+    # a pencil past the float range is refused below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        og_psi = ops.omega_g.copy()
+        og_psi.reshape(-1)[::len(psi) + 1] += psi
+        t = (ops.omega_g * (1.0 / d)) @ og_psi + (psi * (1.0 / d))[:, None] * _omega_h(ops)
+        t, h_diag = 0.5 * (t + t.T), psi * (d + psi) / d
+        bound = 2.0 * (np.max(np.abs(t)) + np.max(np.abs(h_diag)))
+    if not np.isfinite(bound):
+        raise ValueError("root pencil: 2 (max|T| + max|H|) is not finite")
+    return t, h_diag
 
 
 def _pencil_lambdas(t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
@@ -334,21 +328,6 @@ def _polish_roots(us, t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
     return us
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _spare_cpus() -> int:
-    """Threads the polish may run at once: the CPUs per thread of numpy's
-    OpenBLAS, and 1 where that library's thread count is unknown."""
-    blas = _openblas.numpy_threads()
-    return max(1, _cpus() // blas) if blas else 1
-
-
 def _decide_chunk(ops, spectrum, scale, t, h_diag, us):
     """Polish one chunk of candidates and test each for annihilation: by
     the trace bound, and where that leaves it open by its eigenvalues."""
@@ -367,12 +346,15 @@ def determinant_root_candidates(ops: PredictionOperators, *,
     singular; complex and out-of-range values are flagged invalid.  A real
     candidate in (0, 1) is polished, then tested for annihilation by the
     trace bound and, where that leaves it open, by its eigenvalues (module
-    docstring).  The candidates go in chunks, polished on as many threads
-    as ``_spare_cpus`` allows and at most one per chunk; each thread's
-    chunks share the stack budget.  ``spectrum`` is ``_spectrum(ops)``,
-    when the caller has it."""
+    docstring).  The candidates go in chunks of at most ``_STACK_BYTES``,
+    polished on ``_openblas.spare_cpus()`` threads and at most one per
+    chunk.  ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
     t, h_diag = _pencil(ops)
-    scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        half = derivative_matrix(ops, 0.5)
+    if not np.all(np.isfinite(half)):
+        raise ValueError("the derivative matrix at 1/2 is not finite")
+    scale = np.linalg.norm(half, 2)
     raw: list[tuple[complex, bool]] = []
     for lam_i in _pencil_lambdas(t, h_diag):
         disc = 1.0 + lam_i
@@ -390,31 +372,23 @@ def determinant_root_candidates(ops: PredictionOperators, *,
               if is_real and 0.0 < value.real < 1.0]
     values = [value for value, _ in raw]
     eigcond = [False] * len(raw)
-    matrix_bytes = 2 * 8 * t.size  # one candidate's pencil and slope matrix
-    serial_chunks = -(-len(inside) // max(1, _STACK_BYTES // matrix_bytes))
-    workers = max(1, min(serial_chunks, _spare_cpus()))
-    rows = max(1, _STACK_BYTES // workers // matrix_bytes)
+    rows = max(1, _STACK_BYTES // (2 * 8 * t.size))  # one candidate's pencil and slope matrix
     chunks = [inside[lo:lo + rows] for lo in range(0, len(inside), rows)]
     if spectrum is None:
         spectrum = _spectrum(ops)
-    results = [None] * len(chunks)
 
-    def share(first: int) -> None:
-        for j in range(first, len(chunks), workers):
-            results[j] = _decide_chunk(ops, spectrum, scale, t, h_diag,
-                                       [values[k].real for k in chunks[j]])
+    def decide(chunk):
+        return _decide_chunk(ops, spectrum, scale, t, h_diag, [values[k].real for k in chunk])
 
-    if workers == 1:
-        share(0)
-    else:
-        # each pool thread runs in a copy of the caller's context, so it
+    workers = min(len(chunks), _openblas.spare_cpus())
+    if workers > 1:
+        # each chunk runs in its own copy of the caller's context, so it
         # keeps the caller's numpy error state
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, share, first)
-                       for first in range(1, workers)]
-            share(0)
-            for future in futures:
-                future.result()
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(lambda context, chunk: context.run(decide, chunk),
+                                    [contextvars.copy_context() for _ in chunks], chunks))
+    else:
+        results = map(decide, chunks)
     for chunk, (us, flags) in zip(chunks, results):
         for k, u, flag in zip(chunk, us, flags):
             values[k], eigcond[k] = complex(u), flag

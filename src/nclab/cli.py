@@ -12,11 +12,9 @@ least two points per channel, and neither grid may exceed MAX_SWEEP_POINTS
 grid points in all.  Every CSV cell is printed as ``%.9g``.
 ``--upsilon`` is offered only by the commands whose output it changes;
 ``montecarlo`` accepts ``--threads`` (at least 1), which has no effect.
+``run`` puts OpenBLAS on one thread before any command runs, and
 ``maxdiff`` polishes its candidates on the CPUs that OpenBLAS leaves idle,
-with no option.  ``run`` puts the OpenBLAS libraries bundled with numpy
-and scipy on one thread, once per process, unless OpenBLAS's own
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set;
-importing nclab leaves the thread count alone.  Importing this module
+with no option; ``_openblas`` describes both rules.  Importing this module
 loads no scipy module: each scipy submodule loads inside the first call
 that needs it, after ``run`` has set the thread count of scipy's library,
 and the count holds.
@@ -31,6 +29,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,8 +37,7 @@ from . import _openblas, allocation, analysis, simulator
 from .controller import (Protocol, closed_loop_eigenvalues, expected_cost,
                          line_resolvents, synthesize)
 from .prediction import build_prediction_operators
-from .scenario import (MAX_REPLICATES, MAX_STEPS, ChannelModel, Scenario,
-                       ScenarioError, SimOptions, load_scenario)
+from .scenario import MAX_REPLICATES, MAX_STEPS, Scenario, ScenarioError, load_scenario
 
 __all__ = ["main", "run"]
 
@@ -48,10 +46,6 @@ __all__ = ["main", "run"]
 # MAX_REPLICATES and MAX_STEPS (from scenario, which checks sim.replicates and
 # sim.steps against them) bound --replicates and --steps likewise.
 MAX_SWEEP_POINTS = 10 ** 6
-
-
-# Set by the user, any of these decides OpenBLAS's thread count instead.
-_OPENBLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -106,16 +100,12 @@ def _load(args) -> Scenario:
             raise bad from None
         if seed < 0:
             raise bad
-        sim = SimOptions(steps=scn.sim.steps, replicates=scn.sim.replicates, seed=seed)
-        scn = Scenario(plant=scn.plant, channel=scn.channel, weights=scn.weights,
-                       eval_state=scn.eval_state, sim=sim)
+        scn = replace(scn, sim=replace(scn.sim, seed=seed))
     if getattr(args, "upsilon", None) is not None:
         t = float(args.upsilon)
         if not 0.0 < t <= 1.0:
             raise UsageError("--upsilon must lie in (0,1]")
-        channel = ChannelModel(means=np.full(scn.m, t), beta=scn.channel.beta)
-        scn = Scenario(plant=scn.plant, channel=channel, weights=scn.weights,
-                       eval_state=scn.eval_state, sim=scn.sim)
+        scn = replace(scn, channel=replace(scn.channel, means=np.full(scn.m, t)))
     return scn
 
 
@@ -291,7 +281,7 @@ def _parser() -> argparse.ArgumentParser:
                                 description="LQG/MPC synthesis and analysis over lossy actuation channels")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, protocol=True, upsilon=True, out_default=None, out_csv=False):
+    def add(name, fn, protocol=True, upsilon=True, out_csv=False):
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
         if protocol:
@@ -300,8 +290,7 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--upsilon", type=float, default=None,
                             help="override all channel means with a shared value")
         if out_csv:
-            sp.add_argument("--out", required=out_default is None,
-                            default=out_default, help="output CSV path")
+            sp.add_argument("--out", required=True, help="output CSV path")
         else:
             sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
         sp.set_defaults(fn=fn)
@@ -341,20 +330,8 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _one_blas_thread() -> None:
-    """Put the bundled OpenBLAS libraries on one thread, once per process,
-    unless one of OpenBLAS's own thread variables is set.  On two cores
-    OpenBLAS's threads slowed down the small eigensolves of the analysis:
-    ``maxdiff`` on pendulum took 0.55 s with two threads and 0.44 s with
-    one, printing the same bytes."""
-    if not any(os.environ.get(name) for name in _OPENBLAS_THREAD_VARIABLES):
-        for setter in _openblas.setters():
-            setter(1)
-
-
 def run(argv=None) -> int:
-    _one_blas_thread()
+    _openblas.one_thread()
     parser = _parser()
     try:
         args = parser.parse_args(argv)

@@ -289,13 +289,19 @@ def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
 
 
 def _chunk_threads(monkeypatch, analysis):
-    """Record the thread that decides each chunk of candidates."""
+    """Record the thread that decides each chunk of candidates.  The first
+    two chunks since ``seen`` was cleared wait for each other when a pool
+    runs them: otherwise one pool thread may take every chunk of a fast
+    draw before a second thread starts."""
     import threading
     seen = []
     decide = analysis._decide_chunk
+    meet = threading.Barrier(2)
 
     def recording(*args):
         seen.append(threading.get_ident())
+        if threading.current_thread() is not threading.main_thread() and len(seen) <= 2:
+            meet.wait(timeout=60)
         return decide(*args)
 
     monkeypatch.setattr(analysis, "_decide_chunk", recording)
@@ -303,13 +309,11 @@ def _chunk_threads(monkeypatch, analysis):
 
 
 def test_parallel_polish_equals_the_serial_loop(monkeypatch, pendulum):
-    # one OpenBLAS thread on two CPUs polishes on two threads, each chunk
-    # with half the stack budget; one CPU keeps the serial chunks.  Pendulum
-    # runs 8 chunks serially; each random draw gets a budget of two
-    # candidates per serial chunk
+    # two spare CPUs polish on two threads, one CPU on the calling thread,
+    # with the same chunks.  Pendulum runs 8 chunks; each random draw gets
+    # a budget of two candidates per chunk
     from nclab import analysis
     seen = _chunk_threads(monkeypatch, analysis)
-    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: 1)
     rng = np.random.default_rng(7)
     draws = [ops_of(random_scenario(rng, n_max=5, m_max=3, n_horizon_max=12))
              for _ in range(12)]
@@ -319,7 +323,7 @@ def test_parallel_polish_equals_the_serial_loop(monkeypatch, pendulum):
         monkeypatch.setattr(analysis, "_STACK_BYTES", budget)
         runs = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(analysis, "_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda cpus=cpus: cpus)
             seen.clear()
             runs[cpus] = determinant_root_candidates(ops)
             runs[cpus, "threads"] = len(set(seen))
@@ -333,21 +337,47 @@ def test_parallel_polish_equals_the_serial_loop(monkeypatch, pendulum):
     monkeypatch.setattr(analysis, "_STACK_BYTES", 1 << 20)
     seen.clear()
     determinant_root_candidates(ops_of(pendulum))
-    assert len(seen) == 16  # 80 candidates, 5 per chunk on two threads
+    assert len(seen) == 8  # 80 candidates, 10 per chunk on two threads
+
+
+def test_chunks_hold_the_stack_budget(monkeypatch, pendulum, mixed):
+    # a chunk's pencils and slope matrices fit _STACK_BYTES, and a chunk
+    # holds one candidate when one alone is larger
+    from nclab import analysis
+    sizes = []
+    decide = analysis._decide_chunk
+
+    def recording(ops, spectrum, scale, t, h_diag, us):
+        sizes.append((len(us), 2 * 8 * t.size))
+        return decide(ops, spectrum, scale, t, h_diag, us)
+
+    monkeypatch.setattr(analysis, "_decide_chunk", recording)
+    monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda: 2)
+    for name, ops in (("pendulum", ops_of(pendulum)), ("mixed", ops_of(mixed))):
+        matrix_bytes = 2 * 8 * analysis._pencil(ops)[0].size
+        for budget in (1 << 20, 3 * matrix_bytes, matrix_bytes // 2):
+            monkeypatch.setattr(analysis, "_STACK_BYTES", budget)
+            sizes.clear()
+            determinant_root_candidates(ops)
+            assert sum(rows for rows, _ in sizes) == {"pendulum": 80, "mixed": 20}[name]
+            for rows, per_candidate in sizes:
+                assert per_candidate == matrix_bytes
+                assert rows * per_candidate <= budget or rows == 1
+            if budget < matrix_bytes:
+                assert {rows for rows, _ in sizes} == {1}
 
 
 def test_many_polish_threads_with_fast_switching_equal_the_serial_loop(monkeypatch, mixed):
     # eight threads on at most a few cores, one candidate per chunk (a
-    # budget of two per serial chunk) and a switch interval of 1 us: a lost
-    # or misplaced chunk result changes the list
+    # budget of one) and a switch interval of 1 us: a lost or misplaced
+    # chunk result changes the list
     import sys
     from nclab import analysis
     ops = ops_of(mixed)
-    monkeypatch.setattr(analysis, "_STACK_BYTES", 2 * 2 * 8 * analysis._pencil(ops)[0].size)
-    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: 1)
-    monkeypatch.setattr(analysis, "_cpus", lambda: 1)
+    monkeypatch.setattr(analysis, "_STACK_BYTES", 2 * 8 * analysis._pencil(ops)[0].size)
+    monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda: 1)
     serial = determinant_root_candidates(ops)
-    monkeypatch.setattr(analysis, "_cpus", lambda: 8)
+    monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda: 8)
     seen = _chunk_threads(monkeypatch, analysis)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -364,11 +394,11 @@ def test_many_polish_threads_with_fast_switching_equal_the_serial_loop(monkeypat
 def test_polish_threads_follow_the_cpus_openblas_leaves_idle(monkeypatch, pendulum,
                                                              blas, cpus, workers):
     # CPUs // OpenBLAS threads, and one thread where numpy's OpenBLAS is
-    # not found; pendulum's 8 serial chunks bound nothing here
-    from nclab import analysis
-    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: blas)
-    monkeypatch.setattr(analysis, "_cpus", lambda: cpus)
-    assert analysis._spare_cpus() == workers
+    # not found; pendulum's 8 chunks bound nothing here
+    from nclab import _openblas, analysis
+    monkeypatch.setattr(_openblas, "_numpy_getter", lambda: None if blas is None else (lambda: blas))
+    monkeypatch.setattr(_openblas, "_cpus", lambda: cpus)
+    assert _openblas.spare_cpus() == workers
     seen = _chunk_threads(monkeypatch, analysis)
     determinant_root_candidates(ops_of(pendulum))
     assert len(set(seen)) == workers
@@ -378,8 +408,7 @@ def test_mixed_scalar_candidates_stay_on_the_calling_thread(monkeypatch, mixed):
     # mixed's 20 candidates in range fit one chunk, so no pool is started
     import threading
     from nclab import analysis
-    monkeypatch.setattr(analysis._openblas, "numpy_threads", lambda: 1)
-    monkeypatch.setattr(analysis, "_cpus", lambda: 2)
+    monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda: 2)
     seen = _chunk_threads(monkeypatch, analysis)
     determinant_root_candidates(ops_of(mixed))
     assert seen == [threading.get_ident()]

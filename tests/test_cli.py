@@ -666,20 +666,31 @@ _EDITS = [
     ("omega*1e200", lambda v: v * 1e200, ["weights.omega"], "singular protocol Gram system: "),
     ("psi*1e308", lambda v: v * 1e308, ["weights.psi"], "psi_steps has non-finite entries"),
     ("psi*1e-300", lambda v: v * 1e-300, ["weights.psi"], "singular protocol Gram system: "),
+    ("b*1e-300", lambda v: v * 1e-300, ["plant.b"], None),
+    ("psi*1e154", lambda v: v * 1e154, ["weights.psi"], None),
+    ("psi*1e200", lambda v: v * 1e200, ["weights.psi"], None),
+    ("psi*1e300", lambda v: v * 1e300, ["weights.psi"], None),
+    ("omega*1e300", lambda v: v * 1e300, ["weights.omega"], "singular protocol Gram system: "),
 ]
-# maxdiff --scalar on mixed with psi[0][0] times 1e308: T and
-# H = Psi (Omega_d + Psi) / Omega_d of the root pencil overflow
-_OPEN = {("maxdiff-scalar", "mixed", "psi*1e308")}
+# maxdiff --scalar on mixed may also refuse what an edit takes past the
+# float range: an Omega_d entry that underflows to 0, a root pencil T, H
+# whose bound on P(u) and P'(u) overflows, or the derivative matrix at 1/2
+_PENCIL = r"root pencil: 2 \(max\|T\| \+ max\|H\|\) is not finite"
+_MAXDIFF_REFUSALS = {
+    "b*1e-300": "root pencil: an entry of Omega_d is 0",
+    "psi*1e154": _PENCIL, "psi*1e200": _PENCIL, "psi*1e300": _PENCIL, "psi*1e308": _PENCIL,
+    "omega*1e300": "the derivative matrix at 1/2 is not finite",
+}
 
 # every command on mixed and, but for maxdiff --scalar and allocate, on
 # pendulum, under every edit; mixed with q[0][0] = 1e308 keeps the command's id
 _FLOAT_RANGE_CASES = [
-    pytest.param(argv, f"({named}) .*not finite" + (f"|{refused}" if refused else ""),
+    pytest.param(argv, "|".join(filter(None, [
+                     f"({named}) .*not finite", refused,
+                     _MAXDIFF_REFUSALS.get(edit) if argv[0] == "maxdiff" else None])),
                  fixture, value, places,
                  id=command if (fixture, edit) == ("mixed", "q=1e308")
-                 else f"{command}-{fixture}-{edit}",
-                 marks=[pytest.mark.xfail(raises=RuntimeWarning, strict=True)]
-                 if (command, fixture, edit) in _OPEN else [])
+                 else f"{command}-{fixture}-{edit}")
     for edit, value, places, refused in _EDITS
     for fixture in ("mixed", "pendulum")
     for command, argv, named in _NEAR_THE_FLOAT_LIMIT
@@ -698,6 +709,18 @@ def _first_entry(doc, place):
     return entry
 
 
+def _edited_fixture(tmp_path, fixture, value, places) -> str:
+    """A copy of ``fixture`` with the first entry of each place set to
+    value(entry)."""
+    doc = json.loads(open(fixture_path(fixture)).read())
+    for place in places:
+        entry = _first_entry(doc, place)
+        entry[0] = value(entry[0])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, refusal, fixture, value, places", _FLOAT_RANGE_CASES)
 def test_every_command_ends_in_a_finite_answer_or_a_named_error(tmp_path, capsys, argv, refusal,
                                                                 fixture, value, places):
@@ -707,17 +730,12 @@ def test_every_command_ends_in_a_finite_answer_or_a_named_error(tmp_path, capsys
     import re
     import warnings
 
-    doc = json.loads(open(fixture_path(fixture)).read())
-    for place in places:
-        entry = _first_entry(doc, place)
-        entry[0] = value(entry[0])
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
+    path = _edited_fixture(tmp_path, fixture, value, places)
     out = tmp_path / "out.csv"
     argv = argv + [str(out)] if argv[-1] == "--out" else argv
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run(argv + ["--scenario", str(path)])
+        rc = run(argv + ["--scenario", path])
     stdout, err = capsys.readouterr()
     if rc == 0:
         assert err == ""
@@ -730,6 +748,24 @@ def test_every_command_ends_in_a_finite_answer_or_a_named_error(tmp_path, capsys
         assert rc == 1 and stdout == "" and not out.exists()
         assert err.count("\n") == 1, err
         assert re.match(f"error: ({refusal})", err), err
+
+
+@pytest.mark.parametrize("edit", list(_MAXDIFF_REFUSALS))
+def test_maxdiff_names_the_pencil_or_derivative_past_the_float_range(tmp_path, capsys, edit):
+    # maxdiff --scalar on mixed with b[0][0] times 1e-300, psi[0][0] times
+    # 1e154 up to 1e308 or omega[0][0] times 1e300 ended in scipy's "array
+    # must not contain infs or NaNs", "SVD did not converge" or, for psi
+    # times 1e154, exit 0 after a RuntimeWarning from the Newton slope
+    import re
+    import warnings
+
+    _, value, places, _ = next(e for e in _EDITS if e[0] == edit)
+    path = _edited_fixture(tmp_path, "mixed", value, places)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["maxdiff", "--scalar", "--scenario", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {_MAXDIFF_REFUSALS[edit]}\n", err), err
 
 
 def test_a_penalty_near_the_float_limit_keeps_finite_gains_and_costs(tmp_path, capsys,
@@ -978,8 +1014,8 @@ def test_missing_openblas_changes_no_output(capsys, pend_path, lookup):
 
 _MAXDIFF_THREADS = """
 import contextlib, io, threading
-from nclab import analysis, cli
-analysis._cpus = lambda: 2
+from nclab import _openblas, analysis, cli
+_openblas._cpus = lambda: 2
 seen = []
 decide = analysis._decide_chunk
 def recording(*args):
