@@ -44,6 +44,11 @@ eigenvalues of
     T v = lambda H v,   T = Omega_g Od^{-1} (Omega_g + Psi) + Psi Od^{-1} Omega_h,
                         H = Psi Od^{-1} (Omega_d + Psi).
 
+T + H = (Omega_g + Psi) Od^{-1} (Omega_g + Psi) and H are positive definite,
+so 1 + lambda = v'(T + H) v / v'H v > 0: every candidate is real, inf where
+lambda = 0, and NaN only where rounding takes 1 + lambda below 0 (four
+lambdas on ``mixed`` with omega[0][0] x 1e200).
+
 A candidate is only a critical point of the gap when the whole derivative
 matrix is annihilated there (Rayleigh-quotient condition); on stacked
 multichannel systems that filter typically rejects every candidate and the
@@ -136,10 +141,13 @@ class GapReport:
 
 @dataclass(frozen=True)
 class RootCandidate:
-    value: complex          # real-valued candidates carry zero imaginary part
-    real: bool
+    """1 / (1 ± sqrt(1 + lambda)): inf where lambda = 0, NaN where 1 + lambda
+    rounds below 0 (module docstring)."""
+    value: float
     eigcond: bool           # derivative matrix annihilated at the candidate
-    valid: bool             # real and within [0, 1]
+    valid: bool             # within [0, 1]
+    # a finite value; the benchmark's layer metrics count candidates by it
+    real = property(lambda self: bool(np.isfinite(self.value)))
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def _pencil(ops: PredictionOperators) -> tuple[np.ndarray, np.ndarray]:
 def _pencil_lambdas(t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
     from scipy.linalg import eigh
 
-    return np.sort(eigh(t, np.diag(h_diag), eigvals_only=True))
+    return eigh(t, np.diag(h_diag), eigvals_only=True)  # ascending
 
 
 def root_lambdas(ops: PredictionOperators) -> np.ndarray:
@@ -330,55 +338,46 @@ def _polish_roots(us, t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
 
 def _decide_chunk(ops, spectrum, scale, t, h_diag, us):
     """Polish one chunk of candidates and test each for annihilation: by
-    the trace bound, and where that leaves it open by its eigenvalues."""
+    the trace bound as one mask, and by its eigenvalues where the bound
+    leaves it open."""
     us = _polish_roots(us, t, h_diag)
-    flags = [False] * len(us)
-    for i, (u, tr) in enumerate(zip(us, _fmat_traces(spectrum, us))):
-        if not abs(tr) / len(h_diag) > 2.0 * EIGCOND_RTOL * scale:
-            eigs = np.linalg.eigvals(derivative_matrix(ops, u))
-            flags[i] = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
+    bound = np.abs(_fmat_traces(spectrum, us)) / len(h_diag) > 2.0 * EIGCOND_RTOL * scale
+    flags = np.zeros(len(us), dtype=bool)
+    open_ = np.flatnonzero(~bound)
+    flags[open_] = [np.max(np.abs(np.linalg.eigvals(derivative_matrix(ops, u))))
+                    <= EIGCOND_RTOL * scale for u in us[open_]]
     return us, flags
 
 
 def determinant_root_candidates(ops: PredictionOperators, *,
                                 spectrum=None) -> list[RootCandidate]:
-    """All 2Nm candidate channel means where the derivative matrix is
-    singular; complex and out-of-range values are flagged invalid.  A real
-    candidate in (0, 1) is polished, then tested for annihilation by the
-    trace bound and, where that leaves it open, by its eigenvalues (module
-    docstring).  The candidates go in chunks of at most ``_STACK_BYTES``,
-    polished on ``_openblas.spare_cpus()`` threads and at most one per
-    chunk.  ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
+    """All 2Nm candidate channel means 1 / (1 ± sqrt(1 + lambda)) where the
+    derivative matrix is singular, a pair per lambda of ``root_lambdas``;
+    NaN, inf and values outside [0, 1] are flagged invalid.  A candidate in
+    (0, 1) is polished, then tested for annihilation by the trace bound and,
+    where that leaves it open, by its eigenvalues (module docstring).  The
+    candidates go in chunks of at most ``_STACK_BYTES``, polished on
+    ``_openblas.spare_cpus()`` threads and at most one per chunk.
+    ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
     t, h_diag = _pencil(ops)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
         half = derivative_matrix(ops, 0.5)
     if not np.all(np.isfinite(half)):
         raise ValueError("the derivative matrix at 1/2 is not finite")
     scale = np.linalg.norm(half, 2)
-    raw: list[tuple[complex, bool]] = []
-    for lam_i in _pencil_lambdas(t, h_diag):
-        disc = 1.0 + lam_i
-        if disc < 0.0:
-            root = complex(0.0, np.sqrt(-disc))
-            pair = (1.0 / (1.0 + root), 1.0 / (1.0 - root))
-        else:
-            r = np.sqrt(disc)
-            pair = (complex(1.0 / (1.0 + r)),
-                    complex(np.inf) if r == 1.0 else complex(1.0 / (1.0 - r)))
-        raw.extend((value, bool(value.imag == 0.0 and np.isfinite(value.real)))
-                   for value in pair)
-
-    inside = [k for k, (value, is_real) in enumerate(raw)
-              if is_real and 0.0 < value.real < 1.0]
-    values = [value for value, _ in raw]
-    eigcond = [False] * len(raw)
+    # inf where lambda = 0, NaN where 1 + lambda < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(1.0 + _pencil_lambdas(t, h_diag))
+        values = np.column_stack([1.0 / (1.0 + r), 1.0 / (1.0 - r)]).ravel()
+    eigcond = np.zeros(values.size, dtype=bool)
+    inside = np.flatnonzero((0.0 < values) & (values < 1.0))
     rows = max(1, _STACK_BYTES // (2 * 8 * t.size))  # one candidate's pencil and slope matrix
-    chunks = [inside[lo:lo + rows] for lo in range(0, len(inside), rows)]
+    chunks = [inside[lo:lo + rows] for lo in range(0, inside.size, rows)]
     if spectrum is None:
         spectrum = _spectrum(ops)
 
     def decide(chunk):
-        return _decide_chunk(ops, spectrum, scale, t, h_diag, [values[k].real for k in chunk])
+        return _decide_chunk(ops, spectrum, scale, t, h_diag, values[chunk])
 
     workers = min(len(chunks), _openblas.spare_cpus())
     if workers > 1:
@@ -388,13 +387,11 @@ def determinant_root_candidates(ops: PredictionOperators, *,
             results = list(pool.map(lambda context, chunk: context.run(decide, chunk),
                                     [contextvars.copy_context() for _ in chunks], chunks))
     else:
-        results = map(decide, chunks)
-    for chunk, (us, flags) in zip(chunks, results):
-        for k, u, flag in zip(chunk, us, flags):
-            values[k], eigcond[k] = complex(u), flag
-    return [RootCandidate(value=value, real=is_real, eigcond=flag,
-                          valid=bool(is_real and 0.0 <= value.real <= 1.0))
-            for value, (_, is_real), flag in zip(values, raw, eigcond)]
+        results = list(map(decide, chunks))
+    if results:
+        values[inside], eigcond[inside] = map(np.concatenate, zip(*results))
+    return [RootCandidate(value=value, eigcond=flag, valid=0.0 <= value <= 1.0)
+            for value, flag in zip(values.tolist(), eigcond.tolist())]
 
 
 def _grid_maximize(gap) -> float:
@@ -431,8 +428,8 @@ def maximal_gap(ops: PredictionOperators, x: np.ndarray) -> MaxDiffReport:
     """
     spectrum = _spectrum(ops)
     cands = determinant_root_candidates(ops, spectrum=spectrum)
-    interior = [c.value.real for c in cands if c.valid]
-    passing = [c.value.real for c in cands if c.valid and c.eigcond]
+    interior = [c.value for c in cands if c.valid]
+    passing = [c.value for c in cands if c.valid and c.eigcond]
     # the command line refuses a gap that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _gap_curve(ops, x, spectrum)

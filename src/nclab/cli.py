@@ -192,7 +192,7 @@ def cmd_maxdiff(args) -> int:
         "method": rep.method,
         "analytic_best": rep.analytic_best,
         "num_candidates": len(rep.candidates),
-        "valid_candidates": [c.value.real for c in rep.candidates if c.valid],
+        "valid_candidates": [c.value for c in rep.candidates if c.valid],
     }, args.out)
     return 0
 

@@ -189,7 +189,7 @@ def test_criterion_07_determinant_root_residuals(mixed):
     # the unit toy yields sqrt(2)-1 exactly
     toy = toy_scenario(mu=0.5, x=1.0)
     cands = determinant_root_candidates(ops_of(toy))
-    best = min((c.value.real for c in cands if c.valid),
+    best = min((c.value for c in cands if c.valid),
                key=lambda v: abs(v - (np.sqrt(2.0) - 1.0)))
     toy_ok = abs(best - (np.sqrt(2.0) - 1.0)) <= 1e-10
 
@@ -203,8 +203,8 @@ def test_criterion_07_determinant_root_residuals(mixed):
         ops = ops_of(scn)
         _, ld_ref = np.linalg.slogdet(derivative_matrix(ops, 0.5))
         for c in determinant_root_candidates(ops):
-            if c.valid and 1e-6 < c.value.real < 1.0 - 1e-6:
-                _, ld = np.linalg.slogdet(derivative_matrix(ops, c.value.real))
+            if c.valid and 1e-6 < c.value < 1.0 - 1e-6:
+                _, ld = np.linalg.slogdet(derivative_matrix(ops, c.value))
                 worst = max(worst, ld - ld_ref)
                 checked += 1
     resid_ok = worst <= np.log(1e-8) and checked >= 20
@@ -214,8 +214,8 @@ def test_criterion_07_determinant_root_residuals(mixed):
     ops = ops_of(mixed)
     local_worst = -np.inf
     for c in determinant_root_candidates(ops):
-        if c.valid and 1e-6 < c.value.real < 1.0 - 1e-6:
-            u = c.value.real
+        if c.valid and 1e-6 < c.value < 1.0 - 1e-6:
+            u = c.value
             _, ld = np.linalg.slogdet(derivative_matrix(ops, u))
             _, ld_nb = np.linalg.slogdet(derivative_matrix(ops, min(u + 0.01, 0.999)))
             local_worst = max(local_worst, ld - ld_nb)

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from nclab import (Protocol, cost_gap, determinant_root_candidates,
-                   expected_cost, gap_derivative, iso_cost_transmission,
-                   maximal_gap, monotonic_sweep, scalar_cost_gap,
+                   expected_cost, fixture_path, gap_derivative, iso_cost_transmission,
+                   maximal_gap, monotonic_sweep, scalar_cost_gap, scenario_from_dict,
                    write_sweep_csv)
 from nclab.analysis import derivative_matrix, root_lambdas
 
@@ -121,10 +122,10 @@ def test_toy_candidates_are_exact():
     assert lams == pytest.approx([1.0], rel=1e-12)
     cands = determinant_root_candidates(ops)
     assert len(cands) == 2  # 2 N m with N = m = 1
-    vals = sorted(c.value.real for c in cands)
+    vals = sorted(c.value for c in cands)
     assert vals[0] == pytest.approx(1.0 / (1.0 - SQRT2), rel=1e-10)  # invalid
     assert vals[1] == pytest.approx(SQRT2 - 1.0, abs=1e-10)
-    flags = {round(c.value.real, 6): c.valid for c in cands}
+    flags = {round(c.value, 6): c.valid for c in cands}
     assert flags[round(SQRT2 - 1.0, 6)] is True
     assert flags[round(1.0 / (1.0 - SQRT2), 6)] is False
 
@@ -146,8 +147,8 @@ def test_valid_candidates_zero_the_derivative_matrix_determinant():
         ops = ops_of(scn)
         _, ld_ref = np.linalg.slogdet(derivative_matrix(ops, 0.5))
         for c in determinant_root_candidates(ops):
-            if c.valid and 1e-6 < c.value.real < 1 - 1e-6:
-                _, ld = np.linalg.slogdet(derivative_matrix(ops, c.value.real))
+            if c.valid and 1e-6 < c.value < 1 - 1e-6:
+                _, ld = np.linalg.slogdet(derivative_matrix(ops, c.value))
                 assert ld - ld_ref <= np.log(1e-8)
                 checked += 1
     assert checked >= 10
@@ -230,7 +231,8 @@ def _replaced_polish_root(u, t, h_diag, stop=1e-12):
 
 def _replaced_candidates(ops, stop=1e-12):
     """The per-candidate polish and eigenvalue annihilation loop that the
-    batched polish and the trace bound replace."""
+    batched polish and the trace bound replace.  A derivative matrix past
+    the float range is not annihilated."""
     from nclab.analysis import EIGCOND_RTOL, RootCandidate, _pencil
     t, h_diag = _pencil(ops)
     scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
@@ -238,53 +240,71 @@ def _replaced_candidates(ops, stop=1e-12):
     for lam in root_lambdas(ops):
         disc = 1.0 + lam
         if disc < 0.0:
-            root = complex(0.0, np.sqrt(-disc))
-            pair = (1.0 / (1.0 + root), 1.0 / (1.0 - root))
+            pair = (np.nan, np.nan)
         else:
-            r = np.sqrt(disc)
-            pair = (complex(1.0 / (1.0 + r)),
-                    complex(np.inf) if r == 1.0 else complex(1.0 / (1.0 - r)))
+            r = float(np.sqrt(disc))
+            pair = (1.0 / (1.0 + r), np.inf if r == 1.0 else 1.0 / (1.0 - r))
         for value in pair:
-            is_real = value.imag == 0.0 and np.isfinite(value.real)
             eigcond = False
-            if is_real and 0.0 < value.real < 1.0:
-                value = complex(_replaced_polish_root(value.real, t, h_diag, stop))
-                eigs = np.linalg.eigvals(derivative_matrix(ops, value.real))
-                eigcond = bool(np.max(np.abs(eigs)) <= EIGCOND_RTOL * scale)
-            out.append(RootCandidate(value=value, real=bool(is_real), eigcond=eigcond,
-                                     valid=bool(is_real and 0.0 <= value.real <= 1.0)))
+            if 0.0 < value < 1.0:
+                value = float(_replaced_polish_root(value, t, h_diag, stop))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fmat = derivative_matrix(ops, value)
+                eigcond = bool(np.all(np.isfinite(fmat)) and np.max(
+                    np.abs(np.linalg.eigvals(fmat))) <= EIGCOND_RTOL * scale)
+            out.append(RootCandidate(value=value, eigcond=eigcond, valid=0.0 <= value <= 1.0))
     return out
 
 
+def _same_candidates(got, ref) -> bool:
+    """Equal candidate lists, a NaN value equal to a NaN value."""
+    return (np.array_equal([c.value for c in got], [c.value for c in ref], equal_nan=True)
+            and [(c.eigcond, c.valid) for c in got] == [(c.eigcond, c.valid) for c in ref])
+
+
 def _indefinite_operators():
-    """Two stacked inputs with Omega_d + Psi indefinite.  A scenario cannot
-    give complex candidates: T + H = (Omega_g + Psi) Omega_d^-1 (Omega_g + Psi)
-    is positive definite, so every lambda exceeds -1.  Here one lambda lies
-    below -1, and the pencils of ``_spectrum`` hold NaN, so the trace bound
-    decides nothing and the real candidate goes through the eigenvalues."""
+    """Two stacked inputs with Omega_d + Psi indefinite.  For a scenario,
+    T + H = (Omega_g + Psi) Omega_d^-1 (Omega_g + Psi) is positive definite,
+    so every lambda exceeds -1 and only rounding takes 1 + lambda below 0
+    (as on mixed with omega[0][0] x 1e200).  Here one lambda lies below -1
+    by construction, and the pencils of ``_spectrum`` hold NaN, so the trace
+    bound decides nothing and the real candidate goes through the
+    eigenvalues."""
     og = np.array([[-3.0, 1.0], [1.0, 2.0]])
     return dataclasses.replace(
         ops_of(toy_scenario()), psi=np.ones(2), omega_g=og, omega_d=np.diag(og).copy(),
         omega_gp=np.ones((2, 1)), upsilon_diag=np.full(2, 0.5), horizon=2)
 
 
+def _mixed_with_omega_times_1e200():
+    """mixed with omega[0][0] x 1e200: 1 + lambda rounds below 0 for four
+    lambdas, so eight candidates are NaN."""
+    doc = json.loads(open(fixture_path("mixed")).read())
+    doc["weights"]["omega"][0][0] *= 1e200
+    return ops_of(scenario_from_dict(doc))
+
+
 def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
     # pendulum and mixed as ``maxdiff`` (with --scalar for mixed) builds them,
-    # the N = m = 1 toy whose root passes through the eigenvalue fallback, a
-    # seeded ensemble with out-of-range candidates, and complex candidates
+    # mixed with omega[0][0] x 1e200, the N = m = 1 toy whose root passes
+    # through the eigenvalue fallback, a seeded ensemble with out-of-range
+    # candidates, and a lambda below -1
     toy = ops_of(toy_scenario(mu=0.5, x=1.0))
     rng = np.random.default_rng(2024)
     ensemble = [ops_of(random_scenario(rng, n_max=3, m_max=3, n_horizon_max=6))
                 for _ in range(16)]
-    seen = {"complex": 0, "outside": 0, "eigcond": 0}
+    seen = {"nan": 0, "outside": 0, "eigcond": 0}
     with np.errstate(invalid="ignore"):
-        for ops in [ops_of(pendulum), ops_of(mixed), toy, _indefinite_operators()] + ensemble:
+        for ops in [ops_of(pendulum), ops_of(mixed), _mixed_with_omega_times_1e200(), toy,
+                    _indefinite_operators()] + ensemble:
             got = determinant_root_candidates(ops)
-            assert got == _replaced_candidates(ops)
-            seen["complex"] += sum(not c.real for c in got)
-            seen["outside"] += sum(c.real and not c.valid for c in got)
+            assert _same_candidates(got, _replaced_candidates(ops))
+            seen["nan"] += sum(np.isnan(c.value) for c in got)
+            seen["outside"] += sum(not (np.isnan(c.value) or c.valid) for c in got)
             seen["eigcond"] += sum(c.eigcond for c in got)
     assert min(seen.values()) > 0, seen
+    assert sum(np.isnan(c.value) for c in determinant_root_candidates(
+        _mixed_with_omega_times_1e200())) == 8
     assert [c.eigcond for c in determinant_root_candidates(toy)].count(True) == 1
 
 
@@ -525,8 +545,7 @@ def test_the_polish_stop_keeps_the_printed_digits_and_saves_rounds(name, matrice
     monkeypatch.undo()
     old = _replaced_candidates(ops, stop=1e-15)
     assert [(c.valid, c.eigcond) for c in got] == [(c.valid, c.eigcond) for c in old]
-    assert ([_fmt(c.value.real) for c in got if c.valid]
-            == [_fmt(c.value.real) for c in old if c.valid])
+    assert [_fmt(c.value) for c in got if c.valid] == [_fmt(c.value) for c in old if c.valid]
     assert sum(counted) == matrices
 
 
@@ -554,8 +573,7 @@ def test_trace_bound_rejects_only_what_the_eigenvalues_reject(pendulum):
     rejected = open_ = 0
     for ops in cases + [ops_of(toy_scenario(mu=0.5, x=1.0)), ops_of(pendulum)]:
         scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
-        us = [c.value.real for c in determinant_root_candidates(ops)
-              if c.real and 0.0 < c.value.real < 1.0]
+        us = [c.value for c in determinant_root_candidates(ops) if 0.0 < c.value < 1.0]
         for u, tr in zip(us, _spectral_traces(ops, us)):
             radius = np.max(np.abs(np.linalg.eigvals(derivative_matrix(ops, u))))
             if abs(tr) / ops.psi.shape[0] > 2.0 * EIGCOND_RTOL * scale:
