@@ -141,8 +141,7 @@ class GapReport:
 
 @dataclass(frozen=True)
 class RootCandidate:
-    """1 / (1 ± sqrt(1 + lambda)): inf where lambda = 0, NaN where 1 + lambda
-    rounds below 0 (module docstring)."""
+    """1 / (1 ± sqrt(1 + lambda)); NaN and inf as the module docstring says."""
     value: float
     eigcond: bool           # derivative matrix annihilated at the candidate
     valid: bool             # within [0, 1]
@@ -337,36 +336,36 @@ def _polish_roots(us, t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
 
 
 def _decide_chunk(ops, spectrum, scale, t, h_diag, us):
-    """Polish one chunk of candidates and test each for annihilation: by
-    the trace bound as one mask, and by its eigenvalues where the bound
-    leaves it open."""
+    """Polish one chunk of candidates and test each for annihilation: by the
+    trace bound as one mask, and where that leaves it open by its eigenvalues
+    (a derivative matrix past the float range is not annihilated)."""
     us = _polish_roots(us, t, h_diag)
     bound = np.abs(_fmat_traces(spectrum, us)) / len(h_diag) > 2.0 * EIGCOND_RTOL * scale
     flags = np.zeros(len(us), dtype=bool)
     open_ = np.flatnonzero(~bound)
-    flags[open_] = [np.max(np.abs(np.linalg.eigvals(derivative_matrix(ops, u))))
-                    <= EIGCOND_RTOL * scale for u in us[open_]]
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: not annihilated
+        fmats = [derivative_matrix(ops, u) for u in us[open_]]
+    flags[open_] = [np.all(np.isfinite(fmat)) and np.max(np.abs(np.linalg.eigvals(fmat)))
+                    <= EIGCOND_RTOL * scale for fmat in fmats]
     return us, flags
 
 
 def determinant_root_candidates(ops: PredictionOperators, *,
                                 spectrum=None) -> list[RootCandidate]:
-    """All 2Nm candidate channel means 1 / (1 ± sqrt(1 + lambda)) where the
-    derivative matrix is singular, a pair per lambda of ``root_lambdas``;
-    NaN, inf and values outside [0, 1] are flagged invalid.  A candidate in
-    (0, 1) is polished, then tested for annihilation by the trace bound and,
-    where that leaves it open, by its eigenvalues (module docstring).  The
-    candidates go in chunks of at most ``_STACK_BYTES``, polished on
-    ``_openblas.spare_cpus()`` threads and at most one per chunk.
-    ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
+    """The 2Nm channel means 1 / (1 ± sqrt(1 + lambda)) where the derivative
+    matrix is singular; NaN, inf and values outside [0, 1] are invalid.  A
+    candidate in (0, 1) is polished, then tested for annihilation by the
+    trace bound and, where that leaves it open, by its eigenvalues (module
+    docstring).  The candidates go in chunks of at most ``_STACK_BYTES``,
+    polished on ``_openblas.spare_cpus()`` threads and at most one per
+    chunk.  ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
     t, h_diag = _pencil(ops)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
         half = derivative_matrix(ops, 0.5)
     if not np.all(np.isfinite(half)):
         raise ValueError("the derivative matrix at 1/2 is not finite")
     scale = np.linalg.norm(half, 2)
-    # inf where lambda = 0, NaN where 1 + lambda < 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # lambda = 0: inf; 1 + lambda < 0: NaN
         r = np.sqrt(1.0 + _pencil_lambdas(t, h_diag))
         values = np.column_stack([1.0 / (1.0 + r), 1.0 / (1.0 - r)]).ravel()
     eigcond = np.zeros(values.size, dtype=bool)
@@ -387,8 +386,8 @@ def determinant_root_candidates(ops: PredictionOperators, *,
             results = list(pool.map(lambda context, chunk: context.run(decide, chunk),
                                     [contextvars.copy_context() for _ in chunks], chunks))
     else:
-        results = list(map(decide, chunks))
-    if results:
+        results = map(decide, chunks)
+    if chunks:
         values[inside], eigcond[inside] = map(np.concatenate, zip(*results))
     return [RootCandidate(value=value, eigcond=flag, valid=0.0 <= value <= 1.0)
             for value, flag in zip(values.tolist(), eigcond.tolist())]

@@ -62,9 +62,8 @@ _CHUNK_BYTES = 1 << 20
 # Lines whose moving block has at least this many rows are diagonalized one
 # by one through the tridiagonal form (``_tridiagonal_spectrum``) instead of
 # by one batched ``np.linalg.eigh``.  With one OpenBLAS thread the two break
-# even at 40-48 rows (``BENCH_real_candidates.json``); no fixture has a line
-# of 21-79 rows, and the recorded outputs hold each route's bits.
-_TRIDIAGONAL_ROWS = 48
+# even at about 48 rows; the recorded outputs hold this route's bits.
+_TRIDIAGONAL_ROWS = 32
 
 __all__ = [
     "Protocol",
@@ -158,9 +157,8 @@ def _diagonal_split(ops: PredictionOperators, protocol: Protocol) -> tuple[np.nd
 def _fixed_solve(block: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """L^-1 rhs for each row of ``d``, where L L' = block + diag(d) is the
     Cholesky factor of the Omega_g + D block of the fixed stacked indices."""
-    # each row factors its own copy of the block in place; all read one rhs
     factor = _factor(np.repeat(block[np.newaxis], d.shape[0], axis=0), d)
-    return _trsolve(factor, np.broadcast_to(rhs, (d.shape[0],) + rhs.shape))
+    return _trsolve(factor, np.repeat(rhs[np.newaxis], d.shape[0], axis=0))
 
 
 def _tridiagonal_spectrum(mat: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,8 @@ enumeration, Riccati recursions) so they share no code path with the
 package internals they check.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -82,6 +84,20 @@ def random_scenario(rng, n_max=4, m_max=3, n_horizon_max=10, mu_lo=0.05,
 
 def ops_of(scn):
     return build_prediction_operators(scn.plant, scn.weights, scn.channel)
+
+
+def edited_fixture(fixture, value, places) -> dict:
+    """The scenario document of ``fixture`` with the first number of each
+    place, a dotted path into it, set to value(number)."""
+    doc = json.loads(open(fixture_path(fixture)).read())
+    for place in places:
+        entry = doc
+        for key in place.split("."):
+            entry = entry[key]
+        while isinstance(entry[0], list):
+            entry = entry[0]
+        entry[0] = value(entry[0])
+    return doc
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,15 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from nclab import (Protocol, cost_gap, determinant_root_candidates,
-                   expected_cost, fixture_path, gap_derivative, iso_cost_transmission,
+                   expected_cost, gap_derivative, iso_cost_transmission,
                    maximal_gap, monotonic_sweep, scalar_cost_gap, scenario_from_dict,
                    write_sweep_csv)
 from nclab.analysis import derivative_matrix, root_lambdas
 
-from conftest import CSV_EDGE_VALUES, ops_of, random_scenario, toy_scenario
+from conftest import CSV_EDGE_VALUES, edited_fixture, ops_of, random_scenario, toy_scenario
 
 TCP, UDP = Protocol.TCP_LIKE, Protocol.UDP_LIKE
 SQRT2 = np.sqrt(2.0)
@@ -279,9 +278,8 @@ def _indefinite_operators():
 def _mixed_with_omega_times_1e200():
     """mixed with omega[0][0] x 1e200: 1 + lambda rounds below 0 for four
     lambdas, so eight candidates are NaN."""
-    doc = json.loads(open(fixture_path("mixed")).read())
-    doc["weights"]["omega"][0][0] *= 1e200
-    return ops_of(scenario_from_dict(doc))
+    return ops_of(scenario_from_dict(edited_fixture("mixed", lambda v: v * 1e200,
+                                                   ["weights.omega"])))
 
 
 def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
@@ -306,6 +304,25 @@ def test_candidates_equal_the_replaced_per_candidate_loop(pendulum, mixed):
     assert sum(np.isnan(c.value) for c in determinant_root_candidates(
         _mixed_with_omega_times_1e200())) == 8
     assert [c.eigcond for c in determinant_root_candidates(toy)].count(True) == 1
+
+
+def test_a_derivative_matrix_past_the_float_range_is_not_annihilated(monkeypatch):
+    # on mixed with omega[0][0] x 1e200 the trace bound decides all 16 valid
+    # candidates, though 11 have a derivative matrix past the float range.
+    # With the bound leaving every candidate open, those 11 reach the
+    # eigenvalue test, which flags them not annihilated, with no warning
+    import warnings
+    from nclab import analysis
+    ops = _mixed_with_omega_times_1e200()
+    monkeypatch.setattr(analysis, "_fmat_traces", lambda spectrum, y: np.zeros(len(y)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = determinant_root_candidates(ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        past = [c for c in got if c.valid
+                and not np.all(np.isfinite(derivative_matrix(ops, c.value)))]
+    assert len(past) == 11 and not any(c.eigcond for c in past)
+    assert _same_candidates(got, _replaced_candidates(ops))
 
 
 def _chunk_threads(monkeypatch, analysis):

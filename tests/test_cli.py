@@ -12,7 +12,7 @@ import scipy
 from nclab import Protocol, expected_cost, fixture_path, load_scenario
 from nclab.cli import run
 
-from conftest import ops_of
+from conftest import edited_fixture, ops_of
 
 ALLOCATE = ["--alpha", "119", "--beta", "0.05,1", "--resolution", "0.1"]
 
@@ -698,26 +698,10 @@ _FLOAT_RANGE_CASES = [
 ]
 
 
-def _first_entry(doc, place):
-    """The innermost list that holds the first number of ``place``, a
-    dotted path into a scenario document."""
-    entry = doc
-    for key in place.split("."):
-        entry = entry[key]
-    while isinstance(entry[0], list):
-        entry = entry[0]
-    return entry
-
-
 def _edited_fixture(tmp_path, fixture, value, places) -> str:
-    """A copy of ``fixture`` with the first entry of each place set to
-    value(entry)."""
-    doc = json.loads(open(fixture_path(fixture)).read())
-    for place in places:
-        entry = _first_entry(doc, place)
-        entry[0] = value(entry[0])
+    """A file holding ``edited_fixture(fixture, value, places)``."""
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(edited_fixture(fixture, value, places)))
     return str(path)
 
 

@@ -471,7 +471,7 @@ def _riccati_cost(scn, protocol, upsilon=None):
     return float(x @ scn.weights.q @ x) + float(x @ p0 @ x) + noise_trace_oracle(scn)
 
 
-@pytest.mark.parametrize("tridiagonal_rows", [48, 2])
+@pytest.mark.parametrize("tridiagonal_rows", [32, 2])
 def test_line_resolvents_match_per_point_reference_and_riccati_oracle(monkeypatch, pendulum,
                                                                        tridiagonal_rows):
     # per-channel lines (last channel moving) and the shared-mean line, m <= 3,
