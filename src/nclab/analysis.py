@@ -90,7 +90,9 @@ digits) pin the values they produce; the candidates are ill-conditioned
 past about 7 digits (Tisseur and Meerbergen, SIAM Review 2001), so another
 correct method prints different ones.  Removing the polish or switching
 to Brent's method belongs with a benchmark change that re-records the
-``maxdiff`` reference entries (ROADMAP item 3).
+``maxdiff`` reference entries (the ROADMAP item "``maxdiff``: no Newton
+polish, no polish threads, and Brent's method instead of the golden
+section").
 """
 
 from __future__ import annotations

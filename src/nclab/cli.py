@@ -1,11 +1,16 @@
 """Command-line front end.
 
-Single-value commands print JSON to stdout; grid and trajectory commands
-write CSV files.  Exit codes: 0 success, 1 validation/domain error, 2 usage
-error.  All numbers are printed with 9 significant digits, so output is
-byte-identical across runs for identical inputs and seeds.  The environment
-variable NCLAB_SEED (a nonnegative integer) overrides the scenario's
-simulation seed.  ``sweep`` and ``allocate`` evaluate their grids line by
+Single-value commands print JSON to stdout, or to the file ``--out`` names;
+grid and trajectory commands write CSV files.  Exit codes: 0 success, 1
+validation/domain error, 2 usage error.  All numbers are printed with 9
+significant digits, so output is byte-identical across runs for identical
+inputs and seeds.  The JSON comes out as ``json.dumps(indent=2)`` lays it
+out, from this module's own writer (``_emit``): json's indent encoder runs
+in pure Python, and printing took more time than computing on ``pendulum``.
+The writer rounds all of an array's floats by one ``%`` and prints each as
+json prints the rounded float; a complex number prints as ``{"re", "im"}``.
+The environment variable NCLAB_SEED (a nonnegative integer) overrides the
+scenario's simulation seed.  ``sweep`` and ``allocate`` evaluate their grids line by
 line with one ``line_resolvents`` call per protocol, and ``--frontier-out``
 prints the costs ``allocate`` found without evaluating any; a sweep needs at
 least two points per channel, and neither grid may exceed MAX_SWEEP_POINTS
@@ -19,7 +24,10 @@ loads no scipy module: each scipy submodule loads inside the first call
 that needs it, after ``run`` has set the thread count of scipy's library,
 and the count holds.
 A CSV column or JSON field that is not finite is named in an error (exit 1),
-and nothing is printed or written.
+and nothing is printed or written.  So is an output path that cannot be
+written (``error: cannot write <path>: <reason>``), such as one in a missing
+directory or a directory.  When the reader of stdout has gone (``nclab ... |
+head -1``), ``main`` exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -34,6 +43,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _openblas, allocation, analysis, simulator
+from ._csv import write_text
 from .controller import (Protocol, closed_loop_eigenvalues, expected_cost,
                          line_resolvents, synthesize)
 from .prediction import build_prediction_operators
@@ -52,41 +62,110 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x) -> object:
-    """Round floats to 9 significant digits for stable text output."""
-    if isinstance(x, float):
-        return float(f"{x:.9g}")
-    if isinstance(x, complex):
-        return {"re": float(f"{x.real:.9g}"), "im": float(f"{x.imag:.9g}")}
-    if isinstance(x, np.ndarray):
-        return [_fmt(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in x.items()}
-    return x
+def _rounded(x: float) -> float:
+    """``x`` rounded to the 9 significant digits every output prints."""
+    return float(f"{x:.9g}")
 
 
-def _finite(x) -> bool:
-    """True iff no float in ``_fmt``'s output ``x`` is inf or NaN."""
-    if isinstance(x, dict):
-        x = list(x.values())
-    if isinstance(x, list):
-        return all(map(_finite, x))
-    return not isinstance(x, float) or bool(np.isfinite(x))
+class _NotFinite(Exception):
+    pass
+
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+def _number(x: float) -> str:
+    """The JSON text of the float ``x`` rounded to 9 significant digits:
+    ``float.__repr__`` of the rounded float, which is what json prints."""
+    if not math.isfinite(x):
+        raise _NotFinite
+    return float.__repr__(_rounded(x))
+
+
+def _numbers(values: list) -> list[str]:
+    """``_number`` of each finite float of ``values``, all rounded by one
+    ``%``.  The ``%.9g`` text of a rounded float that is normal and not
+    integral is already its repr: it has at most 9 significant digits, and
+    no two decimals of at most 15 digits read back as the same normal float,
+    so no shorter text does.  ``%.9g`` writes an integral float without its
+    ``.0`` (``1``, ``1e+09``) and may keep more digits than repr for a
+    subnormal one; those two kinds go through ``float.__repr__``."""
+    texts = ("%.9g," * len(values) % tuple(values)).split(",")[:-1]
+    rounded = np.array(texts, dtype=float)
+    redo = (rounded == np.trunc(rounded)) | (np.abs(rounded) < _SMALLEST_NORMAL)
+    for i in np.flatnonzero(redo).tolist():
+        texts[i] = float.__repr__(float(texts[i]))
+    return texts
+
+
+def _block(open_: str, items: list[str], close: str, level: int) -> str:
+    """``items`` between brackets, one per line, as ``json.dumps(indent=2)``
+    lays out a container at nesting depth ``level``."""
+    if not items:
+        return open_ + close
+    pad = "\n" + "  " * (level + 1)
+    return open_ + pad + ("," + pad).join(items) + "\n" + "  " * level + close
+
+
+def _complex(re: str, im: str, level: int) -> str:
+    return _block("{", ['"re": ' + re, '"im": ' + im], "}", level)
+
+
+def _nested(shape: tuple, level: int) -> str:
+    """The nested JSON lists of an array of ``shape``, with ``%s`` for each item."""
+    inner = "%s" if len(shape) == 1 else _nested(shape[1:], level + 1)
+    return _block("[", [inner] * shape[0], "]", level)
+
+
+def _array(a: np.ndarray, level: int) -> str:
+    if a.dtype.kind not in "fc":
+        return _json(a.tolist(), level)
+    if not np.isfinite(a).all():
+        raise _NotFinite
+    flat = a.ravel()
+    if a.dtype.kind == "f":
+        items = _numbers(flat.tolist())
+    else:
+        inner = level + a.ndim
+        items = [_complex(re, im, inner) for re, im in
+                 zip(_numbers(flat.real.tolist()), _numbers(flat.imag.tolist()))]
+    return _nested(a.shape, level) % tuple(items)
+
+
+def _json(value, level: int) -> str:
+    """The text ``json.dumps(indent=2, allow_nan=False)`` prints for ``value``
+    at nesting depth ``level``, with every float rounded to 9 significant
+    digits and every complex number as ``{"re", "im"}``; a float that is not
+    finite raises ``_NotFinite``."""
+    if isinstance(value, np.ndarray):
+        return _array(value, level)
+    if isinstance(value, complex):
+        return _complex(_number(value.real), _number(value.imag), level)
+    if isinstance(value, float):
+        return _number(value)
+    if isinstance(value, (list, tuple)):
+        return _block("[", [_json(v, level + 1) for v in value], "]", level)
+    if isinstance(value, dict):
+        return _block("{", [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in value.items()],
+                      "}", level)
+    return json.dumps(value)
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    doc = _fmt(doc)
+    """Print ``doc`` as JSON, or write it to the file ``out``, in the layout of
+    ``json.dumps(indent=2)``; a field that is not finite is refused by name
+    before anything is printed."""
+    fields = []
     for name, value in doc.items():
-        if not _finite(value):
-            raise ValueError(f"the result {name} is not finite; nothing was printed")
-    text = json.dumps(doc, indent=2, allow_nan=False)
+        try:
+            fields.append(f"{json.dumps(name)}: {_json(value, 1)}")
+        except _NotFinite:
+            raise ValueError(f"the result {name} is not finite; nothing was printed") from None
+    text = _block("{", fields, "}", 0) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        write_text(out, [text])
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _load(args) -> Scenario:
@@ -153,7 +232,7 @@ def cmd_eigs(args) -> int:
     ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
     law = synthesize(ops, _protocol(args))
     eigs = closed_loop_eigenvalues(law, scn.plant)
-    _emit({"protocol": args.protocol, "eigenvalues": list(eigs)}, args.out)
+    _emit({"protocol": args.protocol, "eigenvalues": eigs}, args.out)
     return 0
 
 
@@ -192,7 +271,7 @@ def cmd_maxdiff(args) -> int:
         "method": rep.method,
         "analytic_best": rep.analytic_best,
         "num_candidates": len(rep.candidates),
-        "valid_candidates": [c.value for c in rep.candidates if c.valid],
+        "valid_candidates": np.array([c.value for c in rep.candidates if c.valid], dtype=float),
     }, args.out)
     return 0
 
@@ -221,8 +300,8 @@ def cmd_simulate(args) -> int:
     if not np.isfinite(rec.realized_cost):
         raise ValueError("the realized cost is not finite; no CSV was written")
     simulator.write_trajectory_csv(args.out, rec)
-    print(json.dumps(_fmt({"realized_cost": rec.realized_cost, "seed": rec.seed,
-                           "steps": int(rec.inputs.shape[0]), "out": args.out}), allow_nan=False))
+    print(json.dumps({"realized_cost": _rounded(rec.realized_cost), "seed": rec.seed,
+                      "steps": int(rec.inputs.shape[0]), "out": args.out}, allow_nan=False))
     return 0
 
 
@@ -348,4 +427,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull, so that the
+        # flush at exit fails no more, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

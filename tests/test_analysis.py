@@ -547,7 +547,6 @@ def test_the_polish_stop_keeps_the_printed_digits_and_saves_rounds(name, matrice
     # and the stacked eigh takes 563 matrices on pendulum instead of 633 at
     # the 1e-15 stop, and on mixed one round per candidate instead of 122
     from nclab import analysis
-    from nclab.cli import _fmt
     ops = ops_of(request.getfixturevalue(name))
     counted = []
     eigh = np.linalg.eigh
@@ -562,7 +561,8 @@ def test_the_polish_stop_keeps_the_printed_digits_and_saves_rounds(name, matrice
     monkeypatch.undo()
     old = _replaced_candidates(ops, stop=1e-15)
     assert [(c.valid, c.eigcond) for c in got] == [(c.valid, c.eigcond) for c in old]
-    assert [_fmt(c.value) for c in got if c.valid] == [_fmt(c.value) for c in old if c.valid]
+    printed = [[f"{c.value:.9g}" for c in cands if c.valid] for cands in (got, old)]
+    assert printed[0] == printed[1]
     assert sum(counted) == matrices
 
 

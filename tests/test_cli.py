@@ -597,6 +597,46 @@ def test_json_commands_name_the_result_that_is_not_finite(tmp_path, capsys, mixe
         assert f"the result {named} is not finite" in err and "JSON compliant" not in err
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["cost", "--protocol", "tcp", "--out"], "missing"),
+    (["synthesize", "--protocol", "udp", "--out"], "missing"),
+    (["sweep", "--points", "3", "--out"], "missing"),
+    (["simulate", "--protocol", "tcp", "--out"], "missing"),
+    (["allocate", "--protocol", "udp", *ALLOCATE, "--frontier-out"], "missing"),
+    (["cost", "--protocol", "tcp", "--out"], "directory"),
+    (["sweep", "--points", "3", "--out"], "directory"),
+])
+def test_an_unwritable_output_path_is_a_clean_error(tmp_path, capsys, mixed_path, argv, target):
+    # these ended in a FileNotFoundError or IsADirectoryError traceback
+    path, reason = {"missing": (tmp_path / "missing" / "f.json", "No such file or directory"),
+                    "directory": (tmp_path, "Is a directory")}[target]
+    err = _refuses_cleanly(capsys, argv + [str(path), "--scenario", mixed_path])
+    assert err == f"error: cannot write {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["cost", "--protocol", "udp"], ["maxdiff"]])
+def test_a_closed_stdout_pipe_ends_quietly(pend_path, command):
+    # the reader of stdout has gone before the command prints; this printed
+    # a BrokenPipeError traceback from _emit, or "Exception ignored" at exit
+    import nclab
+
+    env = dict(os.environ)
+    src = str(Path(nclab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", "from nclab.cli import main; main()",
+                               *command, "--scenario", pend_path],
+                              stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_montecarlo_averages_costs_that_sum_past_the_float_range(tmp_path, capsys, mixed_path):
     # with q[0][0] = 1e306 every replicate cost of mixed is 1.6e307, and fifty
     # of them sum past the float range: math.fsum raised OverflowError and
