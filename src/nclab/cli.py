@@ -71,9 +71,6 @@ class _NotFinite(Exception):
     pass
 
 
-_SMALLEST_NORMAL = np.finfo(float).tiny
-
-
 def _number(x: float) -> str:
     """The JSON text of the float ``x`` rounded to 9 significant digits:
     ``float.__repr__`` of the rounded float, which is what json prints."""
@@ -83,19 +80,13 @@ def _number(x: float) -> str:
 
 
 def _numbers(values: list) -> list[str]:
-    """``_number`` of each finite float of ``values``, all rounded by one
-    ``%``.  The ``%.9g`` text of a rounded float that is normal and not
-    integral is already its repr: it has at most 9 significant digits, and
-    no two decimals of at most 15 digits read back as the same normal float,
-    so no shorter text does.  ``%.9g`` writes an integral float without its
-    ``.0`` (``1``, ``1e+09``) and may keep more digits than repr for a
-    subnormal one; those two kinds go through ``float.__repr__``."""
+    """``_number`` of each finite float of ``values``: all rounded by one
+    ``%``, then printed by json's C encoder (the one json uses without
+    ``indent``), which prints ``float.__repr__`` of each."""
+    if not values:
+        return []
     texts = ("%.9g," * len(values) % tuple(values)).split(",")[:-1]
-    rounded = np.array(texts, dtype=float)
-    redo = (rounded == np.trunc(rounded)) | (np.abs(rounded) < _SMALLEST_NORMAL)
-    for i in np.flatnonzero(redo).tolist():
-        texts[i] = float.__repr__(float(texts[i]))
-    return texts
+    return json.dumps(np.array(texts, dtype=float).tolist())[1:-1].split(", ")
 
 
 def _block(open_: str, items: list[str], close: str, level: int) -> str:
