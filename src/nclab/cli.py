@@ -26,8 +26,10 @@ and the count holds.
 A CSV column or JSON field that is not finite is named in an error (exit 1),
 and nothing is printed or written.  So is an output path that cannot be
 written (``error: cannot write <path>: <reason>``), such as one in a missing
-directory or a directory.  When the reader of stdout has gone (``nclab ... |
-head -1``), ``main`` exits 1 with nothing on stderr.
+directory or a directory.  An empty ``--out`` or ``--frontier-out`` is a
+usage error (exit 2), refused before the scenario loads.  When the reader
+of stdout has gone (``nclab ... | head -1``), ``main`` exits 1 with nothing
+on stderr.
 """
 
 from __future__ import annotations
@@ -188,6 +190,13 @@ def _check_grid(what: str, per_channel: int, channels: int) -> None:
     if total > MAX_SWEEP_POINTS:
         raise UsageError(f"{what} of {per_channel} points per channel over {channels} channels "
                          f"is {total} grid points; the limit is {MAX_SWEEP_POINTS}")
+
+
+def _check_paths(args) -> None:
+    """Refuse an empty ``--out`` or ``--frontier-out`` before any work."""
+    for option in ("out", "frontier_out"):
+        if getattr(args, option, None) == "":
+            raise UsageError(f"--{option.replace('_', '-')} must name a file, got an empty path")
 
 
 def cmd_synthesize(args) -> int:
@@ -408,6 +417,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_paths(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -27,6 +27,13 @@ settings.load_profile("ci")
 # integer wider than nine digits and the step-count cap.
 CSV_EDGE_VALUES = [-0.0, 1e-300, 1.7976931348623157e308, 1 / 3, 123456789012.0, 1e6]
 
+
+def csv_reference(header, table) -> str:
+    """The CSV text every writer must produce: the header, then each row's
+    cells as ``f"{v:.9g}"``, comma-separated, one row per line."""
+    rows = [",".join(f"{v:.9g}" for v in row) for row in np.asarray(table, dtype=float).tolist()]
+    return "".join(line + "\n" for line in [",".join(header), *rows])
+
 # ---------------------------------------------------------------------------
 # scenario builders
 

@@ -615,6 +615,31 @@ def test_an_unwritable_output_path_is_a_clean_error(tmp_path, capsys, mixed_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--protocol", "tcp", "--out"], ["cost", "--protocol", "tcp", "--out"],
+    ["gap", "--out"], ["eigs", "--protocol", "tcp", "--out"], ["sweep", "--out"],
+    ["maxdiff", "--scalar", "--out"], ["simulate", "--protocol", "tcp", "--out"],
+    ["montecarlo", "--protocol", "udp", "--out"],
+    ["allocate", "--protocol", "udp", *ALLOCATE, "--out"],
+    ["allocate", "--protocol", "udp", *ALLOCATE, "--frontier-out"],
+])
+def test_an_empty_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, mixed_path, argv):
+    # cost printed to stdout, allocate wrote no frontier, and sweep and
+    # simulate ended in "error: cannot write : No such file or directory"
+    from nclab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded the scenario before refusing the path")
+
+    monkeypatch.setattr(cli, "load_scenario", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["", "--scenario", mixed_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: {argv[-1]} must name a file, got an empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [["cost", "--protocol", "udp"], ["maxdiff"]])
 def test_a_closed_stdout_pipe_ends_quietly(pend_path, command):
     # the reader of stdout has gone before the command prints; this printed
