@@ -127,6 +127,8 @@ __all__ = [
 EIGCOND_RTOL = 1e-8
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
+# Relative distance to the UDP target at which iso_cost_transmission returns m1.
+ISO_COST_RTOL = 1e-9
 # Byte budget of one chunk's two stacks in the Newton rounds (pencils and
 # slope matrices).
 _STACK_BYTES = 1 << 20
@@ -459,14 +461,13 @@ def monotonic_sweep(ops: PredictionOperators, grid, protocol: Protocol,
     return expected_costs(ops, protocol, x, mus)
 
 
-def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray,
-                          rtol: float = 1e-9) -> float:
+def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray) -> float:
     """Shared TCP mean t* whose cost equals the UDP cost at shared mean m1.
 
     Because the gap is positive below a perfect channel and costs decrease
     in the means, t* < m1 whenever m1 < 1: acknowledged operation tolerates
     more loss at equal cost.  m1 itself is returned when its TCP cost is
-    within rtol of the target.  Otherwise, on the shared-mean TCP line
+    within ISO_COST_RTOL of the target.  Otherwise, on the shared-mean TCP line
     (``line_resolvents``), the TCP reduction term at t = 1/s is
     offset + sum_i h_i^2 / (lam_i + s): decreasing and convex in s.  Newton's
     method from s = 1/m1, left of the root, then rises monotonically onto the
@@ -481,7 +482,7 @@ def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray,
     need = line.constant - line.offset[0] - target
     s = 1.0 / m1
     excess = float(np.sum(h2 / (lam + s))) - need  # the UDP cost minus the TCP cost
-    if abs(excess) <= rtol * abs(target):
+    if abs(excess) <= ISO_COST_RTOL * abs(target):
         return m1
     if excess < 0.0:
         raise ValueError("no root bracketed: TCP cost at m1 exceeds the UDP target")

@@ -59,11 +59,6 @@ from .scenario import PlantModel
 
 # Byte budget of one chunk of (N m)^2 Gram matrices in a batched evaluation.
 _CHUNK_BYTES = 1 << 20
-# Lines whose moving block has at least this many rows are diagonalized one
-# by one through the tridiagonal form (``_tridiagonal_spectrum``) instead of
-# by one batched ``np.linalg.eigh``.  With one OpenBLAS thread the two break
-# even at about 48 rows; the recorded outputs hold this route's bits.
-_TRIDIAGONAL_ROWS = 32
 
 __all__ = [
     "Protocol",
@@ -159,24 +154,6 @@ def _fixed_solve(block: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarra
     Cholesky factor of the Omega_g + D block of the fixed stacked indices."""
     factor = _factor(np.repeat(block[np.newaxis], d.shape[0], axis=0), d)
     return _trsolve(factor, np.repeat(rhs[np.newaxis], d.shape[0], axis=0))
-
-
-def _tridiagonal_spectrum(mat: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the symmetric ``mat`` and the coordinates of
-    v in its eigenvector basis, from the tridiagonal form Q' mat Q = T
-    (LAPACK sytrd), the eigenpairs of T (stemr) and Q' v (ormqr on sytrd's
-    reflectors).  With one OpenBLAS thread on a 2-vCPU Xeon it is faster
-    than ``np.linalg.eigh`` (syevd) from about 48 rows on: 0.85 against
-    0.94 ms at 80 rows, and pendulum's ``line_resolvents`` took 1.15
-    against 1.25 ms (medians of 400 interleaved calls), printing the same
-    sweep."""
-    from scipy.linalg import eigh_tridiagonal, lapack
-
-    c, d, e, tau, info = lapack.dsytrd(mat, lower=1)
-    lam, w = eigh_tridiagonal(d, e)
-    qv = v.copy()
-    qv[1:] = lapack.dormqr("L", "T", c[1:, :-1], tau, v[1:, np.newaxis], v.size)[0][:, 0]
-    return lam, w.T @ qv
 
 
 @dataclass(frozen=True)
@@ -284,8 +261,7 @@ def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
     Per chunk of lines (about _CHUNK_BYTES of (N m)^2 matrices) the fixed
     indices are eliminated with one batched Cholesky factor, and the N x N
     Schur complement of the moving channel (N m x N m on the shared line),
-    scaled by E^(-1/2), is diagonalized with one batched ``eigh``, or line
-    by line through its tridiagonal form from _TRIDIAGONAL_ROWS rows on.
+    scaled by E^(-1/2), is diagonalized with one batched ``eigh``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as for expected_cost
         point = _point_costs(ops, protocol, x)
@@ -330,12 +306,8 @@ def _line_resolvents(ops: PredictionOperators, point: _PointCosts, fixed=None) -
             offset[lo:hi] = np.einsum("bi,bi->b", w, w)
             schur, g = schur - z.transpose(0, 2, 1) @ z, g - np.einsum("bij,bi->bj", z, w)
         mat, v = scale[:, np.newaxis] * schur * scale, g * scale
-        if moving.size < _TRIDIAGONAL_ROWS:
-            lam[lo:hi], q = np.linalg.eigh(mat)
-            h2[lo:hi] = np.einsum("bij,bi->bj", q, v)
-        else:
-            for b in range(lo, hi):
-                lam[b], h2[b] = _tridiagonal_spectrum(mat[b - lo], v[b - lo])
+        lam[lo:hi], q = np.linalg.eigh(mat)
+        h2[lo:hi] = np.einsum("bij,bi->bj", q, v)
         with np.errstate(over="ignore"):  # the command line refuses a cost that is not finite
             np.square(h2[lo:hi], out=h2[lo:hi])
     return LineResolvents(constant=point.constant, offset=offset, lam=lam, h2=h2)

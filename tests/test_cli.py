@@ -987,9 +987,16 @@ print(json.dumps({"before": before, "after": "scipy.linalg" in sys.modules, "rc"
     assert doc == {"before": False, "after": True, "rc": 0, "copies": 1, "counts": [1, 1]}
 
 
-def test_importing_nclab_loads_no_scipy(tmp_path, mixed_path):
-    # nor does --help, a usage error or a refusal before any computation
+def test_importing_nclab_loads_no_scipy(tmp_path, monkeypatch, mixed_path, pend_path):
+    # nor does --help, a usage error or a refusal before any computation,
+    # nor a sweep along the shared-mean line, which has no fixed indices to
+    # eliminate: a single-channel sweep and any sweep --scalar
+    sweeps = [["sweep", "--scenario", pend_path, "--points", "99", "--out", "pendulum.csv"],
+              ["sweep", "--scenario", mixed_path, "--scalar", "--out", "scalar.csv"]]
     capped = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=5000))
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
     doc = _child("""
 import contextlib, io, json, sys
 import nclab, nclab.cli
@@ -1002,9 +1009,16 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     rcs = [nclab.cli.run(["--help"]),
            nclab.cli.run(["sweep", "--scenario", sys.argv[1], "--points", "1", "--out", "x.csv"]),
            nclab.cli.run(["cost", "--scenario", sys.argv[2], "--protocol", "tcp"])]
-print(json.dumps({"imported": imported, "rcs": rcs, "refused": scipy_modules()}))
-""", mixed_path, capped, cwd=tmp_path)
-    assert doc == {"imported": [], "rcs": [0, 2, 1], "refused": []}
+    refused = scipy_modules()
+    rcs += [nclab.cli.run(argv) for argv in json.loads(sys.argv[3])]
+print(json.dumps({"imported": imported, "rcs": rcs, "refused": refused,
+                  "swept": scipy_modules()}))
+""", mixed_path, capped, json.dumps(sweeps), cwd=fresh)
+    assert doc == {"imported": [], "rcs": [0, 2, 1, 0, 0], "refused": [], "swept": []}
+    monkeypatch.chdir(here)
+    for argv in sweeps:
+        assert run(argv) == 0
+        assert (fresh / argv[-1]).read_bytes() == (here / argv[-1]).read_bytes()
 
 
 _FIRST_RUN = """

@@ -471,15 +471,9 @@ def _riccati_cost(scn, protocol, upsilon=None):
     return float(x @ scn.weights.q @ x) + float(x @ p0 @ x) + noise_trace_oracle(scn)
 
 
-@pytest.mark.parametrize("tridiagonal_rows", [32, 2])
-def test_line_resolvents_match_per_point_reference_and_riccati_oracle(monkeypatch, pendulum,
-                                                                       tridiagonal_rows):
+def test_line_resolvents_match_per_point_reference_and_riccati_oracle(pendulum):
     # per-channel lines (last channel moving) and the shared-mean line, m <= 3,
-    # per-step psi, both protocols; at the default threshold only pendulum's
-    # 80-row line takes the tridiagonal route, at 2 every line of two rows or
-    # more does
-    from nclab import controller
-    monkeypatch.setattr(controller, "_TRIDIAGONAL_ROWS", tridiagonal_rows)
+    # per-step psi, both protocols; trial 10 is pendulum's 80-row line
     rng = np.random.default_rng(93)
     for trial in range(11):
         scn = (pendulum if trial == 10 else
