@@ -471,9 +471,16 @@ def _riccati_cost(scn, protocol, upsilon=None):
     return float(x @ scn.weights.q @ x) + float(x @ p0 @ x) + noise_trace_oracle(scn)
 
 
-def test_line_resolvents_match_per_point_reference_and_riccati_oracle(pendulum):
+@pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["default_chunks", "one_line_chunks"])
+def test_line_resolvents_match_per_point_reference_and_riccati_oracle(monkeypatch, pendulum,
+                                                                       chunk_bytes):
     # per-channel lines (last channel moving) and the shared-mean line, m <= 3,
-    # per-step psi, both protocols; trial 10 is pendulum's 80-row line
+    # per-step psi, both protocols; trial 10 is pendulum's 80-row line; at the
+    # default budget the three per-channel lines share one batched eigh, at a
+    # one-byte budget each line is a chunk of its own
+    from nclab import controller
+    if chunk_bytes is not None:
+        monkeypatch.setattr(controller, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(93)
     for trial in range(11):
         scn = (pendulum if trial == 10 else
