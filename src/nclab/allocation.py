@@ -170,8 +170,6 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
         trial = mu_star.copy()
         while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if mid <= 0.0:
-                break
             trial[i] = mid
             if point.totals(trial[np.newaxis])[0] <= alpha:
                 hi = mid

@@ -99,7 +99,7 @@ from __future__ import annotations
 
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +159,7 @@ class MaxDiffReport:
     maximizer: float
     gap_at_max: float
     method: str                      # "analytic_roots" | "grid_fallback"
-    analytic_best: float | None = field(default=None)  # best unfiltered root
+    analytic_best: float | None      # best unfiltered root
 
 
 def cost_gap(ops: PredictionOperators, x: np.ndarray, upsilon=None) -> GapReport:

@@ -7,14 +7,17 @@ significant digits, so output is byte-identical across runs for identical
 inputs and seeds.  The JSON comes out as ``json.dumps(indent=2)`` lays it
 out, from this module's own writer (``_emit``): json's indent encoder runs
 in pure Python, and printing took more time than computing on ``pendulum``.
+Every document is flat: each field is a string, an integer, a boolean,
+null, a float, or a float or complex array, and nothing nests deeper.
 The writer rounds all of an array's floats by one ``%`` and prints each as
 json prints the rounded float; a complex number prints as ``{"re", "im"}``.
 The environment variable NCLAB_SEED (a nonnegative integer) overrides the
-scenario's simulation seed.  ``sweep`` and ``allocate`` evaluate their grids line by
-line with one ``line_resolvents`` call per protocol, and ``--frontier-out``
-prints the costs ``allocate`` found without evaluating any; a sweep needs at
-least two points per channel, and neither grid may exceed MAX_SWEEP_POINTS
-grid points in all.  Every CSV cell is printed as ``%.9g``.
+scenario's simulation seed, and ``--seed`` overrides both.  ``sweep`` and
+``allocate`` evaluate their grids line by line with one ``line_resolvents``
+call per protocol, and ``--frontier-out`` prints the costs ``allocate`` found
+without evaluating any; a sweep needs at least two points per channel, and
+neither grid may exceed MAX_SWEEP_POINTS grid points in all.
+Every CSV cell is printed as ``%.9g``.
 ``--upsilon`` is offered only by the commands whose output it changes;
 ``montecarlo`` accepts ``--threads`` (at least 1), which has no effect.
 ``run`` puts OpenBLAS on one thread before any command runs, and
@@ -111,8 +114,8 @@ def _nested(shape: tuple, level: int) -> str:
 
 
 def _array(a: np.ndarray, level: int) -> str:
-    if a.dtype.kind not in "fc":
-        return _json(a.tolist(), level)
+    """The JSON text of the float or complex array ``a`` at nesting depth
+    ``level``; an item that is not finite raises ``_NotFinite``."""
     if not np.isfinite(a).all():
         raise _NotFinite
     flat = a.ravel()
@@ -125,35 +128,24 @@ def _array(a: np.ndarray, level: int) -> str:
     return _nested(a.shape, level) % tuple(items)
 
 
-def _json(value, level: int) -> str:
-    """The text ``json.dumps(indent=2, allow_nan=False)`` prints for ``value``
-    at nesting depth ``level``, with every float rounded to 9 significant
-    digits and every complex number as ``{"re", "im"}``; a float that is not
-    finite raises ``_NotFinite``."""
-    if isinstance(value, np.ndarray):
-        return _array(value, level)
-    if isinstance(value, complex):
-        return _complex(_number(value.real), _number(value.imag), level)
-    if isinstance(value, float):
-        return _number(value)
-    if isinstance(value, (list, tuple)):
-        return _block("[", [_json(v, level + 1) for v in value], "]", level)
-    if isinstance(value, dict):
-        return _block("{", [f"{json.dumps(k)}: {_json(v, level + 1)}" for k, v in value.items()],
-                      "}", level)
-    return json.dumps(value)
-
-
 def _emit(doc: dict, out: str | None) -> None:
-    """Print ``doc`` as JSON, or write it to the file ``out``, in the layout of
-    ``json.dumps(indent=2)``; a field that is not finite is refused by name
+    """Print the flat document ``doc`` as JSON, or write it to the file
+    ``out``, in the layout of ``json.dumps(indent=2)``.  Each field is a float
+    or complex array, a float (rounded to 9 significant digits), or a string,
+    integer, boolean or None; a field that is not finite is refused by name
     before anything is printed."""
     fields = []
     for name, value in doc.items():
         try:
-            fields.append(f"{json.dumps(name)}: {_json(value, 1)}")
+            if isinstance(value, np.ndarray):
+                item = _array(value, 1)
+            elif isinstance(value, float):
+                item = _number(value)
+            else:
+                item = json.dumps(value)
         except _NotFinite:
             raise ValueError(f"the result {name} is not finite; nothing was printed") from None
+        fields.append(f"{json.dumps(name)}: {item}")
     text = _block("{", fields, "}", 0) + "\n"
     if out:
         write_text(out, [text])

@@ -146,13 +146,31 @@ def test_montecarlo_threads_flag_changes_no_byte(capsys, fixture, protocol):
     assert capsys.readouterr().out == plain
 
 
-def test_nclab_seed_env_override(capsys, monkeypatch, mixed_path):
-    monkeypatch.setenv("NCLAB_SEED", "777")
-    rc = run(["simulate", "--scenario", mixed_path, "--protocol", "tcp",
-              "--out", "/tmp/nclab_env_test.csv"])
-    assert rc == 0
-    summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-    assert summary["seed"] == 777
+def test_nclab_seed_env_override(tmp_path, capsys, monkeypatch, mixed_path):
+    # --seed beats NCLAB_SEED, which beats the scenario's sim.seed
+    monkeypatch.delenv("NCLAB_SEED", raising=False)
+    scenario_seed = load_scenario(mixed_path).sim.seed
+    env_seed, flag_seed = scenario_seed + 1, scenario_seed + 2
+
+    def simulate(*seed):
+        assert run(["simulate", "--scenario", mixed_path, "--protocol", "udp",
+                    "--out", str(tmp_path / "trajectory.csv"), *seed]) == 0
+        return json.loads(capsys.readouterr().out)["seed"]
+
+    def montecarlo(*seed):
+        assert run(["montecarlo", "--scenario", mixed_path, "--protocol", "udp",
+                    "--replicates", "20", *seed]) == 0
+        return capsys.readouterr().out
+
+    explicit = {s: montecarlo("--seed", str(s)) for s in (scenario_seed, env_seed, flag_seed)}
+    assert len(set(explicit.values())) == 3  # each seed prints its own statistics
+    assert simulate() == scenario_seed
+    assert montecarlo() == explicit[scenario_seed]
+    monkeypatch.setenv("NCLAB_SEED", str(env_seed))
+    assert simulate() == env_seed
+    assert montecarlo() == explicit[env_seed]
+    assert simulate("--seed", str(flag_seed)) == flag_seed
+    assert montecarlo("--seed", str(flag_seed)) == explicit[flag_seed]
 
 
 def test_allocate_command(capsys, mixed_path):

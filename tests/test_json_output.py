@@ -17,25 +17,23 @@ LARGEST = np.finfo(float).max
 
 
 def rounded(x):
-    """``x`` with every float rounded to 9 significant digits and every
-    complex number as ``{"re", "im"}``."""
+    """The field ``x`` with every float rounded to 9 significant digits and
+    every complex number of an array as ``{"re", "im"}``."""
     if isinstance(x, float):
         return float(f"{x:.9g}")
     if isinstance(x, complex):
         return {"re": float(f"{x.real:.9g}"), "im": float(f"{x.imag:.9g}")}
     if isinstance(x, np.ndarray):
-        return [rounded(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
+        return rounded(x.tolist())
+    if isinstance(x, list):
         return [rounded(v) for v in x]
-    if isinstance(x, dict):
-        return {k: rounded(v) for k, v in x.items()}
     return x
 
 
 def reference(doc: dict) -> str:
-    """The text a JSON command prints for ``doc``; raises ``ValueError``
-    naming the first field that is not finite."""
-    doc = rounded(doc)
+    """The text a JSON command prints for the flat document ``doc``; raises
+    ``ValueError`` naming the first field that is not finite."""
+    doc = {name: rounded(value) for name, value in doc.items()}
     for name, value in doc.items():
         try:
             json.dumps(value, allow_nan=False)
@@ -102,17 +100,11 @@ arrays = st.one_of(hnp.arrays(np.float64, shapes, elements=floats),
                    hnp.arrays(np.float64, st.tuples(st.just(1), st.integers(1, 4)),
                               elements=finite),
                    hnp.arrays(np.complex128, shapes,
-                              elements=st.builds(complex, floats, floats | st.just(0.0))),
-                   hnp.arrays(np.int64, shapes))
+                              elements=st.builds(complex, floats, floats | st.just(0.0))))
+# the kinds of field a command's document holds: the writer nests nothing
 scalars = st.one_of(floats, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
-                    floats.map(np.float64),
-                    st.builds(complex, finite, finite | st.just(0.0)),
-                    st.builds(complex, finite, finite).map(np.complex128))
-values = st.recursive(st.one_of(scalars, arrays),
-                      lambda inner: st.lists(inner, max_size=4)
-                      | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-                      max_leaves=12)
-docs = st.dictionaries(st.text(max_size=6), values, max_size=5)
+                    floats.map(np.float64))
+docs = st.dictionaries(st.text(max_size=6), st.one_of(scalars, arrays), max_size=5)
 
 
 @pytest.fixture(scope="module")
