@@ -70,10 +70,10 @@ differently).
 The chunks of candidates do not depend on each other, so they are
 polished on ``_openblas.spare_cpus()`` threads, at most one per chunk
 (``_openblas`` gives the rule).  Each chunk holds as many candidates as
-fit ``_STACK_BYTES`` of pencils and slope matrices, and at least one.  The
-results are stored by chunk, and each matrix goes through the same LAPACK
-call as in a serial loop, so the candidates are the same bits on any
-number of threads.
+fit ``controller._CHUNK_BYTES`` of pencils and slope matrices, and at
+least one.  The results are stored by chunk, and each matrix goes through
+the same LAPACK call as in a serial loop, so the candidates are the same
+bits on any number of threads.
 
 The annihilation test asks whether the spectral radius of fmat is at most
 ``EIGCOND_RTOL`` times its 2-norm at y = 1/2.  The radius is at least
@@ -105,7 +105,7 @@ import numpy as np
 
 from . import _openblas
 from ._csv import write_csv
-from .controller import Protocol, expected_cost, expected_costs, line_resolvents
+from .controller import Protocol, _chunks, expected_cost, expected_costs, line_resolvents
 from .prediction import PredictionOperators
 
 __all__ = [
@@ -129,9 +129,6 @@ GRID_POINTS = 1000
 REFINE_TOL = 1e-8
 # Relative distance to the UDP target at which iso_cost_transmission returns m1.
 ISO_COST_RTOL = 1e-9
-# Byte budget of one chunk's two stacks in the Newton rounds (pencils and
-# slope matrices).
-_STACK_BYTES = 1 << 20
 # Relative step at which the Newton polish stops a candidate.
 _POLISH_STOP = 1e-12
 
@@ -360,9 +357,10 @@ def determinant_root_candidates(ops: PredictionOperators, *,
     matrix is singular; NaN, inf and values outside [0, 1] are invalid.  A
     candidate in (0, 1) is polished, then tested for annihilation by the
     trace bound and, where that leaves it open, by its eigenvalues (module
-    docstring).  The candidates go in chunks of at most ``_STACK_BYTES``,
-    polished on ``_openblas.spare_cpus()`` threads and at most one per
-    chunk.  ``spectrum`` is ``_spectrum(ops)``, when the caller has it."""
+    docstring).  The candidates go in chunks of at most
+    ``controller._CHUNK_BYTES``, polished on ``_openblas.spare_cpus()``
+    threads and at most one per chunk.  ``spectrum`` is ``_spectrum(ops)``,
+    when the caller has it."""
     t, h_diag = _pencil(ops)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
         half = derivative_matrix(ops, 0.5)
@@ -374,8 +372,8 @@ def determinant_root_candidates(ops: PredictionOperators, *,
         values = np.column_stack([1.0 / (1.0 + r), 1.0 / (1.0 - r)]).ravel()
     eigcond = np.zeros(values.size, dtype=bool)
     inside = np.flatnonzero((0.0 < values) & (values < 1.0))
-    rows = max(1, _STACK_BYTES // (2 * 8 * t.size))  # one candidate's pencil and slope matrix
-    chunks = [inside[lo:lo + rows] for lo in range(0, inside.size, rows)]
+    # a candidate takes its pencil and its slope matrix
+    chunks = [inside[rows] for rows in _chunks(inside.size, 2 * 8 * t.size)]
     if spectrum is None:
         spectrum = _spectrum(ops)
 

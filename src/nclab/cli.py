@@ -27,8 +27,9 @@ loads no scipy module: each scipy submodule loads inside the first call
 that needs it, after ``run`` has set the thread count of scipy's library,
 and the count holds.
 A CSV column or JSON field that is not finite is named in an error (exit 1),
-and nothing is printed or written.  So is an output path that cannot be
-written (``error: cannot write <path>: <reason>``), such as one in a missing
+and nothing is printed or written; the JSON writer checks every field
+before it formats any.  So is an output path that cannot be written
+(``error: cannot write <path>: <reason>``), such as one in a missing
 directory or a directory.  An empty ``--out`` or ``--frontier-out`` is a
 usage error (exit 2), refused before the scenario loads.  When the reader
 of stdout has gone (``nclab ... | head -1``), ``main`` exits 1 with nothing
@@ -40,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -72,22 +72,11 @@ def _rounded(x: float) -> float:
     return float(f"{x:.9g}")
 
 
-class _NotFinite(Exception):
-    pass
-
-
-def _number(x: float) -> str:
-    """The JSON text of the float ``x`` rounded to 9 significant digits:
-    ``float.__repr__`` of the rounded float, which is what json prints."""
-    if not math.isfinite(x):
-        raise _NotFinite
-    return float.__repr__(_rounded(x))
-
-
 def _numbers(values: list) -> list[str]:
-    """``_number`` of each finite float of ``values``: all rounded by one
-    ``%``, then printed by json's C encoder (the one json uses without
-    ``indent``), which prints ``float.__repr__`` of each."""
+    """The JSON texts of the finite floats ``values``, each ``float.__repr__``
+    of the float rounded to 9 significant digits (which is what json
+    prints): all rounded by one ``%``, then printed by json's C encoder (the
+    one json uses without ``indent``)."""
     if not values:
         return []
     texts = ("%.9g," * len(values) % tuple(values)).split(",")[:-1]
@@ -114,10 +103,8 @@ def _nested(shape: tuple, level: int) -> str:
 
 
 def _array(a: np.ndarray, level: int) -> str:
-    """The JSON text of the float or complex array ``a`` at nesting depth
-    ``level``; an item that is not finite raises ``_NotFinite``."""
-    if not np.isfinite(a).all():
-        raise _NotFinite
+    """The JSON text of the finite float or complex array ``a`` at nesting
+    depth ``level``."""
     flat = a.ravel()
     if a.dtype.kind == "f":
         items = _numbers(flat.tolist())
@@ -133,18 +120,18 @@ def _emit(doc: dict, out: str | None) -> None:
     ``out``, in the layout of ``json.dumps(indent=2)``.  Each field is a float
     or complex array, a float (rounded to 9 significant digits), or a string,
     integer, boolean or None; a field that is not finite is refused by name
-    before anything is printed."""
+    before any field is formatted."""
+    for name, value in doc.items():
+        if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+            raise ValueError(f"the result {name} is not finite; nothing was printed")
     fields = []
     for name, value in doc.items():
-        try:
-            if isinstance(value, np.ndarray):
-                item = _array(value, 1)
-            elif isinstance(value, float):
-                item = _number(value)
-            else:
-                item = json.dumps(value)
-        except _NotFinite:
-            raise ValueError(f"the result {name} is not finite; nothing was printed") from None
+        if isinstance(value, np.ndarray):
+            item = _array(value, 1)
+        elif isinstance(value, float):
+            item = float.__repr__(_rounded(value))
+        else:
+            item = json.dumps(value)
         fields.append(f"{json.dumps(name)}: {item}")
     text = _block("{", fields, "}", 0) + "\n"
     if out:

@@ -57,7 +57,9 @@ import numpy as np
 from .prediction import PredictionOperators
 from .scenario import PlantModel
 
-# Byte budget of one chunk of (N m)^2 Gram matrices in a batched evaluation.
+# Byte budget of one chunk of a batched evaluation: Gram matrices and line
+# terms here, the gap maximizer's pencils (``analysis``) and the Monte Carlo
+# replicates' states and inputs (``simulator``).
 _CHUNK_BYTES = 1 << 20
 
 __all__ = [
@@ -100,6 +102,13 @@ class CostReport:
     total: float
     constant_term: float   # x'(Q+Omega_p)x + tr(Sigma_W Omega_l)
     reduction_term: float  # x'Omega_gp' Y G^{-1} Omega_gp x, >= 0
+
+
+def _chunks(count: int, item_bytes: int) -> list[slice]:
+    """The slices that cover range(count) in order, each with as many items
+    of ``item_bytes`` as fit _CHUNK_BYTES, and at least one."""
+    rows = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def _factor(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -180,12 +189,11 @@ class _PointCosts:
         factored in chunks of about _CHUNK_BYTES of Gram matrices, so that
         memory stays flat in the number of rows."""
         nm = self.f.shape[0]
-        rows = max(1, _CHUNK_BYTES // (8 * nm * nm))
         out = np.empty(u.shape[0])
-        for lo in range(0, u.shape[0], rows):
-            chunk = np.tile(u[lo:lo + rows], (1, nm // u.shape[1]))
+        for rows in _chunks(u.shape[0], 8 * nm * nm):
+            chunk = np.tile(u[rows], (1, nm // u.shape[1]))
             w = _fixed_solve(self.omega_g, self.d0 + self.e / chunk, self.f)
-            out[lo:lo + rows] = np.einsum("bij,bij->b", w, w)
+            out[rows] = np.einsum("bij,bij->b", w, w)
         return out
 
     def totals(self, u: np.ndarray) -> np.ndarray:
@@ -230,11 +238,10 @@ class LineResolvents:
             raise np.linalg.LinAlgError("singular protocol Gram system: "
                                         "a line point is not positive definite")
         red = np.repeat(self.offset[:, np.newaxis], t.size, axis=1)
-        rows = max(1, _CHUNK_BYTES // (8 * max(1, self.lam.shape[1] * t.size)))
-        for lo in range(0, len(red), rows):
-            term = self.lam.T[:, lo:lo + rows, np.newaxis] + t
-            np.divide(self.h2.T[:, lo:lo + rows, np.newaxis], term, out=term)
-            chunk = red[lo:lo + rows]
+        for rows in _chunks(len(red), 8 * max(1, self.lam.shape[1] * t.size)):
+            term = self.lam.T[:, rows, np.newaxis] + t
+            np.divide(self.h2.T[:, rows, np.newaxis], term, out=term)
+            chunk = red[rows]
             for row in term:
                 chunk += row
         return np.subtract(self.constant, red, out=red)
@@ -286,30 +293,28 @@ def _line_resolvents(ops: PredictionOperators, point: _PointCosts, fixed=None) -
                                     "the moving channel's input penalty is not positive")
     scale = 1.0 / np.sqrt(e[moving])
     lines = fixed_means.shape[0]
-    offset = np.empty(lines)
+    offset = np.zeros(lines)
     lam, h2 = np.empty((lines, moving.size)), np.empty((lines, moving.size))
-    rows = max(1, _CHUNK_BYTES // (8 * nm * nm))
     og = ops.omega_g
     block = og[np.ix_(rest, rest)]
     rhs = np.column_stack([og[np.ix_(rest, moving)], f[rest]])
     base = og[np.ix_(moving, moving)] + np.diag(d0[moving])
-    for lo in range(0, lines, rows):
-        hi = min(lo + rows, lines)
-        schur = np.broadcast_to(base, (hi - lo,) + base.shape)
-        g = np.broadcast_to(f[moving], (hi - lo, moving.size))
-        offset[lo:hi] = 0.0
+    for rows in _chunks(lines, 8 * nm * nm):
+        size = rows.stop - rows.start
+        schur = np.broadcast_to(base, (size,) + base.shape)
+        g = np.broadcast_to(f[moving], (size, moving.size))
         if rest.size:
             with np.errstate(over="ignore"):  # an infinite penalty factors as a zero input
-                d = d0[rest] + e[rest] / fixed_means[lo:hi][:, rest % m]
+                d = d0[rest] + e[rest] / fixed_means[rows][:, rest % m]
             z = _fixed_solve(block, d, rhs)
             z, w = z[:, :, :-1], z[:, :, -1]
-            offset[lo:hi] = np.einsum("bi,bi->b", w, w)
+            offset[rows] = np.einsum("bi,bi->b", w, w)
             schur, g = schur - z.transpose(0, 2, 1) @ z, g - np.einsum("bij,bi->bj", z, w)
         mat, v = scale[:, np.newaxis] * schur * scale, g * scale
-        lam[lo:hi], q = np.linalg.eigh(mat)
-        h2[lo:hi] = np.einsum("bij,bi->bj", q, v)
+        lam[rows], q = np.linalg.eigh(mat)
+        h2[rows] = np.einsum("bij,bi->bj", q, v)
         with np.errstate(over="ignore"):  # the command line refuses a cost that is not finite
-            np.square(h2[lo:hi], out=h2[lo:hi])
+            np.square(h2[rows], out=h2[rows])
     return LineResolvents(constant=point.constant, offset=offset, lam=lam, h2=h2)
 
 

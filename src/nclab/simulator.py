@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_csv
-from .controller import Protocol, optimal_sequence, synthesize
+from .controller import Protocol, _chunks, optimal_sequence, synthesize
 from .prediction import build_prediction_operators
 from .scenario import Scenario
 
@@ -63,9 +63,6 @@ __all__ = [
 ]
 
 SEED_RULE = "replicate r uses numpy SeedSequence(entropy=(base_seed, r))"
-
-# Byte budget of one Monte Carlo chunk's stored states and inputs.
-_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -402,13 +399,13 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
 
     Replicate ``r`` reproduces ``open_loop_rollout`` at seed
     ``replicate_seed(base_seed, r)`` to rounding (see ``_rollout``).
-    Replicates run in chunks of about ``_CHUNK_BYTES`` of stored states and
-    inputs (the size follows from the horizon and the dimensions), in one
-    loop that writes each chunk into the buffers of the one before.  A
-    replicate's cost depends only on its own draws, and aggregation uses
-    exact (fsum) summation, so the result does not depend on the order in
-    which chunks run; costs whose sum is beyond the float range still give
-    their mean.  A cost that is not finite gives a mean that is not finite,
+    Replicates run in chunks of about ``controller._CHUNK_BYTES`` of stored
+    states and inputs (the size follows from the horizon and the
+    dimensions), in one loop that writes each chunk into the buffers of the
+    one before.  A replicate's cost depends only on its own draws, and
+    aggregation uses exact (fsum) summation, so the result does not depend
+    on the order in which chunks run; costs whose sum is beyond the float
+    range still give their mean.  A cost that is not finite gives a mean that is not finite,
     without a warning.
 
     The mean estimates the expected realized cost of the protocol's
@@ -422,13 +419,12 @@ def monte_carlo_cost(scn: Scenario, protocol: Protocol, replicates: int,
     if base_seed < 0:
         raise ValueError("base_seed must be a nonnegative integer")
     u_star = _open_loop_sequence(scn, protocol)
-    rows = max(1, _CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
     costs = np.empty(replicates)
     buffers = _Buffers()
-    for lo in range(0, replicates, rows):
-        hi = min(lo + rows, replicates)
-        v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, lo, hi), buffers)
-        costs[lo:hi] = _rollout(scn, v, w, sequence=u_star, buffers=buffers)[2]
+    for rows in _chunks(replicates, 8 * scn.horizon * (scn.n + scn.m)):
+        v, w = _draws(scn, scn.horizon, _replicate_seeds(base_seed, rows.start, rows.stop),
+                      buffers)
+        costs[rows] = _rollout(scn, v, w, sequence=u_star, buffers=buffers)[2]
 
     mean = _fsum_over(costs, replicates)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf when the mean is inf

@@ -281,3 +281,11 @@ def test_prepared_refinement_equals_the_is_feasible_bisection(m, resolution):
             edge = np.array([mu for mu, _ in rep.frontier])
             assert [c for _, c in rep.frontier] == expected_costs(ops, p, x, edge).tolist()
             assert is_feasible(ops, rep.m_grid, p, alpha, x)
+
+
+@pytest.mark.parametrize("beta, message", [([1.0], "beta must have length 2"),
+                                           ([1.0, -0.5], "beta must be nonnegative")],
+                         ids=["one_entry", "negative"])
+def test_allocation_refuses_a_malformed_beta(mixed, beta, message):
+    with pytest.raises(ValueError, match=message):
+        optimize_allocation(ops_of(mixed), UDP, 1e18, beta, mixed.eval_state)

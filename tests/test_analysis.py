@@ -349,15 +349,15 @@ def test_parallel_polish_equals_the_serial_loop(monkeypatch, pendulum):
     # two spare CPUs polish on two threads, one CPU on the calling thread,
     # with the same chunks.  Pendulum runs 8 chunks; each random draw gets
     # a budget of two candidates per chunk
-    from nclab import analysis
+    from nclab import analysis, controller
     seen = _chunk_threads(monkeypatch, analysis)
     rng = np.random.default_rng(7)
     draws = [ops_of(random_scenario(rng, n_max=5, m_max=3, n_horizon_max=12))
              for _ in range(12)]
-    chunked = 0
-    for ops, budget in [(ops_of(pendulum), analysis._STACK_BYTES)] + [
+    chunked, counts = 0, []
+    for ops, budget in [(ops_of(pendulum), controller._CHUNK_BYTES)] + [
             (ops, 2 * 2 * 8 * analysis._pencil(ops)[0].size) for ops in draws]:
-        monkeypatch.setattr(analysis, "_STACK_BYTES", budget)
+        monkeypatch.setattr(controller, "_CHUNK_BYTES", budget)
         runs = {}
         for cpus in (1, 2):
             monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda cpus=cpus: cpus)
@@ -370,17 +370,15 @@ def test_parallel_polish_equals_the_serial_loop(monkeypatch, pendulum):
         if runs[1, "chunks"] >= 2:
             chunked += 1
             assert runs[2, "threads"] == 2
+        counts.append(runs[2, "chunks"])
     assert chunked >= 6
-    monkeypatch.setattr(analysis, "_STACK_BYTES", 1 << 20)
-    seen.clear()
-    determinant_root_candidates(ops_of(pendulum))
-    assert len(seen) == 8  # 80 candidates, 10 per chunk on two threads
+    assert counts[0] == 8  # pendulum: 80 candidates, 10 per chunk on two threads
 
 
 def test_chunks_hold_the_stack_budget(monkeypatch, pendulum, mixed):
-    # a chunk's pencils and slope matrices fit _STACK_BYTES, and a chunk
-    # holds one candidate when one alone is larger
-    from nclab import analysis
+    # a chunk's pencils and slope matrices fit controller._CHUNK_BYTES, and a
+    # chunk holds one candidate when one alone is larger
+    from nclab import analysis, controller
     sizes = []
     decide = analysis._decide_chunk
 
@@ -393,7 +391,7 @@ def test_chunks_hold_the_stack_budget(monkeypatch, pendulum, mixed):
     for name, ops in (("pendulum", ops_of(pendulum)), ("mixed", ops_of(mixed))):
         matrix_bytes = 2 * 8 * analysis._pencil(ops)[0].size
         for budget in (1 << 20, 3 * matrix_bytes, matrix_bytes // 2):
-            monkeypatch.setattr(analysis, "_STACK_BYTES", budget)
+            monkeypatch.setattr(controller, "_CHUNK_BYTES", budget)
             sizes.clear()
             determinant_root_candidates(ops)
             assert sum(rows for rows, _ in sizes) == {"pendulum": 80, "mixed": 20}[name]
@@ -409,9 +407,9 @@ def test_many_polish_threads_with_fast_switching_equal_the_serial_loop(monkeypat
     # budget of one) and a switch interval of 1 us: a lost or misplaced
     # chunk result changes the list
     import sys
-    from nclab import analysis
+    from nclab import analysis, controller
     ops = ops_of(mixed)
-    monkeypatch.setattr(analysis, "_STACK_BYTES", 2 * 8 * analysis._pencil(ops)[0].size)
+    monkeypatch.setattr(controller, "_CHUNK_BYTES", 2 * 8 * analysis._pencil(ops)[0].size)
     monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda: 1)
     serial = determinant_root_candidates(ops)
     monkeypatch.setattr(analysis._openblas, "spare_cpus", lambda: 8)
@@ -660,3 +658,13 @@ def test_sweep_csv_format(tmp_path):
     gz = tmp_path / "sweep.csv.gz"  # plain text whatever the name
     write_sweep_csv(gz, mus, jt, ju)
     assert gz.read_text() == path.read_text()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ops, x: monotonic_sweep(ops, [0.5], TCP, x), "grid needs at least two points"),
+    (lambda ops, x: iso_cost_transmission(ops, 0.0, x), r"channel mean must lie in \(0,1\]"),
+], ids=["one_point_sweep", "iso_cost_at_zero"])
+def test_analysis_refuses_degenerate_requests(call, message):
+    scn = toy_scenario(mu=0.5, x=1.0)
+    with pytest.raises(ValueError, match=message):
+        call(ops_of(scn), scn.eval_state)

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from nclab import (Protocol, bernoulli_quadratic_expectation,
-                   closed_loop_eigenvalues, error_quadratic_expectation,
-                   expected_cost, expected_costs, line_resolvents, optimal_sequence,
-                   synthesize)
+                   closed_loop_eigenvalues, determinant_root_candidates,
+                   error_quadratic_expectation, expected_cost, expected_costs,
+                   line_resolvents, monte_carlo_cost, optimal_sequence, synthesize)
 from nclab.allocation import _grid_values
 
 from conftest import (enumerate_bernoulli_quadratic, lossy_riccati_oracle, make_scenario,
@@ -416,6 +416,38 @@ def test_batched_costs_do_not_depend_on_the_chunk_size(monkeypatch, mixed):
     for rows in (1, 3, 64, 10_000):
         monkeypatch.setattr(controller, "_CHUNK_BYTES", rows * nm2_bytes)
         assert np.array_equal(line_resolvents(ops, UDP, mixed.eval_state, fixed).costs(vals), ref)
+
+
+def test_one_budget_splits_every_batched_evaluation(monkeypatch, pendulum, mixed):
+    # controller._CHUNK_BYTES bounds the maximizer's candidates, the Monte
+    # Carlo replicates, the cost stacks and the line resolvents: at a
+    # sixteenth of it each splits into more chunks, with the same bits.  At
+    # the default, pendulum decides 8 chunks, 5000 replicates on mixed draw 2
+    # and mixed's 700 points and 600 lines factor 3 + 2
+    from nclab import analysis, controller, simulator
+    ops_p, ops_m, x = ops_of(pendulum), ops_of(mixed), mixed.eval_state
+    stack = np.random.default_rng(94).uniform(0.05, 1.0, (700, 2))
+    cases = [(analysis, "_decide_chunk", lambda: determinant_root_candidates(ops_p)),
+             (simulator, "_draws", lambda: monte_carlo_cost(mixed, UDP, 5000, 3)),
+             (controller, "_factor", lambda: (
+                 expected_costs(ops_m, UDP, x, stack).tolist(),
+                 line_resolvents(ops_m, UDP, x, stack[:600, :1]).costs(stack[:5, 1]).tolist()))]
+    calls = []
+    for module, name, _ in cases:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    runs, default = {}, controller._CHUNK_BYTES
+    low = default // 16
+    for budget in (default, low):
+        monkeypatch.setattr(controller, "_CHUNK_BYTES", budget)
+        for _, name, run in cases:
+            calls.clear()
+            runs[budget, name] = run(), calls.count(name)
+    assert [runs[default, name][1] for _, name, _ in cases] == [8, 2, 5]
+    for _, name, _ in cases:
+        assert runs[low, name][0] == runs[default, name][0]
+        assert runs[low, name][1] > runs[default, name][1]
 
 
 def _per_term_costs(lines, means):

@@ -270,3 +270,15 @@ def test_scheduled_channel_stacks_per_step_means():
                         weights=scn.weights, eval_state=scn.eval_state, sim=scn.sim)
     ops = ops_of(scn)
     assert np.allclose(ops.upsilon_diag, sched.reshape(-1))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda scn: replace(scn, plant=replace(scn.plant, b=np.ones((3, 2)))),
+     "b has 3 rows but a is 2x2"),
+    (lambda scn: replace(scn, channel=ChannelModel(means=np.array([0.5]))),
+     "channel means cover 1 channels but b has 2 columns"),
+], ids=["three_row_b", "one_channel_means"])
+def test_build_refuses_mismatched_dimensions(mixed, edit, message):
+    scn = edit(mixed)
+    with pytest.raises(ValueError, match=message):
+        build_prediction_operators(scn.plant, scn.weights, scn.channel)

@@ -329,3 +329,22 @@ def test_validate_reports_the_operator_size_cap(mixed):
         psi_steps=np.repeat(w.psi_steps[:1], N, axis=0)))
     assert validate_scenario(big) == [
         f"horizon × max(n, m) is {N} × 2 = {2 * N}, above the operator-size cap of 4096"]
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda doc: doc["plant"].update(a=[[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]) or doc,
+     ValidationError, "a must be square"),
+    (lambda doc: doc["weights"].update(omega=doc["weights"]["omega_steps"][0]) or doc,
+     ParseError, "either omega or omega_steps, not both"),
+    (lambda doc: [doc], ParseError, "a scenario must be a JSON object"),
+], ids=["non_square_a", "omega_and_omega_steps", "list_document"])
+def test_malformed_documents_are_refused_by_name(mixed, edit, error, message):
+    with pytest.raises(error, match=message):
+        scenario_from_dict(edit(scenario_to_dict(mixed)))
+
+
+def test_a_document_without_sim_loads_the_defaults(mixed):
+    doc = scenario_to_dict(mixed)
+    del doc["sim"]
+    sim = scenario_from_dict(doc).sim
+    assert (sim.steps, sim.replicates, sim.seed) == (0, 10000, 0)

@@ -8,7 +8,7 @@ import pytest
 from nclab import (ChannelModel, Protocol, Scenario, TrajectoryRecord, expected_cost,
                    monte_carlo_cost, open_loop_rollout, optimal_sequence,
                    receding_horizon_sim, replicate_seed, synthesize, write_trajectory_csv)
-from nclab import simulator
+from nclab import controller, simulator
 from nclab.simulator import _draws, _replicate_seeds, _rollout, _seed_states, _words
 
 from conftest import (CSV_EDGE_VALUES, draws_oracle, make_scenario,
@@ -210,7 +210,7 @@ def test_monte_carlo_starts_no_thread(monkeypatch):
         raise AssertionError("monte_carlo_cost started a thread")
 
     scn = toy_scenario(mu=0.5, sigma_w=0.2, x=1.0)
-    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 512 * 8 * (scn.n + scn.m))  # 10 chunks
+    monkeypatch.setattr(controller, "_CHUNK_BYTES", 512 * 8 * (scn.n + scn.m))  # 10 chunks
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for p in (TCP, UDP):
         stats = monte_carlo_cost(scn, p, replicates=5000, base_seed=3)
@@ -220,7 +220,7 @@ def test_monte_carlo_starts_no_thread(monkeypatch):
 def test_monte_carlo_equals_chunked_oracle_bit_for_bit(pendulum, mixed):
     # each chunk rebuilt from the documented seed rule, seed by seed
     for scn, replicates in ((pendulum, 700), (mixed, 3500)):
-        rows = max(1, simulator._CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
+        rows = max(1, controller._CHUNK_BYTES // (8 * scn.horizon * (scn.n + scn.m)))
         assert replicates > rows
         for p in (TCP, UDP):
             u_star = simulator._open_loop_sequence(scn, p)
@@ -310,7 +310,7 @@ def test_monte_carlo_chunk_budget_does_not_change_the_result(fixture, replicates
     for p in (TCP, UDP):
         results = set()
         for budget in (64 << 10, 1 << 20, 4 << 20):
-            monkeypatch.setattr(simulator, "_CHUNK_BYTES", budget)
+            monkeypatch.setattr(controller, "_CHUNK_BYTES", budget)
             rows = budget // (8 * scn.horizon * (scn.n + scn.m))
             assert replicates > rows and replicates % rows != 1
             stats = monte_carlo_cost(scn, p, replicates=replicates, base_seed=19)
