@@ -14,10 +14,14 @@ TIE_RTOL of the budget, and the frontier points, take the single-point
 cost, so that feasibility is decided as ``is_feasible`` decides it.  The
 stage takes the cheapest feasible point and the minimal feasible points
 (the frontier) from the feasibility mask, and then bisects each priced
-coordinate onto the active constraint.  A single-point cost (the all-ones
-check, those points and each bisection trial) is one Cholesky factor and
-one triangular solve and has the bits of ``expected_cost``.  The report
-keeps the cost of every grid point, which the full-grid CSV
+coordinate onto the active constraint.  The bisection of a channel runs on
+one line, along which that channel moves and the others stay at their
+current means, so each trial also costs O(N); a trial within TIE_RTOL of
+the budget takes the single-point cost, as a grid point does, and the
+bisection makes the decisions of ``is_feasible``.  A single-point cost
+(the all-ones check and those points) is one Cholesky factor and one
+triangular solve and has the bits of ``expected_cost``.  The report keeps
+the cost of every grid point, which the full-grid CSV
 (``write_frontier_csv``) prints without evaluating anything.
 """
 
@@ -42,9 +46,10 @@ __all__ = [
 ]
 
 REFINE_TOL = 1e-6
-# Relative band (of the cost with no input) around the budget in which a grid
-# point's line cost is replaced by its single-point cost.  The two agree to
-# about 1e-13, so outside the band both fall on the same side of the budget.
+# Relative band (of the cost with no input) around the budget in which the
+# line cost of a grid point or a bisection trial is replaced by its
+# single-point cost.  The two agree to about 1e-13, so outside the band both
+# fall on the same side of the budget.
 TIE_RTOL = 1e-10
 # Relative width of the price shortlist ranked exactly in the grid stage.
 SHORTLIST_TOL = 1e-9
@@ -109,7 +114,9 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     The grid over (0, 1]^m is evaluated line by line; among its feasible
     points the communication-cost minimizer is returned
     (ties broken by lexicographically smallest means), then bisects each
-    priced coordinate down onto the budget boundary to within 1e-6.
+    priced coordinate down onto the budget boundary to within 1e-6, dearest
+    first, on one line per channel through the current means (see the
+    module docstring).
     Raises when alpha, beta or the cost at perfect channels is not finite,
     and when even perfect channels exceed the budget.
     """
@@ -160,18 +167,30 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     costs[edge] = point.totals(points[edge])
     frontier = [(tuple(points[j]), float(costs[j])) for j in edge]
 
+    # Each priced channel, dearest first, is bisected on its own line: the
+    # other channels stay at mu_star, and a trial's cost is O(N) on the
+    # line's resolvents.  A trial whose line cost lies in the tie band (or
+    # is not finite, or sits off the positive definite part of the line)
+    # takes the single-point cost, so every decision is is_feasible's.
     mu_grid = points[best].astype(float)
     mu_star = mu_grid.copy()
-    order = sorted(range(m), key=lambda i: (-beta[i], i))
-    for i in order:
+    band = TIE_RTOL * point.constant
+    for i in sorted(range(m), key=lambda i: (-beta[i], i)):
         if beta[i] == 0.0:
             continue  # unpriced channels gain nothing from refinement
+        line = _line_resolvents(ops, point, np.delete(mu_star, i)[np.newaxis], i)
+        lam, h2, top = line.lam[0], line.h2[0], line.constant - line.offset[0]
+        low = float(lam[0])
         lo, hi = 0.0, mu_star[i]
         trial = mu_star.copy()
         while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            trial[i] = mid
-            if point.totals(trial[np.newaxis])[0] <= alpha:
+            t = 1.0 / mid
+            cost = top - np.sum(h2 / (lam + t)) if low + t > 0.0 else np.nan
+            if not band < abs(cost - alpha) < np.inf:
+                trial[i] = mid
+                cost = point.totals(trial[np.newaxis])[0]
+            if cost <= alpha:
                 hi = mid
             else:
                 lo = mid

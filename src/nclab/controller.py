@@ -255,14 +255,16 @@ def _check_means(means) -> np.ndarray:
 
 
 def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
-                    fixed=None) -> LineResolvents:
+                    fixed=None, channel: int | None = None) -> LineResolvents:
     """Resolvents of the protocol's planning cost along lines of stationary
     channel means, for evaluation with ``LineResolvents.costs``.
 
-    ``fixed`` (L, m-1) holds the means of the first m-1 channels on each of
-    L lines, whose last channel's mean moves; ``fixed=None`` is the single
-    line on which one mean is shared by every channel (for m = 1 the two
-    coincide).  ``line_resolvents(ops, p, x, fixed).costs(v)[l, j]`` equals
+    ``fixed`` (L, m-1) holds, in channel order, the means of the channels
+    that stay fixed on each of L lines, along which the mean of channel
+    ``channel`` (default: the last) moves; ``fixed=None`` is the single line
+    on which one mean is shared by every channel (for m = 1 the two
+    coincide).  With the last channel moving,
+    ``line_resolvents(ops, p, x, fixed).costs(v)[l, j]`` equals
     ``expected_cost(ops, p, x, upsilon=[*fixed[l], v[j]]).total``.
 
     Per chunk of lines (about _CHUNK_BYTES of (N m)^2 matrices) the fixed
@@ -270,46 +272,58 @@ def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
     Schur complement of the moving channel (N m x N m on the shared line),
     scaled by E^(-1/2), is diagonalized with one batched ``eigh``.
     """
+    if fixed is not None:
+        fixed = np.asarray(fixed, dtype=float)
+        if fixed.ndim != 2 or fixed.shape[1] != ops.m - 1:
+            raise ValueError(f"fixed means have shape {fixed.shape}; expected (L, {ops.m - 1})")
+        _check_means(fixed)
+    if channel is not None and (fixed is None or channel not in range(ops.m)):
+        raise ValueError(f"moving channel {channel!r} needs fixed means and "
+                         f"an index in [0, {ops.m})")
     with np.errstate(over="ignore", invalid="ignore"):  # as for expected_cost
         point = _point_costs(ops, protocol, x)
-    return _line_resolvents(ops, point, fixed)
+    return _line_resolvents(ops, point, fixed, channel)
 
 
-def _line_resolvents(ops: PredictionOperators, point: _PointCosts, fixed=None) -> LineResolvents:
-    """``line_resolvents`` on the setup ``point`` of its protocol and state."""
-    nm, m = ops.horizon * ops.m, ops.m
+def _line_resolvents(ops: PredictionOperators, point: _PointCosts, fixed=None,
+                     channel: int | None = None) -> LineResolvents:
+    """``line_resolvents`` on the setup ``point`` of its protocol and state,
+    for means ``fixed`` that the caller has validated.  Channel ``channel``
+    (default: the last) moves; the stacked index of step k, channel j is
+    k m + j, so the moving and fixed index sets are columns of one (N, m)
+    array."""
+    n, m = ops.horizon, ops.m
+    nm = n * m
     f, d0, e = point.f[:, 0], point.d0, point.e
+    index = np.arange(nm).reshape(n, m)
     if fixed is None:
-        fixed_means, moving = np.ones((1, 0)), np.arange(nm)
+        fixed, moving, rest = np.ones((1, 0)), index.ravel(), np.arange(0)
     else:
-        fixed_means = np.asarray(fixed, dtype=float)
-        if fixed_means.ndim != 2 or fixed_means.shape[1] != m - 1:
-            raise ValueError(f"fixed means have shape {fixed_means.shape}; expected (L, {m - 1})")
-        _check_means(fixed_means)
-        moving = np.arange(m - 1, nm, m)
-    rest = np.setdiff1d(np.arange(nm), moving)
+        channel = m - 1 if channel is None else channel
+        moving = index[:, channel]
+        rest = index[:, [j for j in range(m) if j != channel]].ravel()
     if not np.all(e[moving] > 0.0):
         raise np.linalg.LinAlgError("singular protocol Gram system: "
                                     "the moving channel's input penalty is not positive")
     scale = 1.0 / np.sqrt(e[moving])
-    lines = fixed_means.shape[0]
+    lines = fixed.shape[0]
     offset = np.zeros(lines)
     lam, h2 = np.empty((lines, moving.size)), np.empty((lines, moving.size))
     og = ops.omega_g
-    block = og[np.ix_(rest, rest)]
-    rhs = np.column_stack([og[np.ix_(rest, moving)], f[rest]])
     base = og[np.ix_(moving, moving)] + np.diag(d0[moving])
+    if rest.size:
+        block = og[np.ix_(rest, rest)]
+        rhs = np.column_stack([og[np.ix_(rest, moving)], f[rest]])
+        e_rest = e[rest].reshape(n, m - 1)
     for rows in _chunks(lines, 8 * nm * nm):
-        size = rows.stop - rows.start
-        schur = np.broadcast_to(base, (size,) + base.shape)
-        g = np.broadcast_to(f[moving], (size, moving.size))
+        schur, g = base[np.newaxis], f[moving][np.newaxis]
         if rest.size:
             with np.errstate(over="ignore"):  # an infinite penalty factors as a zero input
-                d = d0[rest] + e[rest] / fixed_means[rows][:, rest % m]
+                d = d0[rest] + (e_rest / fixed[rows, np.newaxis]).reshape(-1, rest.size)
             z = _fixed_solve(block, d, rhs)
             z, w = z[:, :, :-1], z[:, :, -1]
             offset[rows] = np.einsum("bi,bi->b", w, w)
-            schur, g = schur - z.transpose(0, 2, 1) @ z, g - np.einsum("bij,bi->bj", z, w)
+            schur, g = base - z.transpose(0, 2, 1) @ z, g - np.einsum("bij,bi->bj", z, w)
         mat, v = scale[:, np.newaxis] * schur * scale, g * scale
         lam[rows], q = np.linalg.eigh(mat)
         h2[rows] = np.einsum("bij,bi->bj", q, v)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nclab import (Protocol, communication_cost, expected_cost, expected_costs,
+from nclab import (Protocol, communication_cost, expected_cost, expected_costs, fixture_path,
                    iso_cost_transmission, is_feasible, optimize_allocation,
                    write_frontier_csv)
 from nclab.allocation import grid_points
@@ -256,11 +256,11 @@ def _is_feasible_bisection(ops, protocol, alpha, beta, x, m_grid):
     return mu_star
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("resolution", [0.05, 0.1])
 def test_prepared_refinement_equals_the_is_feasible_bisection(m, resolution):
-    # the all-ones check, the tie band, the frontier and every bisection
-    # trial run on one cost setup; the report keeps the bits of per-point
+    # the all-ones check, the tie band, the frontier and the refinement
+    # lines run on one cost setup; the report keeps the bits of per-point
     # is_feasible and expected_costs calls, with unpriced channels among
     # the prices
     rng = np.random.default_rng(40 + 10 * m + int(100 * resolution))
@@ -281,6 +281,64 @@ def test_prepared_refinement_equals_the_is_feasible_bisection(m, resolution):
             edge = np.array([mu for mu, _ in rep.frontier])
             assert [c for _, c in rep.frontier] == expected_costs(ops, p, x, edge).tolist()
             assert is_feasible(ops, rep.m_grid, p, alpha, x)
+
+
+def _single_points(monkeypatch):
+    """The rows of every single-point ``_PointCosts.totals`` call (a stack
+    of one), recorded as the calls are made."""
+    from nclab.controller import _PointCosts
+    rows, totals = [], _PointCosts.totals
+
+    def counted(self, u):
+        if len(u) == 1:
+            rows.append(u[0].copy())
+        return totals(self, u)
+
+    monkeypatch.setattr(_PointCosts, "totals", counted)
+    return rows
+
+
+def test_a_bisection_trial_on_the_budget_is_decided_by_its_single_point_cost(monkeypatch):
+    # alpha is the single-point cost at the first midpoint of the dearest
+    # channel, so that trial's line cost falls in the tie band: the trial
+    # takes its single-point cost, and m_star keeps is_feasible's bits
+    rng = np.random.default_rng(77)
+    found = 0
+    for _ in range(12):
+        m = int(rng.integers(2, 4))
+        scn = random_scenario(rng, m=m, n_horizon_max=6)
+        ops, x = ops_of(scn), scn.eval_state
+        beta = rng.uniform(0.5, 2.0, m)
+        dearest = int(np.argmax(beta))
+        for p in (TCP, UDP):
+            start = expected_cost(ops, p, x, upsilon=rng.uniform(0.4, 0.95, m)).total
+            grid = optimize_allocation(ops, p, start, beta, x, resolution=0.1).m_grid
+            mid = grid.copy()
+            mid[dearest] *= 0.5
+            alpha = expected_cost(ops, p, x, upsilon=mid).total
+            rows = _single_points(monkeypatch)
+            rep = optimize_allocation(ops, p, alpha, beta, x, resolution=0.1)
+            monkeypatch.undo()
+            if not np.array_equal(rep.m_grid, grid):
+                continue  # the new budget moved the grid optimum
+            found += 1
+            assert any(np.array_equal(row, mid) for row in rows)
+            m_star = _is_feasible_bisection(ops, p, alpha, beta, x, rep.m_grid)
+            assert rep.m_star.tobytes() == m_star.tobytes()
+            assert rep.m_star[dearest] <= mid[dearest]
+    assert found >= 4
+
+
+@pytest.mark.parametrize("protocol", ["tcp", "udp"])
+def test_allocate_refines_without_single_point_costs(monkeypatch, capsys, protocol):
+    # the coverage allocation on mixed: the all-ones check is its one
+    # single-point cost; both priced channels are refined on their lines
+    from nclab.cli import run
+    rows = _single_points(monkeypatch)
+    assert run(["allocate", "--scenario", str(fixture_path("mixed")), "--protocol", protocol,
+                "--alpha", "119", "--beta", "0.05,1", "--resolution", "0.05"]) == 0
+    assert [row.tolist() for row in rows] == [[1.0, 1.0]]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("beta, message", [([1.0], "beta must have length 2"),

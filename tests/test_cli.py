@@ -206,9 +206,9 @@ def test_frontier_out_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, mix
 
     counted = allocation._line_resolvents
 
-    def counting(ops, point, fixed=None):
-        lines.append(np.array(fixed))
-        return counted(ops, point, fixed)
+    def counting(ops, point, fixed=None, channel=None):
+        lines.append((np.array(fixed), channel))
+        return counted(ops, point, fixed, channel)
 
     monkeypatch.setattr(allocation, "_line_resolvents", guarded(counting))
     for name in ("expected_cost", "_point_costs"):
@@ -224,9 +224,14 @@ def test_frontier_out_evaluates_the_grid_once(tmp_path, capsys, monkeypatch, mix
     frontier = tmp_path / "frontier.csv"
     assert run(["allocate", "--scenario", mixed_path, "--protocol", "udp", *ALLOCATE,
                 "--frontier-out", str(frontier)]) == 0
-    # resolution 0.1: one line per value of mu_1, which covers all 10^2 points
-    assert len(lines) == 1
-    assert np.array_equal(lines[0], np.round(np.arange(1, 11) * 0.1, 12)[:, np.newaxis])
+    # resolution 0.1: one grid call with one line per value of mu_1, which
+    # covers all 10^2 points, then one line per priced channel, dearest
+    # first, through the grid optimum with the other channel fixed
+    assert len(lines) == 3
+    assert np.array_equal(lines[0][0], np.round(np.arange(1, 11) * 0.1, 12)[:, np.newaxis])
+    assert lines[0][1] is None
+    assert [channel for _, channel in lines[1:]] == [1, 0]
+    assert [fixed.shape for fixed, _ in lines[1:]] == [(1, 1), (1, 1)]
     assert len(frontier.read_text().splitlines()) == 1 + 100
     assert json.loads(capsys.readouterr().out)["frontier_size"] >= 1
 

@@ -560,3 +560,35 @@ def test_line_resolvents_refuse_bad_means_and_indefinite_lines(mixed):
                             [[1.0]], [0.9], x=[1.0])
         with pytest.raises(np.linalg.LinAlgError, match="singular protocol Gram system"):
             line_resolvents(ops_of(scn), p, [1.0]).costs(means)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_a_line_moves_any_channel(m):
+    # lines whose moving channel is i, for every i, against per-point costs;
+    # odd trials carry per-step (scheduled) channel means, which a line's
+    # explicit means override
+    rng = np.random.default_rng(60 + m)
+    vals = np.append(rng.uniform(0.05, 1.0, 4), 1.0)
+    for trial in range(4):
+        scn = random_scenario(rng, m=m, n_horizon_max=6, sigma_scale=0.2 * (trial % 2))
+        if trial % 2:
+            scn = _with_means(scn, rng.uniform(0.05, 1.0, (scn.horizon, m)))
+        ops, x = ops_of(scn), scn.eval_state
+        fixed = rng.uniform(0.05, 1.0, (3, m - 1))
+        for p in (TCP, UDP):
+            for i in range(m):
+                got = line_resolvents(ops, p, x, fixed, channel=i).costs(vals)
+                points = np.array([np.insert(row, i, v) for row in fixed for v in vals])
+                ref = expected_costs(ops, p, x, points).reshape(3, vals.size)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+            last = line_resolvents(ops, p, x, fixed)
+            explicit = line_resolvents(ops, p, x, fixed, channel=m - 1)
+            for name in ("lam", "h2", "offset"):
+                assert np.array_equal(getattr(last, name), getattr(explicit, name))
+
+
+def test_a_moving_channel_needs_fixed_means_and_a_channel_index(mixed):
+    ops, x = ops_of(mixed), mixed.eval_state
+    for fixed, channel in ((None, 0), ([[0.5]], 2), ([[0.5]], -1)):
+        with pytest.raises(ValueError, match="moving channel"):
+            line_resolvents(ops, TCP, x, fixed, channel=channel)
