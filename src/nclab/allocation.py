@@ -144,7 +144,8 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     points = grid_points(vals, m)
     lines = _line_resolvents(ops, point, grid_points(vals, m - 1) if m > 1 else None)
     costs = lines.costs(vals).ravel()
-    near = np.flatnonzero(np.abs(costs - alpha) <= TIE_RTOL * lines.constant)
+    band = TIE_RTOL * point.constant
+    near = np.flatnonzero(np.abs(costs - alpha) <= band)
     if near.size:
         costs[near] = point.totals(points[near])
     ok = costs <= alpha
@@ -174,7 +175,6 @@ def optimize_allocation(ops: PredictionOperators, protocol: Protocol, alpha: flo
     # takes the single-point cost, so every decision is is_feasible's.
     mu_grid = points[best].astype(float)
     mu_star = mu_grid.copy()
-    band = TIE_RTOL * point.constant
     for i in sorted(range(m), key=lambda i: (-beta[i], i)):
         if beta[i] == 0.0:
             continue  # unpriced channels gain nothing from refinement

@@ -255,17 +255,17 @@ def _check_means(means) -> np.ndarray:
 
 
 def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
-                    fixed=None, channel: int | None = None) -> LineResolvents:
+                    fixed=None) -> LineResolvents:
     """Resolvents of the protocol's planning cost along lines of stationary
     channel means, for evaluation with ``LineResolvents.costs``.
 
-    ``fixed`` (L, m-1) holds, in channel order, the means of the channels
-    that stay fixed on each of L lines, along which the mean of channel
-    ``channel`` (default: the last) moves; ``fixed=None`` is the single line
-    on which one mean is shared by every channel (for m = 1 the two
-    coincide).  With the last channel moving,
-    ``line_resolvents(ops, p, x, fixed).costs(v)[l, j]`` equals
-    ``expected_cost(ops, p, x, upsilon=[*fixed[l], v[j]]).total``.
+    ``fixed`` (L, m-1) holds the means of the first m-1 channels on each of
+    L lines, whose last channel's mean moves; ``fixed=None`` is the single
+    line on which one mean is shared by every channel (for m = 1 the two
+    coincide).  ``line_resolvents(ops, p, x, fixed).costs(v)[l, j]`` equals
+    ``expected_cost(ops, p, x, upsilon=[*fixed[l], v[j]]).total``.  The
+    allocation's refinement moves other channels through
+    ``_line_resolvents``.
 
     Per chunk of lines (about _CHUNK_BYTES of (N m)^2 matrices) the fixed
     indices are eliminated with one batched Cholesky factor, and the N x N
@@ -277,21 +277,19 @@ def line_resolvents(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
         if fixed.ndim != 2 or fixed.shape[1] != ops.m - 1:
             raise ValueError(f"fixed means have shape {fixed.shape}; expected (L, {ops.m - 1})")
         _check_means(fixed)
-    if channel is not None and (fixed is None or channel not in range(ops.m)):
-        raise ValueError(f"moving channel {channel!r} needs fixed means and "
-                         f"an index in [0, {ops.m})")
     with np.errstate(over="ignore", invalid="ignore"):  # as for expected_cost
         point = _point_costs(ops, protocol, x)
-    return _line_resolvents(ops, point, fixed, channel)
+    return _line_resolvents(ops, point, fixed)
 
 
 def _line_resolvents(ops: PredictionOperators, point: _PointCosts, fixed=None,
                      channel: int | None = None) -> LineResolvents:
     """``line_resolvents`` on the setup ``point`` of its protocol and state,
-    for means ``fixed`` that the caller has validated.  Channel ``channel``
-    (default: the last) moves; the stacked index of step k, channel j is
-    k m + j, so the moving and fixed index sets are columns of one (N, m)
-    array."""
+    for means ``fixed`` that the caller has validated, along lines on which
+    channel ``channel`` (default: the last) moves.  ``fixed`` holds the
+    other m-1 means in channel order.  The stacked index of step k, channel
+    j is k m + j, so the moving and fixed index sets are columns of one
+    (N, m) array."""
     n, m = ops.horizon, ops.m
     nm = n * m
     f, d0, e = point.f[:, 0], point.d0, point.e

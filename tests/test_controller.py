@@ -562,11 +562,13 @@ def test_line_resolvents_refuse_bad_means_and_indefinite_lines(mixed):
             line_resolvents(ops_of(scn), p, [1.0]).costs(means)
 
 
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_a_line_moves_any_channel(m):
     # lines whose moving channel is i, for every i, against per-point costs;
     # odd trials carry per-step (scheduled) channel means, which a line's
     # explicit means override
+    from nclab.controller import _line_resolvents, _point_costs
     rng = np.random.default_rng(60 + m)
     vals = np.append(rng.uniform(0.05, 1.0, 4), 1.0)
     for trial in range(4):
@@ -576,19 +578,13 @@ def test_a_line_moves_any_channel(m):
         ops, x = ops_of(scn), scn.eval_state
         fixed = rng.uniform(0.05, 1.0, (3, m - 1))
         for p in (TCP, UDP):
+            point = _point_costs(ops, p, x)
             for i in range(m):
-                got = line_resolvents(ops, p, x, fixed, channel=i).costs(vals)
+                got = _line_resolvents(ops, point, fixed, i).costs(vals)
                 points = np.array([np.insert(row, i, v) for row in fixed for v in vals])
                 ref = expected_costs(ops, p, x, points).reshape(3, vals.size)
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
             last = line_resolvents(ops, p, x, fixed)
-            explicit = line_resolvents(ops, p, x, fixed, channel=m - 1)
+            explicit = _line_resolvents(ops, point, fixed, m - 1)
             for name in ("lam", "h2", "offset"):
                 assert np.array_equal(getattr(last, name), getattr(explicit, name))
-
-
-def test_a_moving_channel_needs_fixed_means_and_a_channel_index(mixed):
-    ops, x = ops_of(mixed), mixed.eval_state
-    for fixed, channel in ((None, 0), ([[0.5]], 2), ([[0.5]], -1)):
-        with pytest.raises(ValueError, match="moving channel"):
-            line_resolvents(ops, TCP, x, fixed, channel=channel)
