@@ -115,7 +115,6 @@ __all__ = [
     "cost_gap",
     "scalar_cost_gap",
     "gap_derivative",
-    "root_lambdas",
     "determinant_root_candidates",
     "derivative_matrix",
     "maximal_gap",
@@ -286,11 +285,6 @@ def _pencil_lambdas(t: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
     from scipy.linalg import eigh
 
     return eigh(t, np.diag(h_diag), eigvals_only=True)  # ascending
-
-
-def root_lambdas(ops: PredictionOperators) -> np.ndarray:
-    """Generalized eigenvalues of (T, H), ascending."""
-    return _pencil_lambdas(*_pencil(ops))
 
 
 def _newton_round(u: np.ndarray, t: np.ndarray, h_diag: np.ndarray):

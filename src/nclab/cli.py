@@ -26,6 +26,13 @@ with no option; ``_openblas`` describes both rules.  Importing this module
 loads no scipy module: each scipy submodule loads inside the first call
 that needs it, after ``run`` has set the thread count of scipy's library,
 and the count holds.
+Each command reads its scenario through ``load_scenario`` and its
+prediction operators through ``Scenario.operators``: a later command in
+the same process on a file with unchanged text reuses the scenario and its
+operators (one of the last two files loaded; ``scenario`` describes the
+rule), so ``run`` repeated in one process skips the parse, the validation
+and the operator build.  A fresh process gains nothing.  ``NCLAB_SEED`` and
+``--upsilon`` make a new scenario, which builds its own operators.
 A CSV column or JSON field that is not finite is named in an error (exit 1),
 and nothing is printed or written; the JSON writer checks every field
 before it formats any.  So is an output path that cannot be written
@@ -51,7 +58,6 @@ from . import _openblas, allocation, analysis, simulator
 from ._csv import write_text
 from .controller import (Protocol, closed_loop_eigenvalues, expected_cost,
                          line_resolvents, synthesize)
-from .prediction import build_prediction_operators
 from .scenario import MAX_REPLICATES, MAX_STEPS, Scenario, ScenarioError, load_scenario
 
 __all__ = ["main", "run"]
@@ -180,8 +186,7 @@ def _check_paths(args) -> None:
 
 def cmd_synthesize(args) -> int:
     scn = _load(args)
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    law = synthesize(ops, _protocol(args))
+    law = synthesize(scn.operators, _protocol(args))
     _emit({"protocol": law.protocol.value,
            "k_first": law.k_first,
            "k": law.k}, args.out)
@@ -190,8 +195,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_cost(args) -> int:
     scn = _load(args)
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    rep = expected_cost(ops, _protocol(args), scn.eval_state)
+    rep = expected_cost(scn.operators, _protocol(args), scn.eval_state)
     _emit({"protocol": args.protocol, "total": rep.total,
            "constant_term": rep.constant_term,
            "reduction_term": rep.reduction_term}, args.out)
@@ -200,16 +204,14 @@ def cmd_cost(args) -> int:
 
 def cmd_gap(args) -> int:
     scn = _load(args)
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    rep = analysis.cost_gap(ops, scn.eval_state)
+    rep = analysis.cost_gap(scn.operators, scn.eval_state)
     _emit({"j_tcp": rep.j_tcp, "j_udp": rep.j_udp, "gap": rep.gap}, args.out)
     return 0
 
 
 def cmd_eigs(args) -> int:
     scn = _load(args)
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    law = synthesize(ops, _protocol(args))
+    law = synthesize(scn.operators, _protocol(args))
     eigs = closed_loop_eigenvalues(law, scn.plant)
     _emit({"protocol": args.protocol, "eigenvalues": eigs}, args.out)
     return 0
@@ -223,7 +225,7 @@ def cmd_sweep(args) -> int:
     scn = _load(args)
     scalar = scn.m == 1 or args.scalar
     _check_grid("sweep", args.points, 1 if scalar else scn.m)
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
+    ops = scn.operators
     pts = np.linspace(args.start, args.stop, args.points)
     if scalar:
         fixed, mus = None, np.repeat(pts[:, np.newaxis], scn.m, axis=1)
@@ -242,8 +244,7 @@ def cmd_maxdiff(args) -> int:
             "maxdiff analyzes a single shared channel; this scenario has "
             f"{scn.m} channels. Pass --scalar to treat them as one shared channel."
         )
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    rep = analysis.maximal_gap(ops, scn.eval_state)
+    rep = analysis.maximal_gap(scn.operators, scn.eval_state)
     _emit({
         "maximizer": rep.maximizer,
         "gap_at_max": rep.gap_at_max,
@@ -319,7 +320,7 @@ def cmd_allocate(args) -> int:
         beta = np.ones(scn.m) if scn.channel.beta is None else scn.channel.beta
     elif beta.shape != (scn.m,):
         raise UsageError(f"--beta gives {beta.size} prices; the scenario has {scn.m} channels")
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
+    ops = scn.operators
     rep = allocation.optimize_allocation(ops, _protocol(args), args.alpha, beta,
                                          scn.eval_state, resolution=args.resolution)
     if args.frontier_out:

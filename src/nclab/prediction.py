@@ -64,7 +64,9 @@ class PredictionOperators:
     ``upsilon_diag`` is the diagonal of the stacked channel-mean matrix
     (length N*m, entries in (0, 1]).  ``q`` is carried along so cost
     evaluations need no extra argument.  ``noise_trace`` is
-    tr(Omega_l Sigma_W_stacked), the irreducible noise cost.
+    tr(Omega_l Sigma_W_stacked), the irreducible noise cost.  Every array
+    is read-only, so one instance (``Scenario.operators``) can be shared by
+    every command that reads the scenario.
     """
 
     upsilon_diag: np.ndarray   # (N m,)
@@ -147,7 +149,7 @@ def build_prediction_operators(
                                 f"the plant or the noise are too large for floating point "
                                 f"over a horizon of {N}")
 
-    return PredictionOperators(
+    arrays = dict(
         upsilon_diag=channel.step_means(N).reshape(-1),
         psi=np.diagonal(weights.psi_steps, axis1=1, axis2=2).flatten(),
         q=np.array(weights.q, dtype=float),
@@ -155,8 +157,7 @@ def build_prediction_operators(
         omega_g=omega_g,
         omega_gp=omega_gp,
         omega_d=omega_g.diagonal().copy(),
-        noise_trace=noise_trace,
-        n=n,
-        m=m,
-        horizon=N,
     )
+    for a in arrays.values():
+        a.setflags(write=False)
+    return PredictionOperators(**arrays, noise_trace=noise_trace, n=n, m=m, horizon=N)

@@ -16,12 +16,20 @@ Matrices are row-major nested arrays of decimal numbers.  ``omega``/``psi``
 give a single per-step penalty replicated over the horizon; the ``*_steps``
 variants give one matrix per step.  ``eval_state`` defaults to ``x0_mean``.
 Scenario values are immutable after construction (all arrays are read-only)
-and safe to share across threads.
+and safe to share across threads.  A scenario builds its prediction
+operators (``Scenario.operators``) once, on first use.  ``load_scenario``
+keeps the last ``_KEPT`` (two) scenarios it built, keyed by the file's full
+text: a file read again with the same text skips the parse, the build and
+the validation, and returns the same scenario, operators included.  A file
+whose text changed takes the full path; a refused file is never kept.  Only
+later loads in the same process gain: a fresh process starts empty.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +63,11 @@ MAX_STEPS = 10 ** 6
 # Largest stacked dimension N·max(n, m): it keeps one dense (N·n)² or (N·m)²
 # float64 prediction operator at 128 MiB or less.
 MAX_STACKED_DIM = 4096
+
+# load_scenario keeps this many scenarios, least recently loaded first
+_KEPT = 2
+_kept: dict[str, Scenario] = {}
+_kept_lock = threading.Lock()
 
 
 class ScenarioError(Exception):
@@ -171,6 +184,14 @@ class Scenario:
     @property
     def horizon(self) -> int:
         return self.weights.horizon
+
+    @functools.cached_property
+    def operators(self):
+        """The read-only ``PredictionOperators`` of this scenario, built on
+        first use (a scenario is immutable, so they never go stale)."""
+        from .prediction import build_prediction_operators  # prediction imports scenario
+
+        return build_prediction_operators(self.plant, self.weights, self.channel)
 
 
 def _symmetric(stack: np.ndarray) -> np.ndarray:
@@ -394,18 +415,28 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load, validate, and normalize a scenario file."""
+    """Load, validate, and normalize a scenario file; a file whose full text
+    is that of one of the last two loaded returns that scenario (module
+    docstring)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path} must contain a JSON object")
-    return scenario_from_dict(doc)
+    with _kept_lock:
+        scn = _kept.pop(text, None)
+    if scn is None:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"{path} must contain a JSON object")
+        scn = scenario_from_dict(doc)
+    with _kept_lock:
+        _kept[text] = scn
+        while len(_kept) > _KEPT:
+            del _kept[next(iter(_kept))]
+    return scn
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -49,7 +49,6 @@ import numpy as np
 
 from ._csv import write_csv
 from .controller import Protocol, _chunks, optimal_sequence, synthesize
-from .prediction import build_prediction_operators
 from .scenario import Scenario
 
 __all__ = [
@@ -357,8 +356,7 @@ def _record(scn: Scenario, seed: int, steps: int, sequence=None, gain=None) -> T
 
 
 def _open_loop_sequence(scn: Scenario, protocol: Protocol) -> np.ndarray:
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    law = synthesize(ops, protocol)
+    law = synthesize(scn.operators, protocol)
     with np.errstate(over="ignore", invalid="ignore"):  # refused with the realized cost
         return optimal_sequence(law, scn.eval_state).reshape(scn.horizon, scn.m)
 
@@ -373,9 +371,8 @@ def receding_horizon_sim(scn: Scenario, protocol: Protocol, steps: int, seed: in
     """Re-plan at every measured state and apply only the first input block."""
     if steps < 1:
         raise ValueError("steps must be ≥ 1")
-    ops = build_prediction_operators(scn.plant, scn.weights, scn.channel)
-    law = synthesize(ops, protocol)  # the law is state-independent; re-solving
-    kf = law.k_first                 # each step would rebuild this same gain
+    # the law is state-independent; re-solving each step would rebuild this same gain
+    kf = synthesize(scn.operators, protocol).k_first
     return _record(scn, seed, steps, gain=kf)
 
 

@@ -107,6 +107,15 @@ def edited_fixture(fixture, value, places) -> dict:
     return doc
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_scenarios():
+    """Every test starts with ``load_scenario`` keeping no scenario, so no
+    test reads one that another test loaded."""
+    from nclab import scenario
+
+    scenario._kept.clear()
+
+
 @pytest.fixture(scope="session")
 def pendulum():
     return load_scenario(fixture_path("pendulum"))

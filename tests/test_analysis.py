@@ -7,7 +7,7 @@ from nclab import (Protocol, cost_gap, determinant_root_candidates,
                    expected_cost, gap_derivative, iso_cost_transmission,
                    maximal_gap, monotonic_sweep, scalar_cost_gap, scenario_from_dict,
                    write_sweep_csv)
-from nclab.analysis import derivative_matrix, root_lambdas
+from nclab.analysis import _pencil, _pencil_lambdas, derivative_matrix
 
 from conftest import CSV_EDGE_VALUES, edited_fixture, ops_of, random_scenario, toy_scenario
 
@@ -117,7 +117,7 @@ def test_toy_derivative_root_at_sqrt2_minus_one():
 def test_toy_candidates_are_exact():
     scn = toy_scenario(mu=0.5, x=1.0)
     ops = ops_of(scn)
-    lams = root_lambdas(ops)
+    lams = _pencil_lambdas(*_pencil(ops))
     assert lams == pytest.approx([1.0], rel=1e-12)
     cands = determinant_root_candidates(ops)
     assert len(cands) == 2  # 2 N m with N = m = 1
@@ -232,11 +232,11 @@ def _replaced_candidates(ops, stop=1e-12):
     """The per-candidate polish and eigenvalue annihilation loop that the
     batched polish and the trace bound replace.  A derivative matrix past
     the float range is not annihilated."""
-    from nclab.analysis import EIGCOND_RTOL, RootCandidate, _pencil
+    from nclab.analysis import EIGCOND_RTOL, RootCandidate
     t, h_diag = _pencil(ops)
     scale = np.linalg.norm(derivative_matrix(ops, 0.5), 2)
     out = []
-    for lam in root_lambdas(ops):
+    for lam in _pencil_lambdas(t, h_diag):
         disc = 1.0 + lam
         if disc < 0.0:
             pair = (np.nan, np.nan)
@@ -498,7 +498,7 @@ def test_vector_diagonals_equal_the_replaced_dense_forms(pendulum, mixed):
     # against the dense forms they replace: products with a diagonal matrix
     # are broadcast scalings, which give the GEMM's bits because its other
     # terms are exact zeros
-    from nclab.analysis import _pencil, _spectrum
+    from nclab.analysis import _spectrum
     from nclab.controller import _cholesky
     rng = np.random.default_rng(7)
     scenarios = [pendulum, mixed] + [random_scenario(rng, n_max=5, m_max=3, n_horizon_max=12)
@@ -526,7 +526,7 @@ def test_newton_rounds_equal_the_per_candidate_loop(monkeypatch, pendulum, mixed
     for ops in [ops_of(pendulum), ops_of(mixed)] + [
             ops_of(random_scenario(rng, n_max=3, m_max=3, n_horizon_max=6)) for _ in range(8)]:
         t, h_diag = analysis._pencil(ops)
-        lam = root_lambdas(ops)
+        lam = _pencil_lambdas(t, h_diag)
         r = np.sqrt(1.0 + lam[lam >= -1.0])
         us = np.array([u for u in np.concatenate([1.0 / (1.0 + r), 1.0 / (1.0 - r[r != 1.0])])
                        if 0.0 < u < 1.0])

@@ -544,6 +544,138 @@ def test_repeated_runs_share_one_parser_and_no_state(tmp_path, capsys, pend_path
         assert name in usage
 
 
+def _rewrite(path, doc):
+    """Write ``doc`` over the scenario file ``path`` and give the file back
+    its modification time, so that only its content tells the two apart."""
+    st = os.stat(path)
+    Path(path).write_text(json.dumps(doc))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def test_a_scenario_file_rewritten_in_place_is_read_again(tmp_path, capsys):
+    from nclab import scenario_from_dict
+
+    path = tmp_path / "mixed.json"
+    first = json.loads(fixture_path("mixed").read_text())
+    doubled = edited_fixture("mixed", lambda v: 2.0 * v, ["weights.q"])
+    path.write_text(json.dumps(first))
+    size = path.stat().st_size
+    cost = ["cost", "--scenario", str(path), "--protocol", "udp"]
+    assert run(cost) == 0
+    before = capsys.readouterr().out
+    # the same path, size and modification time, and q[0][0] = 2 for 1
+    _rewrite(path, doubled)
+    assert path.stat().st_size == size
+    assert run(cost) == 0
+    after = capsys.readouterr().out
+    scn = scenario_from_dict(doubled)
+    want = expected_cost(ops_of(scn), Protocol.UDP_LIKE, scn.eval_state).total
+    assert after != before
+    assert json.loads(after)["total"] == pytest.approx(want, rel=1e-8)
+    # back to the first content, and that is the first output again
+    _rewrite(path, first)
+    assert run(cost) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_a_rewrite_to_a_refused_file_gives_the_load_error(tmp_path, capsys):
+    from nclab import ParseError
+
+    path = tmp_path / "mixed.json"
+    path.write_text(fixture_path("mixed").read_text())
+    cost = ["cost", "--scenario", str(path), "--protocol", "udp"]
+    assert run(cost) == 0
+    capsys.readouterr()
+    path.write_text('{"plant": ')
+    with pytest.raises(ParseError) as refused:
+        load_scenario(path)
+    assert "is not valid JSON" in str(refused.value)
+    assert run(cost) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {refused.value}\n")
+    path.unlink()
+    assert run(cost) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {path}: ")
+
+
+def test_overrides_leave_the_kept_scenario_as_the_file_gives_it(tmp_path, capsys, monkeypatch,
+                                                                 mixed_path):
+    monkeypatch.delenv("NCLAB_SEED", raising=False)
+    cost = ["cost", "--scenario", mixed_path, "--protocol", "udp"]
+    assert run(cost) == 0
+    plain = capsys.readouterr().out
+    assert run(cost + ["--upsilon", "0.5"]) == 0
+    assert capsys.readouterr().out != plain
+    assert run(cost) == 0
+    assert capsys.readouterr().out == plain
+
+    seed = load_scenario(mixed_path).sim.seed
+
+    def simulate():
+        assert run(["simulate", "--scenario", mixed_path, "--protocol", "udp",
+                    "--out", str(tmp_path / "trajectory.csv")]) == 0
+        return json.loads(capsys.readouterr().out)["seed"]
+
+    monkeypatch.setenv("NCLAB_SEED", str(seed + 1))
+    assert simulate() == seed + 1
+    monkeypatch.delenv("NCLAB_SEED")
+    assert simulate() == seed
+    assert load_scenario(mixed_path).sim.seed == seed
+
+
+def _counted(monkeypatch):
+    """Spies on ``validate_scenario`` and ``build_prediction_operators``:
+    the number of calls of each so far."""
+    from nclab import prediction, scenario
+
+    calls = {"validate": 0, "build": 0}
+    for module, name, key in ((scenario, "validate_scenario", "validate"),
+                              (prediction, "build_prediction_operators", "build")):
+        def spy(*args, _fn=getattr(module, name), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_commands_on_one_file_validate_and_build_once(tmp_path, capsys, monkeypatch, mixed_path):
+    monkeypatch.delenv("NCLAB_SEED", raising=False)
+    calls = _counted(monkeypatch)
+    for argv in (["cost", "--protocol", "udp"], ["cost", "--protocol", "tcp"], ["gap"],
+                 ["simulate", "--protocol", "udp", "--out", str(tmp_path / "open.csv")],
+                 ["montecarlo", "--protocol", "tcp", "--replicates", "20"]):
+        assert run([argv[0], "--scenario", mixed_path, *argv[1:]]) == 0
+    assert calls == {"validate": 1, "build": 1}
+    # an override makes a scenario of its own, with its own operators
+    assert run(["cost", "--scenario", mixed_path, "--protocol", "udp", "--upsilon", "0.5"]) == 0
+    assert calls == {"validate": 1, "build": 2}
+
+
+def test_at_most_two_scenarios_are_kept_least_recently_loaded_first(tmp_path, monkeypatch):
+    from nclab import scenario
+
+    calls = _counted(monkeypatch)
+    paths = {}
+    for name, horizon in (("a", 4), ("b", 5), ("c", 6)):
+        paths[name] = tmp_path / f"{name}.json"
+        doc = json.loads(fixture_path("mixed").read_text())
+        doc["weights"]["horizon"] = doc["sim"]["steps"] = horizon
+        paths[name].write_text(json.dumps(doc))
+
+    def load(*names):
+        for name in names:
+            assert load_scenario(paths[name]).horizon == 4 + "abc".index(name)
+        return calls["validate"], len(scenario._kept)
+
+    assert load("a", "b") == (2, 2)
+    assert load("a", "b", "a") == (2, 2)  # hits, with a the last loaded
+    assert load("c") == (3, 2)            # b goes, a and c stay
+    assert load("a", "c") == (3, 2)
+    assert load("b") == (4, 2)            # a goes
+    assert load("a") == (5, 2)
+
+
 def test_operator_size_cap_is_a_clean_error(tmp_path, capsys, mixed_path):
     path = _scenario_file(tmp_path, mixed_path, lambda w: w.update(horizon=5000))
     assert run(["cost", "--scenario", path, "--protocol", "tcp"]) == 1

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -282,3 +282,25 @@ def test_build_refuses_mismatched_dimensions(mixed, edit, message):
     scn = edit(mixed)
     with pytest.raises(ValueError, match=message):
         build_prediction_operators(scn.plant, scn.weights, scn.channel)
+
+
+def test_every_operator_array_is_read_only(pendulum, mixed):
+    for scn in (pendulum, mixed):
+        ops = ops_of(scn)
+        arrays = [f.name for f in fields(ops) if isinstance(getattr(ops, f.name), np.ndarray)]
+        assert arrays == ["upsilon_diag", "psi", "q", "omega_p", "omega_g", "omega_gp",
+                          "omega_d"]
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ops, name)[...] = 0.0
+
+
+def test_a_scenario_builds_its_operators_once(pendulum):
+    scn = replace(pendulum)  # a scenario object no other test has read
+    ops = scn.operators
+    assert scn.operators is ops
+    built = ops_of(scn)
+    for f in fields(ops):
+        assert np.array_equal(getattr(ops, f.name), getattr(built, f.name))
+    # a replaced scenario is a new object, with operators of its own
+    assert replace(scn, sim=replace(scn.sim, seed=1)).operators is not ops

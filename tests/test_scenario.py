@@ -348,3 +348,60 @@ def test_a_document_without_sim_loads_the_defaults(mixed):
     del doc["sim"]
     sim = scenario_from_dict(doc).sim
     assert (sim.steps, sim.replicates, sim.seed) == (0, 10000, 0)
+
+
+def test_load_keeps_what_it_built_and_nothing_it_refused(tmp_path):
+    from nclab import scenario
+
+    path = tmp_path / "copy.json"
+    path.write_text(fixture_path("mixed").read_text())
+    first = load_scenario(path)
+    assert load_scenario(path) is first
+    assert load_scenario(fixture_path("mixed")) is first  # the same text elsewhere
+    doc = json.loads(path.read_text())
+    doc["weights"]["horizon"] = 0
+    path.write_text(json.dumps(doc))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="horizon"):
+            load_scenario(path)
+    assert list(scenario._kept.values()) == [first]
+
+
+def test_loads_from_many_threads_keep_at_most_two(tmp_path):
+    # three files over four threads, with the interpreter switching threads
+    # as often as it can: every load returns its own file's scenario, and
+    # no eviction fails on an entry another thread has already removed
+    import sys
+    import threading
+
+    from nclab import scenario
+
+    paths = []
+    for horizon in (4, 5, 6):
+        doc = json.loads(fixture_path("mixed").read_text())
+        doc["weights"]["horizon"] = doc["sim"]["steps"] = horizon
+        paths.append(tmp_path / f"h{horizon}.json")
+        paths[-1].write_text(json.dumps(doc))
+    errors = []
+
+    def loads(k):
+        try:
+            for i in range(60):
+                j = (i + k) % 3
+                assert load_scenario(paths[j]).horizon == 4 + j
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=loads, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(scenario._kept) <= 2
