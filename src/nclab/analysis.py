@@ -105,7 +105,7 @@ import numpy as np
 
 from . import _openblas
 from ._csv import write_csv
-from .controller import Protocol, _chunks, expected_cost, expected_costs, line_resolvents
+from .controller import Protocol, _chunks, expected_cost, expected_costs
 from .prediction import PredictionOperators
 
 __all__ = [
@@ -119,15 +119,12 @@ __all__ = [
     "derivative_matrix",
     "maximal_gap",
     "monotonic_sweep",
-    "iso_cost_transmission",
     "write_sweep_csv",
 ]
 
 EIGCOND_RTOL = 1e-8
 GRID_POINTS = 1000
 REFINE_TOL = 1e-8
-# Relative distance to the UDP target at which iso_cost_transmission returns m1.
-ISO_COST_RTOL = 1e-9
 # Relative step at which the Newton polish stops a candidate.
 _POLISH_STOP = 1e-12
 
@@ -451,39 +448,6 @@ def monotonic_sweep(ops: PredictionOperators, grid, protocol: Protocol,
     if not np.all(mus[1:] > mus[:-1]):
         raise ValueError("grid not strictly increasing (entrywise)")
     return expected_costs(ops, protocol, x, mus)
-
-
-def iso_cost_transmission(ops: PredictionOperators, m1: float, x: np.ndarray) -> float:
-    """Shared TCP mean t* whose cost equals the UDP cost at shared mean m1.
-
-    Because the gap is positive below a perfect channel and costs decrease
-    in the means, t* < m1 whenever m1 < 1: acknowledged operation tolerates
-    more loss at equal cost.  m1 itself is returned when its TCP cost is
-    within ISO_COST_RTOL of the target.  Otherwise, on the shared-mean TCP line
-    (``line_resolvents``), the TCP reduction term at t = 1/s is
-    offset + sum_i h_i^2 / (lam_i + s): decreasing and convex in s.  Newton's
-    method from s = 1/m1, left of the root, then rises monotonically onto the
-    s at which it equals the reduction the target leaves.
-    """
-    m1 = float(m1)
-    if not 0.0 < m1 <= 1.0:
-        raise ValueError("channel mean must lie in (0,1]")
-    target = expected_cost(ops, Protocol.UDP_LIKE, x, upsilon=m1).total
-    line = line_resolvents(ops, Protocol.TCP_LIKE, x)
-    lam, h2 = line.lam[0], line.h2[0]
-    need = line.constant - line.offset[0] - target
-    s = 1.0 / m1
-    excess = float(np.sum(h2 / (lam + s))) - need  # the UDP cost minus the TCP cost
-    if abs(excess) <= ISO_COST_RTOL * abs(target):
-        return m1
-    if excess < 0.0:
-        raise ValueError("no root bracketed: TCP cost at m1 exceeds the UDP target")
-    while True:
-        w = h2 / (lam + s)
-        step = (float(np.sum(w)) - need) / float(np.sum(w / (lam + s)))
-        if not step > 4.0 * np.finfo(float).eps * s:
-            return float(1.0 / s)
-        s += step
 
 
 def write_sweep_csv(path, mus, j_tcp, j_udp) -> None:

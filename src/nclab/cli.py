@@ -31,8 +31,9 @@ prediction operators through ``Scenario.operators``: a later command in
 the same process on a file with unchanged text reuses the scenario and its
 operators (one of the last two files loaded; ``scenario`` describes the
 rule), so ``run`` repeated in one process skips the parse, the validation
-and the operator build.  A fresh process gains nothing.  ``NCLAB_SEED`` and
-``--upsilon`` make a new scenario, which builds its own operators.
+and the operator build.  A fresh process gains nothing.  ``NCLAB_SEED``
+keeps the scenario: it reaches ``simulate`` and ``montecarlo`` as their
+seed.  ``--upsilon`` makes a new scenario, which builds its own operators.
 A CSV column or JSON field that is not finite is named in an error (exit 1),
 and nothing is printed or written; the JSON writer checks every field
 before it formats any.  So is an output path that cannot be written
@@ -147,6 +148,9 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _load(args) -> Scenario:
+    """The scenario of ``--scenario``, with ``--upsilon`` applied.  Every
+    command checks NCLAB_SEED; a seeded command given no ``--seed`` takes
+    it as its seed, so the loaded scenario and its operators are reused."""
     scn = load_scenario(args.scenario)
     seed_env = os.environ.get("NCLAB_SEED")
     if seed_env is not None:
@@ -157,7 +161,8 @@ def _load(args) -> Scenario:
             raise bad from None
         if seed < 0:
             raise bad
-        scn = replace(scn, sim=replace(scn.sim, seed=seed))
+        if "seed" in args and args.seed is None:
+            args.seed = seed
     if getattr(args, "upsilon", None) is not None:
         t = float(args.upsilon)
         if not 0.0 < t <= 1.0:

@@ -71,7 +71,6 @@ __all__ = [
     "expected_costs",
     "LineResolvents",
     "line_resolvents",
-    "error_quadratic_expectation",
     "bernoulli_quadratic_expectation",
     "optimal_sequence",
     "closed_loop_eigenvalues",
@@ -400,23 +399,6 @@ def expected_costs(ops: PredictionOperators, protocol: Protocol, x: np.ndarray,
     """
     u = _resolve_stack(ops, upsilon)
     return _point_costs(ops, protocol, x).totals(u)
-
-
-def error_quadratic_expectation(ops: PredictionOperators, protocol: Protocol,
-                                u_seq: np.ndarray, upsilon=None) -> float:
-    """E[E' Omega E] for the prediction error of one protocol at a fixed
-    planned input sequence.
-
-    Acknowledged: tr(Omega_l Sigma_W), independent of the inputs.
-    Unacknowledged: adds U' Y (I ∘ Omega_g)(I - Y) U, the price of planning
-    against the channel mean instead of its realization.
-    """
-    base = ops.noise_trace
-    if protocol is Protocol.TCP_LIKE:
-        return base
-    u = _resolve_upsilon(ops, upsilon)
-    u_seq = np.asarray(u_seq, dtype=float)
-    return base + float(np.sum(u * ops.omega_d * (1.0 - u) * u_seq * u_seq))
 
 
 def bernoulli_quadratic_expectation(omega_g: np.ndarray, upsilon_diag: np.ndarray,

@@ -42,12 +42,8 @@ __all__ = [
     "SimOptions",
     "Scenario",
     "ScenarioError",
-    "ParseError",
-    "ValidationError",
     "load_scenario",
-    "save_scenario",
     "scenario_from_dict",
-    "scenario_to_dict",
     "validate_scenario",
 ]
 
@@ -71,24 +67,17 @@ _kept_lock = threading.Lock()
 
 
 class ScenarioError(Exception):
-    """Base class for scenario loading/validation failures."""
-
-
-class ParseError(ScenarioError):
-    """The file is not valid JSON or is missing required keys."""
-
-
-class ValidationError(ScenarioError):
-    """A scenario invariant is violated; the message names the first one."""
+    """A scenario file that cannot be read or parsed, or a scenario whose
+    invariant is violated; the message names the first fault."""
 
 
 def _array(x, name: str, ndim: int) -> np.ndarray:
     try:
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name} is not numeric") from exc
+        raise ScenarioError(f"{name} is not numeric") from exc
     if a.ndim != ndim:
-        raise ParseError(f"{name} must have {ndim} dimension(s), got {a.ndim}")
+        raise ScenarioError(f"{name} must have {ndim} dimension(s), got {a.ndim}")
     a.setflags(write=False)
     return a
 
@@ -97,7 +86,7 @@ def _integer(x, name: str) -> int:
     """A whole number given as a JSON integer (or an integral decimal)."""
     whole = isinstance(x, int) or (isinstance(x, float) and x.is_integer())
     if isinstance(x, bool) or not whole:
-        raise ParseError(f"{name} must be an integer, got {x!r}")
+        raise ScenarioError(f"{name} must be an integer, got {x!r}")
     return int(x)
 
 
@@ -240,7 +229,7 @@ def validate_scenario(s: Scenario) -> list[str]:
     """Return every violated invariant (empty list when the scenario is valid).
 
     Diagnostic only: never raises.  ``load_scenario`` raises a
-    ``ValidationError`` with the first entry of this list.
+    ``ScenarioError`` with the first entry of this list.
     """
     v: list[str] = []
     p, c, w = s.plant, s.channel, s.weights
@@ -330,30 +319,30 @@ def validate_scenario(s: Scenario) -> list[str]:
 
 def _steps_from(block, steps_key: str, single, N: int) -> np.ndarray:
     if steps_key in block and single in block:
-        raise ParseError(f"weights must give either {single} or {steps_key}, not both")
+        raise ScenarioError(f"weights must give either {single} or {steps_key}, not both")
     if steps_key in block:
         arr = _array(block[steps_key], f"weights.{steps_key}", 3)
         return arr
     if single in block:
         one = _array(block[single], f"weights.{single}", 2)
         return np.broadcast_to(one, (N,) + one.shape)  # read-only, stride 0
-    raise ParseError(f"weights is missing {single} (or {steps_key})")
+    raise ScenarioError(f"weights is missing {single} (or {steps_key})")
 
 
 def _section(doc: dict, key: str, required: bool = True) -> dict:
     if key not in doc:
         if required:
-            raise ParseError(f"missing top-level section: {key!r}")
+            raise ScenarioError(f"missing top-level section: {key!r}")
         return {}
     if not isinstance(doc[key], dict):
-        raise ParseError(f"{key} must be a JSON object")
+        raise ScenarioError(f"{key} must be a JSON object")
     return doc[key]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and validate a Scenario from a parsed JSON document."""
     if not isinstance(doc, dict):
-        raise ParseError("a scenario must be a JSON object")
+        raise ScenarioError("a scenario must be a JSON object")
     plant_doc = _section(doc, "plant")
     channel_doc = _section(doc, "channel")
     weights_doc = _section(doc, "weights")
@@ -361,7 +350,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     for key in ("a", "b", "sigma_w", "x0_mean"):
         if key not in plant_doc:
-            raise ParseError(f"plant is missing {key}")
+            raise ScenarioError(f"plant is missing {key}")
     plant = PlantModel(
         a=_array(plant_doc["a"], "plant.a", 2),
         b=_array(plant_doc["b"], "plant.b", 2),
@@ -370,7 +359,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
     if ("mu" in channel_doc) == ("mu_schedule" in channel_doc):
-        raise ParseError("channel must give exactly one of mu or mu_schedule")
+        raise ScenarioError("channel must give exactly one of mu or mu_schedule")
     if "mu" in channel_doc:
         means = _array(channel_doc["mu"], "channel.mu", 1)
     else:
@@ -382,12 +371,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     for key in ("q", "horizon"):
         if key not in weights_doc:
-            raise ParseError(f"weights is missing {key}")
+            raise ScenarioError(f"weights is missing {key}")
     N = _integer(weights_doc["horizon"], "weights.horizon")
     if not 1 <= N <= MAX_STEPS:
-        raise ValidationError(f"horizon must be >= 1 and <= {MAX_STEPS}")
+        raise ScenarioError(f"horizon must be >= 1 and <= {MAX_STEPS}")
     if (err := _stacked_dim_error(N, plant.a.shape[0], plant.b.shape[1])) is not None:
-        raise ValidationError(err)
+        raise ScenarioError(err)
     weights = WeightSpec(
         q=_array(weights_doc["q"], "weights.q", 2),
         omega_steps=_steps_from(weights_doc, "omega_steps", "omega", N),
@@ -410,7 +399,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                    eval_state=eval_state, sim=sim)
     violations = validate_scenario(scn)
     if violations:
-        raise ValidationError(violations[0])
+        raise ScenarioError(violations[0])
     return scn
 
 
@@ -421,16 +410,16 @@ def load_scenario(path) -> Scenario:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
     with _kept_lock:
         scn = _kept.pop(text, None)
     if scn is None:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+            raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
-            raise ParseError(f"{path} must contain a JSON object")
+            raise ScenarioError(f"{path} must contain a JSON object")
         scn = scenario_from_dict(doc)
     with _kept_lock:
         _kept[text] = scn
@@ -438,37 +427,3 @@ def load_scenario(path) -> Scenario:
             del _kept[next(iter(_kept))]
     return scn
 
-
-def scenario_to_dict(s: Scenario) -> dict:
-    doc = {
-        "plant": {
-            "a": s.plant.a.tolist(),
-            "b": s.plant.b.tolist(),
-            "sigma_w": s.plant.sigma_w.tolist(),
-            "x0_mean": s.plant.x0_mean.tolist(),
-        },
-        "channel": {},
-        "weights": {
-            "q": s.weights.q.tolist(),
-            "omega_steps": s.weights.omega_steps.tolist(),
-            "psi_steps": s.weights.psi_steps.tolist(),
-            "horizon": s.weights.horizon,
-        },
-        "eval_state": s.eval_state.tolist(),
-        "sim": {
-            "steps": s.sim.steps,
-            "replicates": s.sim.replicates,
-            "seed": s.sim.seed,
-        },
-    }
-    key = "mu_schedule" if s.channel.is_scheduled else "mu"
-    doc["channel"][key] = s.channel.means.tolist()
-    if s.channel.beta is not None:
-        doc["channel"]["beta"] = s.channel.beta.tolist()
-    return doc
-
-
-def save_scenario(s: Scenario, path) -> None:
-    """Write a scenario as JSON; load_scenario(save_scenario(s)) round-trips
-    every numeric field exactly (floats serialize via repr)."""
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from nclab import (Protocol, communication_cost, expected_cost, expected_costs, fixture_path,
-                   iso_cost_transmission, is_feasible, optimize_allocation,
-                   write_frontier_csv)
+                   is_feasible, optimize_allocation, write_frontier_csv)
 from nclab.allocation import grid_points
 
 from conftest import CSV_EDGE_VALUES, ops_of, random_scenario, toy_scenario
@@ -111,7 +111,8 @@ def test_scalar_channel_allocation_matches_iso_cost_bisection(pendulum):
     x = pendulum.eval_state
     m1 = 0.8
     alpha = expected_cost(ops, UDP, x, upsilon=m1).total
-    t_iso = iso_cost_transmission(ops, m1, x)
+    t_iso = scipy.optimize.brentq(
+        lambda t: expected_cost(ops, TCP, x, upsilon=t).total - alpha, 0.01, m1)
     rep = optimize_allocation(ops, TCP, alpha, [1.0], x, resolution=0.01)
     assert rep.m_star[0] == pytest.approx(t_iso, abs=1e-6)
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from nclab import (Protocol, cost_gap, determinant_root_candidates,
-                   expected_cost, gap_derivative, iso_cost_transmission,
-                   maximal_gap, monotonic_sweep, scalar_cost_gap, scenario_from_dict,
-                   write_sweep_csv)
+                   expected_cost, gap_derivative, maximal_gap, monotonic_sweep,
+                   scalar_cost_gap, scenario_from_dict, write_sweep_csv)
 from nclab.analysis import _pencil, _pencil_lambdas, derivative_matrix
 
 from conftest import CSV_EDGE_VALUES, edited_fixture, ops_of, random_scenario, toy_scenario
@@ -617,24 +616,11 @@ def test_monotonic_sweep_rejects_unordered_grid():
         monotonic_sweep(ops_of(scn), [[0.5], [0.5]], TCP, [1.0])
 
 
-def test_iso_cost_toy_is_one_third():
-    scn = toy_scenario(mu=0.5, x=1.0)
-    ops = ops_of(scn)
-    t = iso_cost_transmission(ops, 0.5, [1.0])
-    assert t == pytest.approx(1.0 / 3.0, rel=1e-8)
-    j_tcp = expected_cost(ops, TCP, [1.0], upsilon=t).total
+def test_toy_tcp_at_one_third_costs_what_udp_costs_at_one_half():
+    ops = ops_of(toy_scenario(mu=0.5, x=1.0))
+    j_tcp = expected_cost(ops, TCP, [1.0], upsilon=1.0 / 3.0).total
     j_udp = expected_cost(ops, UDP, [1.0], upsilon=0.5).total
     assert j_tcp == pytest.approx(j_udp, rel=1e-9)
-
-
-def test_iso_cost_perfect_channel_is_identity():
-    scn = toy_scenario(mu=0.5, x=1.0)
-    assert iso_cost_transmission(ops_of(scn), 1.0, [1.0]) == 1.0
-
-
-def test_iso_cost_pendulum_tolerates_more_loss(pendulum):
-    t = iso_cost_transmission(ops_of(pendulum), 0.9, pendulum.eval_state)
-    assert t < 0.9
 
 
 def test_sweep_csv_format(tmp_path):
@@ -662,8 +648,7 @@ def test_sweep_csv_format(tmp_path):
 
 @pytest.mark.parametrize("call, message", [
     (lambda ops, x: monotonic_sweep(ops, [0.5], TCP, x), "grid needs at least two points"),
-    (lambda ops, x: iso_cost_transmission(ops, 0.0, x), r"channel mean must lie in \(0,1\]"),
-], ids=["one_point_sweep", "iso_cost_at_zero"])
+], ids=["one_point_sweep"])
 def test_analysis_refuses_degenerate_requests(call, message):
     scn = toy_scenario(mu=0.5, x=1.0)
     with pytest.raises(ValueError, match=message):

@@ -579,7 +579,7 @@ def test_a_scenario_file_rewritten_in_place_is_read_again(tmp_path, capsys):
 
 
 def test_a_rewrite_to_a_refused_file_gives_the_load_error(tmp_path, capsys):
-    from nclab import ParseError
+    from nclab import ScenarioError
 
     path = tmp_path / "mixed.json"
     path.write_text(fixture_path("mixed").read_text())
@@ -587,7 +587,7 @@ def test_a_rewrite_to_a_refused_file_gives_the_load_error(tmp_path, capsys):
     assert run(cost) == 0
     capsys.readouterr()
     path.write_text('{"plant": ')
-    with pytest.raises(ParseError) as refused:
+    with pytest.raises(ScenarioError) as refused:
         load_scenario(path)
     assert "is not valid JSON" in str(refused.value)
     assert run(cost) == 1
@@ -646,6 +646,13 @@ def test_commands_on_one_file_validate_and_build_once(tmp_path, capsys, monkeypa
                  ["simulate", "--protocol", "udp", "--out", str(tmp_path / "open.csv")],
                  ["montecarlo", "--protocol", "tcp", "--replicates", "20"]):
         assert run([argv[0], "--scenario", mixed_path, *argv[1:]]) == 0
+    assert calls == {"validate": 1, "build": 1}
+    # NCLAB_SEED reaches the seeded commands as their seed, on the kept scenario
+    monkeypatch.setenv("NCLAB_SEED", "5")
+    for _ in range(2):
+        for argv in (["simulate", "--protocol", "udp", "--out", str(tmp_path / "env.csv")],
+                     ["montecarlo", "--protocol", "tcp", "--replicates", "20"]):
+            assert run([argv[0], "--scenario", mixed_path, *argv[1:]]) == 0
     assert calls == {"validate": 1, "build": 1}
     # an override makes a scenario of its own, with its own operators
     assert run(["cost", "--scenario", mixed_path, "--protocol", "udp", "--upsilon", "0.5"]) == 0

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from nclab import (Protocol, bernoulli_quadratic_expectation,
-                   closed_loop_eigenvalues, determinant_root_candidates,
-                   error_quadratic_expectation, expected_cost, expected_costs,
-                   line_resolvents, monte_carlo_cost, optimal_sequence, synthesize)
+                   closed_loop_eigenvalues, determinant_root_candidates, expected_cost,
+                   expected_costs, line_resolvents, monte_carlo_cost, optimal_sequence,
+                   synthesize)
 from nclab.allocation import _grid_values
 
 from conftest import (enumerate_bernoulli_quadratic, lossy_riccati_oracle, make_scenario,
@@ -69,33 +69,6 @@ def test_cost_at_origin_is_noise_floor():
         rep = expected_cost(ops, p, np.zeros(scn.n))
         assert rep.reduction_term == pytest.approx(0.0, abs=1e-12)
         assert rep.total == pytest.approx(ops.noise_trace, rel=1e-12)
-
-
-def test_error_quadratic_expectation():
-    scn = toy_scenario(mu=0.5)
-    ops = ops_of(scn)
-    # acknowledged: input-independent
-    for u in (0.0, 1.0, -3.7):
-        assert error_quadratic_expectation(ops, TCP, [u]) == 0.0
-    # unacknowledged at u=1: 0.5 * 1 * 0.5 = 0.25
-    assert error_quadratic_expectation(ops, UDP, [1.0]) == pytest.approx(0.25, rel=1e-12)
-    # perfect channel removes the input dependence
-    assert error_quadratic_expectation(ops, UDP, [1.0], upsilon=1.0) == 0.0
-
-
-def test_error_expectation_matches_enumeration():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        scn = random_scenario(rng, n_max=3, m_max=2, n_horizon_max=3)
-        ops = ops_of(scn)
-        k = scn.horizon * scn.m
-        useq = rng.normal(size=k)
-        means = ops.upsilon_diag
-        dev = enumerate_bernoulli_quadratic(ops.omega_g, means, useq)
-        # subtract the mean part to isolate E[(v-mean) Og (v-mean)]
-        mean_part = float((means * useq) @ ops.omega_g @ (means * useq))
-        assert error_quadratic_expectation(ops, UDP, useq) == pytest.approx(
-            dev - mean_part, rel=1e-10, abs=1e-12)
 
 
 def test_bernoulli_quadratic_expectation_examples():
