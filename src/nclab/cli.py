@@ -9,14 +9,21 @@ out, from this module's own writer (``_emit``): json's indent encoder runs
 in pure Python, and printing took more time than computing on ``pendulum``.
 Every document is flat: each field is a string, an integer, a boolean,
 null, a float, or a float or complex array, and nothing nests deeper.
-The writer rounds all of an array's floats by one ``%`` and prints each as
-json prints the rounded float; a complex number prints as ``{"re", "im"}``.
+The writer rounds all of an array's floats by one ``%.9g`` and keeps each
+text, which is what json prints for the rounded float once an integer gets
+its ``.0``; only a text with an exponent is printed again by
+``float.__repr__`` (``_numbers`` gives the reason).  A scalar float takes
+the same route, and a complex number prints as ``{"re", "im"}``.
 The environment variable NCLAB_SEED (a nonnegative integer) overrides the
 scenario's simulation seed, and ``--seed`` overrides both.  ``sweep`` and
 ``allocate`` evaluate their grids line by line with one ``line_resolvents``
 call per protocol, and ``--frontier-out`` prints the costs ``allocate`` found
 without evaluating any; a sweep needs at least two points per channel, and
 neither grid may exceed MAX_SWEEP_POINTS grid points in all.
+Each command has its own parser: ``run`` hands the arguments after the
+command name to it, so a usage error names that command (``usage: nclab
+cost ...``); a missing or unknown command and the top-level ``--help`` go
+to the top-level parser.
 Every CSV cell is printed as ``%.9g``.
 ``--upsilon`` is offered only by the commands whose output it changes;
 ``montecarlo`` accepts ``--threads`` (at least 1), which has no effect.
@@ -49,6 +56,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -74,20 +82,17 @@ class UsageError(Exception):
     pass
 
 
-def _rounded(x: float) -> float:
-    """``x`` rounded to the 9 significant digits every output prints."""
-    return float(f"{x:.9g}")
-
-
 def _numbers(values: list) -> list[str]:
     """The JSON texts of the finite floats ``values``, each ``float.__repr__``
     of the float rounded to 9 significant digits (which is what json
-    prints): all rounded by one ``%``, then printed by json's C encoder (the
-    one json uses without ``indent``)."""
-    if not values:
-        return []
+    prints), all rounded by one ``%``.  A text in fixed notation is repr's
+    once an integer gets its ``.0``: a decimal of at most 15 significant
+    digits is the shortest text of the double it reads as, and both formats
+    print exponents -4 to 8 in fixed notation.  Only a text with an exponent
+    (below 1e-4, from 1e9 up, subnormal) is printed again by repr."""
     texts = ("%.9g," * len(values) % tuple(values)).split(",")[:-1]
-    return json.dumps(np.array(texts, dtype=float).tolist())[1:-1].split(", ")
+    return [float.__repr__(float(t)) if "e" in t else t if "." in t else t + ".0"
+            for t in texts]
 
 
 def _block(open_: str, items: list[str], close: str, level: int) -> str:
@@ -129,14 +134,15 @@ def _emit(doc: dict, out: str | None) -> None:
     integer, boolean or None; a field that is not finite is refused by name
     before any field is formatted."""
     for name, value in doc.items():
-        if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+        if (isinstance(value, float) and not math.isfinite(value)
+                or isinstance(value, np.ndarray) and not np.isfinite(value).all()):
             raise ValueError(f"the result {name} is not finite; nothing was printed")
     fields = []
     for name, value in doc.items():
         if isinstance(value, np.ndarray):
             item = _array(value, 1)
         elif isinstance(value, float):
-            item = float.__repr__(_rounded(value))
+            item = _numbers([value])[0]
         else:
             item = json.dumps(value)
         fields.append(f"{json.dumps(name)}: {item}")
@@ -285,8 +291,8 @@ def cmd_simulate(args) -> int:
     if not np.isfinite(rec.realized_cost):
         raise ValueError("the realized cost is not finite; no CSV was written")
     simulator.write_trajectory_csv(args.out, rec)
-    print(json.dumps({"realized_cost": _rounded(rec.realized_cost), "seed": rec.seed,
-                      "steps": int(rec.inputs.shape[0]), "out": args.out}, allow_nan=False))
+    print(f'{{"realized_cost": {_numbers([rec.realized_cost])[0]}, "seed": {rec.seed}, '
+          f'"steps": {rec.inputs.shape[0]}, "out": {json.dumps(args.out)}}}')
     return 0
 
 
@@ -338,15 +344,17 @@ def cmd_allocate(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: ``parse_args`` makes
-    a fresh namespace on every call, so nothing carries over between runs."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built
+    once per process: ``parse_args`` makes a fresh namespace on every call,
+    so nothing carries over between runs."""
     p = argparse.ArgumentParser(prog="nclab",
                                 description="LQG/MPC synthesis and analysis over lossy actuation channels")
     sub = p.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, fn, protocol=True, upsilon=True, out_csv=False):
-        sp = sub.add_parser(name)
+        sp = commands[name] = sub.add_parser(name)
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
         if protocol:
             sp.add_argument("--protocol", required=True, choices=["tcp", "udp"])
@@ -391,14 +399,18 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", default=None, help="comma-separated channel prices")
     sp.add_argument("--resolution", type=float, default=0.01)
     sp.add_argument("--frontier-out", default=None, help="write the full grid CSV here")
-    return p
+    return p, commands
 
 
 def run(argv=None) -> int:
     _openblas.one_thread()
-    parser = _parser()
+    top, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's arguments go straight to its own parser; only a missing or
+    # unknown command, or the top-level --help, reaches the top-level one
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else top.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

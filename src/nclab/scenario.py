@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -408,7 +408,8 @@ def load_scenario(path) -> Scenario:
     is that of one of the last two loaded returns that scenario (module
     docstring)."""
     try:
-        text = Path(path).read_text()
+        with open(os.fspath(path)) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     with _kept_lock:

@@ -322,14 +322,14 @@ def _rollout(scn: Scenario, v: np.ndarray, w: np.ndarray, sequence: np.ndarray |
         inputs = take("inputs", steps, R, m)
         neg_kt = -gain.T
     ax = np.empty((R, n))
-    for k in range(steps):
+    matmul, multiply, add = np.matmul, np.multiply, np.add
+    for x_k, x, u_k, v_k, b_k, w_k in zip(states, states[1:], inputs, v, applied, w):
         if gain is not None:
-            np.matmul(states[k], neg_kt, out=inputs[k])
-            np.multiply(v[k], inputs[k], out=applied[k])
-            np.matmul(applied[k], bt, out=states[k + 1])
-        x = states[k + 1]
-        x += np.matmul(states[k], at, out=ax)
-        x += w[k]
+            matmul(x_k, neg_kt, out=u_k)
+            multiply(v_k, u_k, out=b_k)
+            matmul(b_k, bt, out=x)
+        add(x, matmul(x_k, at, out=ax), out=x)
+        add(x, w_k, out=x)
     om, psi = _stage_weights(scn, steps)
     x = states[1:]
     terms = np.matmul(x, om, out=take("scratch", steps, R, n))

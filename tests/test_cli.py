@@ -255,6 +255,51 @@ def test_unknown_command_exits_2(capsys):
     assert rc == 2
 
 
+TOP_USAGE = ("usage: nclab [-h]\n"
+             "             {synthesize,cost,gap,eigs,sweep,maxdiff,simulate,montecarlo,allocate}\n"
+             "             ...\n")
+COST_USAGE = ("usage: nclab cost [-h] --scenario SCENARIO --protocol {tcp,udp}\n"
+              "                  [--upsilon UPSILON] [--out OUT]\n")
+
+
+@pytest.mark.parametrize("argv, rc, out, err", [
+    ([], 2, "", TOP_USAGE + "nclab: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", TOP_USAGE + "nclab: error: argument command: invalid choice: 'bogus'"),
+    (["--help"], 0, TOP_USAGE, ""),
+    (["cost", "--help"], 0, COST_USAGE, ""),
+    (["cost", "--scenario", "{pendulum}"], 2, "",
+     COST_USAGE + "nclab cost: error: the following arguments are required: --protocol\n"),
+    (["cost", "--scenario", "{pendulum}", "--protocol", "xyz"], 2, "",
+     COST_USAGE + "nclab cost: error: argument --protocol: invalid choice: 'xyz'"),
+    # a command's unrecognized option is reported with that command's usage
+    (["cost", "--scenario", "{pendulum}", "--protocol", "udp", "--bogus", "x"], 2, "",
+     COST_USAGE + "nclab cost: error: unrecognized arguments: --bogus x\n"),
+], ids=["no command", "unknown command", "help", "command help", "missing option",
+        "bad choice", "unrecognized option"])
+def test_usage_paths_print_the_parser_text(capsys, monkeypatch, pend_path, argv, rc, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+    argv = [pend_path if a == "{pendulum}" else a for a in argv]
+    given = list(argv)
+    assert run(given) == rc
+    assert given == argv
+    printed = capsys.readouterr()
+    assert printed.out.startswith(out) and printed.err.startswith(err)
+    assert bool(printed.out) == (rc == 0) and "Traceback" not in printed.err
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["cost", "--scenario", "{pendulum}", "--protocol", "udp"], 0),
+    (["simulate", "--scenario", "{pendulum}", "--protocol", "udp", "--out", "{out}"], 0),
+    (["sweep", "--scenario", "{pendulum}", "--points", "1", "--out", "{out}"], 2),
+], ids=["cost", "seeded from NCLAB_SEED", "usage error"])
+def test_run_leaves_the_callers_argv_unchanged(tmp_path, capsys, monkeypatch, pend_path, argv, rc):
+    monkeypatch.setenv("NCLAB_SEED", "3")
+    argv = [{"{pendulum}": pend_path, "{out}": str(tmp_path / "x.csv")}.get(a, a) for a in argv]
+    given = list(argv)
+    assert run(given) == rc
+    assert given == argv
+
+
 def test_sweep_matches_per_point_costs(tmp_path, mixed_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--scenario", mixed_path, "--points", "4", "--out", str(out)]) == 0

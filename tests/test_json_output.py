@@ -4,6 +4,7 @@ rounded to 9 significant digits, byte for byte."""
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,4 +134,40 @@ def test_writer_prints_the_reference_bytes(doc_path, doc):
 def test_each_special_float_prints_its_repr(tmp_path, value):
     doc = {"scalar": value, "array": np.array([value, value]),
            "rows": np.array([[value], [1.5]]), "complex": np.array([complex(value, 0.0)])}
+    assert written(doc, tmp_path / "doc.json") == reference(doc)
+
+
+def json_of_rounded(x: float) -> str:
+    """The text json prints for ``x`` rounded to 9 significant digits."""
+    return json.dumps(float("%.9g" % x))
+
+
+# the bit patterns of all finite doubles, every exponent equally likely
+any_finite = (st.integers(0, 2 ** 64 - 1)
+              .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+              .filter(math.isfinite))
+
+
+@settings(max_examples=400)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 any_finite), max_size=20))
+def test_numbers_print_json_of_the_rounded_floats(values):
+    assert cli._numbers(values) == [json_of_rounded(x) for x in values]
+
+
+def _around(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# where %.9g switches between fixed and exponent notation, or carries into
+# one more digit, and the ends of the subnormal and finite ranges
+EDGES = [v for x in [0.0, 5e-324, SMALLEST_NORMAL, 1e-5, 1e-4, 999999999.5,
+                     *(10.0 ** k for k in range(9, 17)), 1e308]
+         for s in (1.0, -1.0) for v in _around(s * x)]
+
+
+def test_numbers_at_the_notation_edges(tmp_path):
+    assert cli._numbers(EDGES) == [json_of_rounded(x) for x in EDGES]
+    real = np.array(EDGES)
+    doc = {"real": real, "complex": real + 1j * real[::-1]}
     assert written(doc, tmp_path / "doc.json") == reference(doc)
